@@ -179,8 +179,9 @@ impl Bees {
 
         // ---- Stage 4: Approximate Image Uploading ------------------------
         let (t_aiu, j_aiu) = (client.now(), client.ledger().total());
-        for &i in &selected {
-            self.upload_selected(b, i, &features[i], tier)?;
+        let encoded = self.speculate_encodes(b, &selected, tier);
+        for (&i, guess) in selected.iter().zip(encoded) {
+            self.upload_selected(b, i, &features[i], tier, guess)?;
         }
         let client = &*b.ctx.client;
         b.ctx
@@ -197,23 +198,47 @@ impl Bees {
         Ok(())
     }
 
+    /// The top rung's resize and encode of every selected image, one image
+    /// per runtime task, at the EAU proportion read at stage start. Only
+    /// `Full` and `PartialScans` grants try that rung first; under other
+    /// grants nothing is speculated.
+    fn speculate_encodes(
+        &self,
+        b: &Batch<'_, '_>,
+        selected: &[usize],
+        tier: UploadTier,
+    ) -> Vec<Option<Encoded>> {
+        if !matches!(tier, UploadTier::Full | UploadTier::PartialScans) {
+            return selected.iter().map(|_| None).collect();
+        }
+        let cr = self.eau.value(self.effective_ebat(b.ctx.client));
+        let (batch, quality) = (b.ctx.batch, self.upload_quality);
+        bees_runtime::par_map(selected, |&i| {
+            let shrunk = resize::compress_resolution_rgb(&batch[i], cr).ok()?;
+            let full = progressive::encode_progressive_rgb(&shrunk, quality).ok()?;
+            Some((shrunk, full))
+        })
+    }
+
     /// AIU's degradation ladder for selected image `i`: the progressive
     /// upload → (on retry exhaustion, or under a `PartialScans` grant) the
     /// confirmed scan prefix as a partial image → (nothing decodable) the
-    /// thumbnail → (again exhausted) deferral.
+    /// thumbnail → (again exhausted) deferral. `guess` is the top rung's
+    /// speculative encode.
     fn upload_selected(
         &self,
         b: &mut Batch<'_, '_>,
         i: usize,
         features: &ImageFeatures,
         tier: UploadTier,
+        guess: Option<Encoded>,
     ) -> Result<()> {
         if tier == UploadTier::Defer {
             return self.defer(b, i, features);
         }
         // A thumbnail grant skips the full-quality attempt instead of
         // burning airtime it would lose anyway.
-        if tier == UploadTier::Thumbnail || !self.upload_progressive(b, i, features, tier)? {
+        if tier == UploadTier::Thumbnail || !self.upload_progressive(b, i, features, tier, guess)? {
             self.upload_thumbnail(b, i, features)?;
         }
         Ok(())
@@ -227,10 +252,12 @@ impl Bees {
         i: usize,
         features: &ImageFeatures,
         tier: UploadTier,
+        guess: Option<Encoded>,
     ) -> Result<bool> {
         let cr = self.eau.value(self.effective_ebat(b.ctx.client));
-        let shrunk = shrink(b, i, cr)?;
-        let full = progressive::encode_progressive_rgb(&shrunk, self.upload_quality)?;
+        let (shrunk, full) = shrink_encode(b, i, cr, guess, |shrunk| {
+            progressive::encode_progressive_rgb(shrunk, self.upload_quality)
+        })?;
         // A PartialScans grant transmits only a prefix of the progressive
         // stream; whatever it delivers is ingested through the
         // partial-image machinery, upgradeable later.
@@ -311,8 +338,9 @@ impl Bees {
         i: usize,
         features: &ImageFeatures,
     ) -> Result<()> {
-        let thumb = shrink(b, i, THUMBNAIL_RESOLUTION_PROPORTION)?;
-        let payload = codec::encode_rgb(&thumb, THUMBNAIL_QUALITY)?;
+        let (_, payload) = shrink_encode(b, i, THUMBNAIL_RESOLUTION_PROPORTION, None, |thumb| {
+            codec::encode_rgb(thumb, THUMBNAIL_QUALITY)
+        })?;
         let bytes = wire::image_upload_bytes(payload.len());
         let Delivery::Delivered = b.deliver(EnergyCategory::ImageUpload, bytes, false)? else {
             return self.defer(b, i, features);
@@ -347,9 +375,22 @@ impl Bees {
     }
 }
 
-/// Resolution-compresses batch image `i` by `proportion`, charging the
-/// resize and the encode that follows it.
-fn shrink(b: &mut Batch<'_, '_>, i: usize, proportion: f64) -> Result<RgbImage> {
+/// A resolution-compressed image and its encoding.
+type Encoded = (RgbImage, Vec<u8>);
+
+/// Resolution-compresses batch image `i` by `proportion` and `encode`s the
+/// result, charging the resize and then the encode before each runs.
+/// `guess`, the same two steps run ahead at a predicted proportion, stands
+/// in for them when its image has the live compressed dimensions: the
+/// resize reads the proportion only through them. Otherwise both steps
+/// run here.
+fn shrink_encode(
+    b: &mut Batch<'_, '_>,
+    i: usize,
+    proportion: f64,
+    guess: Option<Encoded>,
+    encode: impl FnOnce(&RgbImage) -> bees_image::Result<Vec<u8>>,
+) -> Result<Encoded> {
     let client = &mut *b.ctx.client;
     let model = *client.energy_model();
     let img = &b.ctx.batch[i];
@@ -357,12 +398,20 @@ fn shrink(b: &mut Batch<'_, '_>, i: usize, proportion: f64) -> Result<RgbImage> 
         EnergyCategory::Compression,
         model.resize_energy(img.pixel_count()),
     )?;
-    let shrunk = resize::compress_resolution_rgb(img, proportion)?;
+    let dims = resize::compressed_dimensions(img.width(), img.height(), proportion)?;
+    let (shrunk, encoded) = match guess {
+        Some((shrunk, encoded)) if shrunk.dimensions() == dims => (shrunk, Some(encoded)),
+        _ => (resize::compress_resolution_rgb(img, proportion)?, None),
+    };
     client.spend_cpu(
         EnergyCategory::Compression,
         model.encode_energy(shrunk.pixel_count()),
     )?;
-    Ok(shrunk)
+    let encoded = match encoded {
+        Some(encoded) => encoded,
+        None => encode(&shrunk)?,
+    };
+    Ok((shrunk, encoded))
 }
 
 impl UploadScheme for Bees {

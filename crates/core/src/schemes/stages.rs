@@ -16,7 +16,7 @@ use crate::{
 };
 use bees_energy::EnergyCategory;
 use bees_features::{ExtractorKind, FeatureExtractor, ImageFeatures};
-use bees_image::{codec, resize};
+use bees_image::{codec, resize, GrayImage, RgbImage};
 use bees_net::{wire, NetError};
 use bees_telemetry::names;
 
@@ -117,10 +117,18 @@ impl<'c, 'a> Batch<'c, 'a> {
         self.ctx.server.ingest(request.maybe_geotag(geotag));
     }
 
-    /// Feature extraction (AFE in BEES). Each image's grayscale bitmap is
-    /// first shrunk by `compression(client)`, paying for the resize, when
-    /// a compression is given; `extractor` then runs and its cost is
-    /// charged.
+    /// Feature extraction (AFE in BEES), one image per runtime task. Each
+    /// image's grayscale bitmap is first shrunk by `compression(client)`,
+    /// paying for the resize, when a compression is given; `extractor`
+    /// then runs and its cost is charged.
+    ///
+    /// The compression reads the battery after the previous image's
+    /// charges, so the fan-out runs on the value read at stage start and
+    /// the charges are then replayed in image order (DESIGN.md §6). The
+    /// resize reads the compression only through the compressed
+    /// dimensions, so an image whose live dimensions differ from the
+    /// predicted ones is re-extracted inline, and a battery abort drops
+    /// whatever was not replayed.
     pub fn extract(
         &mut self,
         extractor: &dyn FeatureExtractor,
@@ -130,16 +138,31 @@ impl<'c, 'a> Batch<'c, 'a> {
         let client = &mut *self.ctx.client;
         let (t0, j0) = (client.now(), client.ledger().total());
         let model = *client.energy_model();
+        let bitmap = |img: &RgbImage, c: Option<f64>| -> Result<GrayImage> {
+            let gray = img.to_gray();
+            Ok(match c {
+                Some(c) => resize::compress_bitmap(&gray, c)?,
+                None => gray,
+            })
+        };
+        let predicted = compression.map(|eac| eac(client));
+        let speculated = bees_runtime::par_map(batch, |img| {
+            let gray = bitmap(img, predicted).ok()?;
+            Some((gray.dimensions(), extractor.extract_with_stats(&gray)))
+        });
         let mut features = Vec::with_capacity(batch.len());
-        for img in batch {
+        for (img, guess) in batch.iter().zip(speculated) {
             let c = compression.map(|eac| eac(client));
-            let mut gray = img.to_gray();
+            let mut dims = img.dimensions();
             if let Some(c) = c {
-                let resize_j = model.resize_energy(gray.pixel_count());
+                let resize_j = model.resize_energy(img.pixel_count());
                 client.spend_cpu(EnergyCategory::Compression, resize_j)?;
-                gray = resize::compress_bitmap(&gray, c)?;
+                dims = resize::compressed_dimensions(dims.0, dims.1, c)?;
             }
-            let (f, stats) = extractor.extract_with_stats(&gray);
+            let (f, stats) = match guess {
+                Some((at, extracted)) if at == dims => extracted,
+                _ => extractor.extract_with_stats(&bitmap(img, c)?),
+            };
             let extract_j = model.extraction_energy(extractor.kind(), &stats);
             client.spend_cpu(EnergyCategory::FeatureExtraction, extract_j)?;
             features.push(f);

@@ -16,7 +16,7 @@ use crate::retrieval::{
 use bees_features::global::ColorHistogram;
 use bees_features::orb::Orb;
 use bees_features::similarity::jaccard_similarity;
-use bees_features::{Descriptors, FeatureExtractor, ImageFeatures};
+use bees_features::{Descriptors, ImageFeatures};
 use bees_index::{FeatureIndex, ImageId, LinearIndex, MihIndex, Query, QueryScratch, ShardedIndex};
 use bees_store::{
     ContentStore, Fidelity, Fnv64, InsertOutcome, RecompressionReport, StorageConfig, StorePayload,
@@ -317,7 +317,8 @@ impl Server {
     /// explicit extractor) or as global histograms only — see
     /// [`PreloadBatch`]. Feature preloads commit the epoch immediately;
     /// histogram preloads never touch the index. Either way each image
-    /// gets a [`ImageTier::Preloaded`] record.
+    /// gets a [`ImageTier::Preloaded`] record. Features are extracted one
+    /// image per runtime task; ids follow the image order.
     pub fn preload(&mut self, batch: PreloadBatch<'_>) {
         if batch.histograms_only {
             for img in batch.images {
@@ -327,11 +328,10 @@ impl Server {
             }
             return;
         }
-        for img in batch.images {
-            let features = match batch.extractor {
-                Some(extractor) => extractor.extract(&img.to_gray()),
-                None => self.orb.extract(&img.to_gray()),
-            };
+        let extractor = batch.extractor.unwrap_or(&self.orb);
+        let extracted =
+            bees_runtime::par_map(batch.images, |img| extractor.extract(&img.to_gray()));
+        for features in extracted {
             let id = self.fresh_id();
             self.records.insert(id, ImageRecord::preloaded(None));
             self.pending.push((id, features));
@@ -810,6 +810,7 @@ mod tests {
     use super::*;
     use crate::CoreError;
     use bees_datasets::{Scene, SceneConfig, ViewJitter};
+    use bees_features::FeatureExtractor;
     use bees_image::RgbImage;
 
     fn config() -> BeesConfig {

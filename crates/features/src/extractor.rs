@@ -54,8 +54,9 @@ impl ExtractionStats {
 ///
 /// Implemented by [`Orb`](crate::orb::Orb), [`Sift`](crate::sift::Sift), and
 /// [`PcaSift`](crate::pca::PcaSift). The trait is object-safe so schemes can
-/// hold a `Box<dyn FeatureExtractor>`.
-pub trait FeatureExtractor {
+/// hold a `Box<dyn FeatureExtractor>`, and `Sync` so one extractor can serve
+/// a batch fanned out one image per runtime task.
+pub trait FeatureExtractor: Sync {
     /// Which algorithm this is (used for reporting and energy coefficients).
     fn kind(&self) -> ExtractorKind;
 

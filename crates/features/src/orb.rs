@@ -134,8 +134,10 @@ impl FeatureExtractor for Orb {
         stats.pixels_processed = pyramid.total_pixels();
 
         // Distribute the feature budget across levels proportionally to
-        // level area. Levels are detected in parallel and flattened back in
-        // level order, matching the sequential loop exactly.
+        // level area. Levels are a runtime fan-out flattened back in level
+        // order, matching the sequential loop exactly; inside a batch's
+        // one-image-per-task extraction this and the blur and BRIEF fan-outs
+        // below run inline on the image's worker.
         let rt = Runtime::current();
         let total_pixels = pyramid.total_pixels() as f64;
         let per_level: Vec<Vec<Candidate>> = rt.par_map_range(pyramid.len(), |level| {
@@ -181,7 +183,7 @@ impl FeatureExtractor for Orb {
         candidates.truncate(self.config.n_features);
 
         // Blur each level once for BRIEF sampling (only levels that have
-        // surviving candidates). Distinct levels are blurred concurrently.
+        // surviving candidates), one level per task.
         let mut needed: Vec<usize> = candidates.iter().map(|c| c.level).collect();
         needed.sort_unstable();
         needed.dedup();

@@ -80,8 +80,16 @@ pub fn decode_gray_lossless(bytes: &[u8]) -> Result<GrayImage> {
             detail: "zero dimensions in header",
         });
     }
-    let mut img = GrayImage::new(width, height)?;
     let mut reader = BitReader::new(&bytes[9..]);
+    // A corrupted header can claim absurd dimensions; every exp-Golomb
+    // residual costs at least 1 bit, so bound the pixel count by the
+    // payload before allocating anything.
+    if u64::from(width) * u64::from(height) > reader.bits_remaining() as u64 {
+        return Err(ImageError::CorruptBitstream {
+            detail: "dimensions exceed payload capacity",
+        });
+    }
+    let mut img = GrayImage::new(width, height)?;
     for y in 0..height {
         for x in 0..width {
             let left = if x > 0 { img.get(x - 1, y) as i32 } else { 0 };

@@ -1,4 +1,4 @@
-use crate::{ImageError, Result};
+use crate::{pixel_len, ImageError, Result};
 
 /// An owned 8-bit grayscale image stored in row-major order.
 ///
@@ -27,15 +27,13 @@ impl GrayImage {
     ///
     /// # Errors
     ///
-    /// Returns [`ImageError::InvalidDimensions`] if either dimension is zero.
+    /// Returns [`ImageError::InvalidDimensions`] if either dimension is zero
+    /// or the pixel buffer would overflow an allocation.
     pub fn new(width: u32, height: u32) -> Result<Self> {
-        if width == 0 || height == 0 {
-            return Err(ImageError::InvalidDimensions { width, height });
-        }
         Ok(GrayImage {
             width,
             height,
-            data: vec![0; width as usize * height as usize],
+            data: vec![0; pixel_len::<u8>(width, height)?],
         })
     }
 
@@ -43,13 +41,11 @@ impl GrayImage {
     ///
     /// # Errors
     ///
-    /// Returns [`ImageError::InvalidDimensions`] for zero dimensions and
-    /// [`ImageError::BufferSizeMismatch`] if `data.len() != width * height`.
+    /// Returns [`ImageError::InvalidDimensions`] for zero or overflowing
+    /// dimensions and [`ImageError::BufferSizeMismatch`] if
+    /// `data.len() != width * height`.
     pub fn from_raw(width: u32, height: u32, data: Vec<u8>) -> Result<Self> {
-        if width == 0 || height == 0 {
-            return Err(ImageError::InvalidDimensions { width, height });
-        }
-        let expected = width as usize * height as usize;
+        let expected = pixel_len::<u8>(width, height)?;
         if data.len() != expected {
             return Err(ImageError::BufferSizeMismatch {
                 expected,
@@ -235,15 +231,13 @@ impl GrayF32 {
     ///
     /// # Errors
     ///
-    /// Returns [`ImageError::InvalidDimensions`] if either dimension is zero.
+    /// Returns [`ImageError::InvalidDimensions`] if either dimension is zero
+    /// or the sample buffer would overflow an allocation.
     pub fn new(width: u32, height: u32) -> Result<Self> {
-        if width == 0 || height == 0 {
-            return Err(ImageError::InvalidDimensions { width, height });
-        }
         Ok(GrayF32 {
             width,
             height,
-            data: vec![0.0; width as usize * height as usize],
+            data: vec![0.0; pixel_len::<f32>(width, height)?],
         })
     }
 
@@ -251,13 +245,11 @@ impl GrayF32 {
     ///
     /// # Errors
     ///
-    /// Returns [`ImageError::InvalidDimensions`] for zero dimensions and
-    /// [`ImageError::BufferSizeMismatch`] if `data.len() != width * height`.
+    /// Returns [`ImageError::InvalidDimensions`] for zero or overflowing
+    /// dimensions and [`ImageError::BufferSizeMismatch`] if
+    /// `data.len() != width * height`.
     pub fn from_raw(width: u32, height: u32, data: Vec<f32>) -> Result<Self> {
-        if width == 0 || height == 0 {
-            return Err(ImageError::InvalidDimensions { width, height });
-        }
-        let expected = width as usize * height as usize;
+        let expected = pixel_len::<f32>(width, height)?;
         if data.len() != expected {
             return Err(ImageError::BufferSizeMismatch {
                 expected,

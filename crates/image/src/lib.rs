@@ -52,3 +52,14 @@ pub use rgb::{Rgb, RgbImage};
 
 /// Shorthand result type used throughout the crate.
 pub type Result<T> = std::result::Result<T, ImageError>;
+
+/// The number of `T` samples in a `width × height` image, or
+/// [`ImageError::InvalidDimensions`] when a side is zero or the buffer would
+/// exceed `isize::MAX` bytes, the most one allocation may hold.
+pub(crate) fn pixel_len<T>(width: u32, height: u32) -> Result<usize> {
+    let max = isize::MAX as usize / std::mem::size_of::<T>();
+    match (width as usize).checked_mul(height as usize) {
+        Some(len) if len > 0 && len <= max => Ok(len),
+        _ => Err(ImageError::InvalidDimensions { width, height }),
+    }
+}

@@ -1,4 +1,4 @@
-use crate::{GrayImage, ImageError, Result};
+use crate::{pixel_len, GrayImage, Result};
 
 /// An 8-bit RGB pixel.
 ///
@@ -94,15 +94,14 @@ impl RgbImage {
     ///
     /// # Errors
     ///
-    /// Returns [`ImageError::InvalidDimensions`] if either dimension is zero.
+    /// Returns [`ImageError::InvalidDimensions`](crate::ImageError) if
+    /// either dimension is zero or the pixel buffer would overflow an
+    /// allocation.
     pub fn new(width: u32, height: u32) -> Result<Self> {
-        if width == 0 || height == 0 {
-            return Err(ImageError::InvalidDimensions { width, height });
-        }
         Ok(RgbImage {
             width,
             height,
-            data: vec![Rgb::default(); width as usize * height as usize],
+            data: vec![Rgb::default(); pixel_len::<Rgb>(width, height)?],
         })
     }
 

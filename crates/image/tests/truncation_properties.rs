@@ -3,13 +3,16 @@
 //! cut at *any* byte offset — not just chunk boundaries — must either
 //! decode to a valid [`ScanProgress`] or fail with `CorruptBitstream`;
 //! it must never panic, and the scan count must be monotone in the
-//! prefix length. Plain exhaustive loops, no fuzzing framework: the
+//! prefix length. The lossless decoder is walked the same way, and a
+//! forged header claiming more pixels than any allocation may hold must be
+//! a typed error. Plain exhaustive loops, no fuzzing framework: the
 //! streams are small enough to walk every offset.
 
+use bees_image::codec::lossless::{decode_gray_lossless, encode_gray_lossless};
 use bees_image::codec::progressive::{
     decode_partial, encode_progressive_gray, encode_progressive_rgb, ScanProgress, SCAN_BANDS,
 };
-use bees_image::{ImageError, Rgb, RgbImage};
+use bees_image::{GrayF32, GrayImage, ImageError, Rgb, RgbImage};
 
 fn scene(w: u32, h: u32) -> RgbImage {
     RgbImage::from_fn(w, h, |x, y| {
@@ -135,5 +138,44 @@ fn garbage_prefixes_fail_cleanly() {
         }
         Err(ImageError::CorruptBitstream { .. }) => {}
         Err(other) => panic!("unexpected error on corrupt tail: {other}"),
+    }
+}
+
+#[test]
+fn forged_lossless_header_is_a_typed_error() {
+    // A 13-byte stream: the lossless magic, a u32::MAX × u32::MAX header
+    // and 4 payload bytes. Sizing a buffer from the header alone would ask
+    // for more than any allocation may hold.
+    let mut forged = vec![0xB7];
+    forged.extend_from_slice(&u32::MAX.to_le_bytes());
+    forged.extend_from_slice(&u32::MAX.to_le_bytes());
+    forged.extend_from_slice(&[0xFF; 4]);
+    assert!(matches!(
+        decode_gray_lossless(&forged),
+        Err(ImageError::CorruptBitstream { .. })
+    ));
+    let overflow = ImageError::InvalidDimensions {
+        width: u32::MAX,
+        height: u32::MAX,
+    };
+    assert_eq!(GrayImage::new(u32::MAX, u32::MAX), Err(overflow.clone()));
+    assert_eq!(GrayF32::new(u32::MAX, u32::MAX), Err(overflow.clone()));
+    assert_eq!(RgbImage::new(u32::MAX, u32::MAX), Err(overflow));
+}
+
+#[test]
+fn lossless_stream_truncated_at_every_byte_never_panics() {
+    // Every residual ends in the last byte, so only the whole stream
+    // decodes; each shorter prefix fails with `CorruptBitstream`.
+    for (w, h) in [(48u32, 32u32), (9, 7), (1, 1)] {
+        let img = scene(w, h).to_gray();
+        let bytes = encode_gray_lossless(&img);
+        for cut in 0..bytes.len() {
+            match decode_gray_lossless(&bytes[..cut]) {
+                Err(ImageError::CorruptBitstream { .. }) => {}
+                other => panic!("{w}x{h} cut at {cut}: {other:?}"),
+            }
+        }
+        assert_eq!(decode_gray_lossless(&bytes), Ok(img));
     }
 }

@@ -2,12 +2,14 @@
 
 //! Deterministic scoped worker pool for the BEES reproduction.
 //!
-//! Every hot path in the pipeline — pyramid-level ORB extraction, brute-force
-//! L2 matching, index candidate rescoring, pairwise similarity graphs,
-//! greedy submodular maximization, and the block-DCT codec — is a fan-out
-//! over independent work items. This crate provides that fan-out with one
-//! non-negotiable property: **the output is bit-identical at 1, 2, or N
-//! threads**.
+//! Every hot path in the pipeline — a batch's feature extraction and image
+//! encoding (one image per task), brute-force L2 matching, index candidate
+//! rescoring, pairwise similarity graphs, greedy submodular maximization,
+//! and the cold-recompression pass (one blob per task) — is a fan-out over
+//! independent work items. ORB's pyramid levels and the block-DCT codec fan
+//! out too, but run inline when called from inside one of those tasks. This
+//! crate provides that fan-out with one non-negotiable property: **the
+//! output is bit-identical at 1, 2, or N threads**.
 //!
 //! # Determinism model
 //!

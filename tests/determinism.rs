@@ -753,6 +753,89 @@ fn scheme_paths_are_pinned() {
     }
 }
 
+#[test]
+fn battery_crossing_a_dimension_boundary_is_pinned() {
+    // Extraction and AIU fan out on proportions predicted from the battery
+    // at stage start, then replay each image's charges in order. On a
+    // 40 J battery at 90 % the EAC proportion `c` and the EAU proportion
+    // `Cr` move across pixel-dimension boundaries within one batch, so the
+    // replay redoes the images whose live dimensions differ from the
+    // predicted ones; SmartEye's PCA-SIFT, and BEES on a 0.5 J battery, die
+    // inside extraction, dropping what was not replayed. Each run is pinned
+    // by the digests of its report's `Debug` text, its JSONL trace and its
+    // store layout, at 1, 2 and 8 workers.
+    use bees::core::schemes::{make_scheme, SchemeKind};
+    use bees::energy::{AdaptiveScheme, Battery, EnergyCategory, LinearScheme};
+    use bees::image::resize::compressed_dimensions;
+    use bees::telemetry::{JsonlSink, SharedBuf, Telemetry};
+    use std::sync::Arc;
+
+    let data = disaster_batch(0xB0D, 8, 1, 0.25, SceneConfig::default());
+    let config = |joules: f64| BeesConfig {
+        trace: BandwidthTrace::constant(256_000.0).unwrap(),
+        battery: Battery::from_joules(joules),
+        ..BeesConfig::default()
+    };
+    let crossing = config(40.0);
+    let dying = config(0.5);
+    let (w, h) = data.batch[0].dimensions();
+    let dims = |scheme: &LinearScheme, ebat: f64| compressed_dimensions(w, h, scheme.value(ebat));
+    let died_in_extraction =
+        |r: &BatchReport| r.exhausted && r.energy.get(EnergyCategory::FeatureUpload) == 0.0;
+
+    type Reached = fn(&BatchReport) -> bool;
+    #[rustfmt::skip]
+    let cases: [(SchemeKind, &BeesConfig, Reached, [u64; 3]); 5] = [
+        (SchemeKind::Bees, &crossing, |r| r.uploaded_images > 1,
+            [0x3149b37757f7d19d, 0x3881e726450e382d, 0xcc0c75fea3d0a87c]),
+        (SchemeKind::BeesEa, &crossing, |r| r.uploaded_images > 1,
+            [0xca89ce1a8f2ecd3c, 0x55ae97ffc5de70c3, 0x66ee81db9ad04b99]),
+        (SchemeKind::SmartEye, &crossing, |r| r.exhausted,
+            [0x23b7488a12ef79e1, 0xcbf29ce484222325, 0x81d23fd7003c2305]),
+        (SchemeKind::Mrc, &crossing, |r| r.uploaded_images > 1,
+            [0x04995abb874be74e, 0xf6984a535d13124b, 0xa341d6d438be78e5]),
+        (SchemeKind::Bees, &dying, |r| r.exhausted,
+            [0xed59582b04427390, 0xcbf29ce484222325, 0x81d23fd7003c2305]),
+    ];
+    for (kind, config, reached, want) in cases {
+        for threads in [1usize, 2, 8] {
+            bees::runtime::set_threads(threads);
+            let scheme = make_scheme(kind, config);
+            let mut server = Server::try_new(config).unwrap();
+            scheme.preload_server(&mut server, &data.server_preload);
+            let mut client = Client::try_new(0, config).unwrap();
+            client.battery_mut().set_fraction(0.9);
+            let start = client.ebat();
+            let buf = SharedBuf::new();
+            let telemetry = Telemetry::with_sinks(vec![Arc::new(JsonlSink::new(buf.clone()))]);
+            let report = scheme
+                .upload(
+                    &mut BatchCtx::new(&mut client, &mut server, &data.batch)
+                        .with_telemetry(telemetry),
+                )
+                .unwrap();
+            bees::runtime::set_threads(0);
+            assert!(reached(&report), "{kind} missed its path: {report:?}");
+            assert_eq!(
+                report.exhausted,
+                died_in_extraction(&report),
+                "{kind} died outside extraction: {report:?}"
+            );
+            if kind == SchemeKind::Bees && !report.exhausted {
+                let end = client.ebat();
+                assert_ne!(dims(&config.eac, start), dims(&config.eac, end), "c");
+                assert_ne!(dims(&config.eau, start), dims(&config.eau, end), "Cr");
+            }
+            let got = [
+                digest(&format!("{report:?}")),
+                digest(&buf.contents_string()),
+                server.storage().layout_digest(),
+            ];
+            assert_eq!(got, want, "{kind} moved at {threads} threads");
+        }
+    }
+}
+
 /// The SSMM pairwise similarity graph must not move a single bit when the
 /// descriptor layout (AoS vs SoA blocks) or the thread count changes —
 /// the invariance the BEES scheme's in-batch stage relies on after the
