@@ -12,7 +12,7 @@ use crate::perf::{write_json_lines, Metric};
 use crate::table::Table;
 use bees_features::descriptor::{BinaryDescriptor, Descriptors};
 use bees_features::similarity::SimilarityConfig;
-use bees_features::{ImageFeatures, Keypoint};
+use bees_features::{DescriptorBlock, ImageFeatures, Keypoint};
 use bees_index::{FeatureIndex, ImageId, LinearIndex, MihIndex, Query, QueryScratch, ShardedIndex};
 use bees_rng::ChaCha8Rng;
 use std::hint::black_box;
@@ -84,7 +84,7 @@ pub(crate) fn random_features(rng: &mut ChaCha8Rng, n_descs: usize) -> ImageFeat
         .collect();
     ImageFeatures {
         keypoints: descs.iter().map(|_| Keypoint::default()).collect(),
-        descriptors: Descriptors::Binary(descs),
+        descriptors: Descriptors::Binary(DescriptorBlock::from_descriptors(&descs)),
     }
 }
 
@@ -106,7 +106,7 @@ fn perturb(f: &ImageFeatures, rng: &mut ChaCha8Rng, k: usize) -> ImageFeatures {
         .collect();
     ImageFeatures {
         keypoints: f.keypoints.clone(),
-        descriptors: Descriptors::Binary(out),
+        descriptors: Descriptors::Binary(DescriptorBlock::from_descriptors(&out)),
     }
 }
 

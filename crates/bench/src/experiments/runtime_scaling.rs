@@ -19,7 +19,7 @@ use crate::perf::{write_json_lines, Metric};
 use crate::table::Table;
 use bees_features::descriptor::{BinaryDescriptor, Descriptors};
 use bees_features::similarity::SimilarityConfig;
-use bees_features::ImageFeatures;
+use bees_features::{DescriptorBlock, ImageFeatures};
 use bees_index::{FeatureIndex, ImageId, MihIndex, Query, QueryHit};
 use bees_rng::ChaCha8Rng;
 use std::hint::black_box;
@@ -109,7 +109,7 @@ fn reobserve(base: &ImageFeatures, rng: &mut ChaCha8Rng) -> ImageFeatures {
         .collect();
     ImageFeatures {
         keypoints: base.keypoints.clone(),
-        descriptors: Descriptors::Binary(out),
+        descriptors: Descriptors::Binary(DescriptorBlock::from_descriptors(&out)),
     }
 }
 

@@ -50,7 +50,7 @@ mod server;
 pub mod sessions;
 
 pub use client::{Client, ResumableOutcome, SalvageSummary, TransmitSummary};
-pub use config::{BeesConfig, IndexBackend};
+pub use config::{BeesConfig, BeesConfigBuilder, IndexBackend};
 pub use error::CoreError;
 pub use ingest::{IngestOutcome, IngestReceipt, IngestRequest, PreloadBatch};
 pub use report::BatchReport;

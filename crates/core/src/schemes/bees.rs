@@ -31,7 +31,7 @@ use crate::{
 };
 use bees_energy::{AdaptiveScheme, EnergyCategory, LinearScheme};
 use bees_features::orb::Orb;
-use bees_features::similarity::{jaccard_similarity, jaccard_similarity_blocks};
+use bees_features::similarity::jaccard_similarity;
 use bees_features::ImageFeatures;
 use bees_image::codec::progressive;
 use bees_image::metrics::ssim;
@@ -139,23 +139,13 @@ impl Bees {
             }
             client.spend_cpu(EnergyCategory::FeatureExtraction, pair_j)?;
             // The pairwise Jaccard closure is pure, so the graph can be
-            // built row-parallel without changing a single weight. Each
-            // survivor's descriptors are packed into a SoA block once here,
-            // then reused across all O(n²) pairings; vector feature sets
-            // (no block) fall back to the general scorer.
-            let blocks: Vec<Option<bees_features::DescriptorBlock>> = survivors
-                .iter()
-                .map(|&i| features[i].descriptors.to_block())
-                .collect();
+            // built row-parallel without changing a single weight.
             let graph = SimilarityGraph::from_pairwise_par(survivors.len(), |a, b| {
-                match (&blocks[a], &blocks[b]) {
-                    (Some(ba), Some(bb)) => jaccard_similarity_blocks(ba, bb, &self.similarity),
-                    _ => jaccard_similarity(
-                        &features[survivors[a]],
-                        &features[survivors[b]],
-                        &self.similarity,
-                    ),
-                }
+                jaccard_similarity(
+                    &features[survivors[a]],
+                    &features[survivors[b]],
+                    &self.similarity,
+                )
             });
             let tw = self.tw.value(self.effective_ebat(client));
             let summary = self.ssmm.summarize(&graph, tw);

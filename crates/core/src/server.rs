@@ -761,8 +761,9 @@ fn content_fingerprint(
         match &f.descriptors {
             Descriptors::Binary(ds) => {
                 h.write_u64(1);
-                for d in ds {
-                    h.write(d.as_bytes());
+                // Little-endian words are the descriptors' bytes in order.
+                for &w in ds.words() {
+                    h.write_u64(w);
                 }
             }
             Descriptors::Vector(ds) => {

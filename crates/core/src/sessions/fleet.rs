@@ -98,6 +98,33 @@ pub struct FleetConfig {
     pub pulldown: Option<PulldownConfig>,
 }
 
+impl FleetConfig {
+    /// Rejects a run that could not take a step: a zero device, round or
+    /// group count, or an upload interval that is negative or not finite.
+    fn validate(&self) -> Result<()> {
+        for (name, value) in [
+            ("n_devices", self.n_devices),
+            ("rounds", self.rounds),
+            ("group_size", self.group_size),
+        ] {
+            if value == 0 {
+                return Err(CoreError::InvalidConfig {
+                    detail: format!("fleet {name} must be positive, got 0"),
+                });
+            }
+        }
+        if !self.interval_s.is_finite() || self.interval_s < 0.0 {
+            return Err(CoreError::InvalidConfig {
+                detail: format!(
+                    "fleet interval_s must be finite and non-negative, got {}",
+                    self.interval_s
+                ),
+            });
+        }
+        Ok(())
+    }
+}
+
 impl Default for FleetConfig {
     fn default() -> Self {
         FleetConfig {
@@ -485,13 +512,15 @@ fn device_geotag(device: usize) -> (f64, f64) {
 /// # Errors
 ///
 /// Returns a network error if a channel stalls beyond its limit, or an
-/// invalid-config error from server/client/cell construction.
+/// invalid-config error from server/client/cell construction or naming
+/// the [`FleetConfig`] field that is unusable: a zero `n_devices`,
+/// `rounds` or `group_size`, or an `interval_s` that is negative or not
+/// finite.
 ///
 /// # Panics
 ///
-/// Panics if `n_devices`, `rounds`, or `group_size` is zero, or if the
-/// finished report breaks one of its ledger identities (a bug in the loop,
-/// never a property of the input).
+/// Panics if the finished report breaks one of its ledger identities (a
+/// bug in the loop, never a property of the input).
 pub fn run_fleet(
     scheme: &dyn UploadScheme,
     config: &BeesConfig,
@@ -539,10 +568,7 @@ pub fn run_fleet_with_server(
     fleet: &FleetConfig,
     telemetry: &Telemetry,
 ) -> Result<(FleetReport, Server)> {
-    assert!(fleet.n_devices > 0, "fleet needs at least one device");
-    assert!(fleet.rounds > 0, "fleet needs at least one round");
-    assert!(fleet.group_size > 0, "fleet groups must be non-empty");
-
+    fleet.validate()?;
     let server = Server::try_new(config)?;
     let cell = if config.cell.enabled {
         Some(config.cell.build()?)
@@ -1128,6 +1154,34 @@ mod tests {
             .map(|Reverse(e)| (e.time, e.device))
             .collect();
         assert_eq!(order, vec![(0.0, 1), (0.0, 2), (3.0, 0), (5.0, 0)]);
+    }
+
+    #[test]
+    fn unusable_fleet_fields_are_typed_errors() {
+        let cfg = config();
+        let scheme = Bees::adaptive(&cfg);
+        let fleet_with = |edit: fn(&mut FleetConfig)| {
+            let mut fleet = tiny_fleet();
+            edit(&mut fleet);
+            fleet
+        };
+        for (field, fleet) in [
+            ("n_devices", fleet_with(|f| f.n_devices = 0)),
+            ("rounds", fleet_with(|f| f.rounds = 0)),
+            ("group_size", fleet_with(|f| f.group_size = 0)),
+            ("interval_s", fleet_with(|f| f.interval_s = f64::NAN)),
+            ("interval_s", fleet_with(|f| f.interval_s = f64::INFINITY)),
+            ("interval_s", fleet_with(|f| f.interval_s = -30.0)),
+        ] {
+            match run_fleet(&scheme, &cfg, &fleet) {
+                Err(CoreError::InvalidConfig { detail }) => {
+                    assert!(detail.contains(field), "{field}: {detail}")
+                }
+                other => panic!("{field}: expected InvalidConfig, got {other:?}"),
+            }
+        }
+        // A zero interval is a valid back-to-back schedule.
+        assert!(run_fleet(&scheme, &cfg, &fleet_with(|f| f.interval_s = 0.0)).is_ok());
     }
 
     #[test]

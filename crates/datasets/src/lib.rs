@@ -10,7 +10,7 @@
 //!
 //! * [`scene`] — a seeded scene renderer producing structured images
 //!   (gradients, shapes, texture) with enough corners for ORB/SIFT, plus
-//!   [`ViewJitter`](scene::ViewJitter) to render *similar views* of the
+//!   [`ViewJitter`] to render *similar views* of the
 //!   same scene (small translation/brightness/noise perturbations — the
 //!   synthetic analogue of "4 images taken from the same object"),
 //! * [`kentucky`] — groups of 4 similar views; drives the precision

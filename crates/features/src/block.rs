@@ -1,15 +1,18 @@
 //! Flat structure-of-arrays storage for 256-bit binary descriptors.
 //!
-//! The per-descriptor [`BinaryDescriptor`] objects are convenient at the
-//! API boundary, but every hot loop in the system — brute-force matching,
-//! MIH candidate rescoring, the SSMM pairwise similarity graph — reduces to
-//! "XOR + popcount this query against *many* stored descriptors". Scanning
-//! a `Vec<BinaryDescriptor>` walks 32-byte objects and re-derives the four
-//! 64-bit words on every visit; a [`DescriptorBlock`] instead stores the
-//! words of a whole descriptor set in one flat contiguous `u64` array so a
-//! batch scan is a single linear sweep the compiler can keep in registers
-//! (and, where the CPU provides it, lower to the hardware `popcnt`
-//! instruction — see the dispatch notes below).
+//! A [`DescriptorBlock`] is how every binary descriptor set is stored:
+//! ORB pushes each BRIEF descriptor into one, and it is what
+//! [`Descriptors::Binary`] holds. Every hot loop in the system — brute-force
+//! matching, MIH candidate rescoring, the SSMM pairwise similarity graph —
+//! reduces to "XOR + popcount this query against *many* stored
+//! descriptors", and the block keeps the words of a whole set in one flat
+//! contiguous `u64` array so a batch scan is a single linear sweep the
+//! compiler can keep in registers (and, where the CPU provides it, lower to
+//! the hardware `popcnt` instruction — see the dispatch notes below).
+//! [`BinaryDescriptor`] remains the element type that goes in and comes
+//! out.
+//!
+//! [`Descriptors::Binary`]: crate::Descriptors::Binary
 //!
 //! # Kernel dispatch
 //!
@@ -35,9 +38,9 @@
 //! at eight words per instruction the straight-line sweep outruns the
 //! branchy pruned loop. All kernels return the same first-argmin answer,
 //! and the parity tests in `tests/soa_parity.rs` pin the full match lists
-//! against the unpruned AoS reference.
+//! against the unpruned reference over `BinaryDescriptor` slices.
 
-use crate::descriptor::{BinaryDescriptor, Descriptors};
+use crate::descriptor::BinaryDescriptor;
 
 /// 64-bit words per 256-bit descriptor.
 pub const WORDS_PER_DESCRIPTOR: usize = 4;
@@ -72,16 +75,20 @@ impl DescriptorBlock {
         DescriptorBlock::default()
     }
 
-    /// Builds a block from per-descriptor objects (the AoS → SoA
-    /// conversion; `O(n)`, done once per stored set).
-    pub fn from_descriptors(descs: &[BinaryDescriptor]) -> Self {
-        let mut words = Vec::with_capacity(descs.len() * WORDS_PER_DESCRIPTOR);
-        for d in descs {
-            for chunk in 0..WORDS_PER_DESCRIPTOR {
-                words.push(d.word(chunk));
-            }
+    /// Creates an empty block with room for `n` descriptors.
+    pub fn with_capacity(n: usize) -> Self {
+        DescriptorBlock {
+            words: Vec::with_capacity(n * WORDS_PER_DESCRIPTOR),
         }
-        DescriptorBlock { words }
+    }
+
+    /// Builds a block holding `descs` in order.
+    pub fn from_descriptors(descs: &[BinaryDescriptor]) -> Self {
+        let mut block = DescriptorBlock::with_capacity(descs.len());
+        for d in descs {
+            block.push(d);
+        }
+        block
     }
 
     /// Number of descriptors in the block.
@@ -120,8 +127,7 @@ impl DescriptorBlock {
         [w[0], w[1], w[2], w[3]]
     }
 
-    /// Reconstructs descriptor `i` (round-trip used by tests and the
-    /// parity harness).
+    /// Reconstructs descriptor `i`.
     ///
     /// # Panics
     ///
@@ -133,6 +139,11 @@ impl DescriptorBlock {
             bytes[chunk * 8..(chunk + 1) * 8].copy_from_slice(&word.to_le_bytes());
         }
         BinaryDescriptor::from_bytes(bytes)
+    }
+
+    /// Iterates over the stored descriptors in order.
+    pub fn iter(&self) -> impl Iterator<Item = BinaryDescriptor> + '_ {
+        (0..self.len()).map(|i| self.descriptor(i))
     }
 
     /// Computes the Hamming distance of `query` to every descriptor in the
@@ -191,23 +202,6 @@ impl DescriptorBlock {
             }
         };
         (best.0 != usize::MAX).then_some(best)
-    }
-}
-
-impl From<&[BinaryDescriptor]> for DescriptorBlock {
-    fn from(descs: &[BinaryDescriptor]) -> Self {
-        DescriptorBlock::from_descriptors(descs)
-    }
-}
-
-impl Descriptors {
-    /// Converts binary descriptor sets into flat SoA storage; `None` for
-    /// vector (SIFT / PCA-SIFT) sets, which have no 64-bit word structure.
-    pub fn to_block(&self) -> Option<DescriptorBlock> {
-        match self {
-            Descriptors::Binary(v) => Some(DescriptorBlock::from_descriptors(v)),
-            Descriptors::Vector(_) => None,
-        }
     }
 }
 
@@ -558,14 +552,5 @@ mod tests {
         let mut row = vec![1, 2, 3];
         block.distances_into([0; 4], &mut row);
         assert!(row.is_empty());
-    }
-
-    #[test]
-    fn descriptors_to_block_is_binary_only() {
-        use crate::descriptor::VectorDescriptor;
-        let bin = Descriptors::Binary(random_descs(10, 3));
-        assert_eq!(bin.to_block().unwrap().len(), 3);
-        let vec = Descriptors::Vector(vec![VectorDescriptor::from_values(vec![0.0; 8])]);
-        assert!(vec.to_block().is_none());
     }
 }

@@ -1,5 +1,6 @@
 //! Feature descriptors and per-image feature sets.
 
+use crate::block::DescriptorBlock;
 use crate::keypoint::Keypoint;
 
 /// A 256-bit binary descriptor (ORB / rBRIEF).
@@ -168,8 +169,9 @@ impl VectorDescriptor {
 /// (SIFT / PCA-SIFT). A single image never mixes the two.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Descriptors {
-    /// 256-bit binary descriptors.
-    Binary(Vec<BinaryDescriptor>),
+    /// 256-bit binary descriptors, stored as one flat word block that the
+    /// matcher, the index backends and the SSMM stage scan directly.
+    Binary(DescriptorBlock),
     /// Real-valued descriptors of a fixed dimensionality.
     Vector(Vec<VectorDescriptor>),
 }
@@ -213,7 +215,7 @@ impl ImageFeatures {
     pub fn empty_binary() -> Self {
         ImageFeatures {
             keypoints: Vec::new(),
-            descriptors: Descriptors::Binary(Vec::new()),
+            descriptors: Descriptors::Binary(DescriptorBlock::new()),
         }
     }
 
@@ -320,7 +322,9 @@ mod tests {
 
     #[test]
     fn byte_sizes() {
-        let bin = Descriptors::Binary(vec![BinaryDescriptor::zero(); 10]);
+        let bin = Descriptors::Binary(DescriptorBlock::from_descriptors(
+            &[BinaryDescriptor::zero(); 10],
+        ));
         assert_eq!(bin.byte_size(), 320);
         let vec128 = Descriptors::Vector(vec![VectorDescriptor::from_values(vec![0.0; 128]); 2]);
         assert_eq!(vec128.byte_size(), 1024);
@@ -332,7 +336,7 @@ mod tests {
         assert_eq!(f.wire_size(), 0);
         f.keypoints.push(Keypoint::new(1.0, 2.0));
         if let Descriptors::Binary(v) = &mut f.descriptors {
-            v.push(BinaryDescriptor::zero());
+            v.push(&BinaryDescriptor::zero());
         }
         assert_eq!(f.wire_size(), 32 + Keypoint::WIRE_SIZE);
     }

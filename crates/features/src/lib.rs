@@ -21,8 +21,9 @@
 //! * [`pca`] — PCA-SIFT: gradient patches projected to 36 dimensions with a
 //!   from-scratch Jacobi eigensolver ([`math`]),
 //! * [`matcher`] — brute-force Hamming / L2 matching with cross-checking,
-//! * [`block`] — flat SoA descriptor storage ([`DescriptorBlock`]) feeding
-//!   the batched popcount hot loops,
+//! * [`block`] — flat SoA descriptor storage ([`DescriptorBlock`]), the one
+//!   format of every binary descriptor set, scanned by the batched popcount
+//!   hot loops,
 //! * [`similarity`] — the paper's Jaccard set similarity (Eq. 2).
 //!
 //! # Examples

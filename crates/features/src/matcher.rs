@@ -47,43 +47,22 @@ impl Default for MatchConfig {
     }
 }
 
-/// Matches two binary descriptor sets by exhaustive Hamming search.
+/// Per-row nearest-neighbor result for a row with no neighbor in range.
+const NO_NEAREST: (usize, u32) = (usize::MAX, u32::MAX);
+
+/// Matches two binary descriptor sets by exhaustive Hamming search — the
+/// descriptor hot loop.
 ///
 /// Returns mutual nearest-neighbor pairs within `config.max_hamming`
 /// (ties broken toward the lower train index, so the result is
 /// deterministic). The Lowe ratio test is skipped for binary sets — with
 /// 256-bit descriptors the absolute threshold plus cross-check is standard.
 ///
-/// Internally converts both sets to [`DescriptorBlock`] SoA storage
-/// (`O(n + m)`, negligible next to the `O(n·m)` scan) and runs the pruned
-/// batch kernels of [`match_binary_blocks`]. Callers that keep descriptors
-/// around — the feature index, the SSMM stage — should convert once and
-/// call [`match_binary_blocks`] directly instead.
-pub fn match_binary(
-    query: &[BinaryDescriptor],
-    train: &[BinaryDescriptor],
-    config: &MatchConfig,
-) -> Vec<FeatureMatch> {
-    if query.is_empty() || train.is_empty() {
-        return Vec::new();
-    }
-    match_binary_blocks(
-        &DescriptorBlock::from_descriptors(query),
-        &DescriptorBlock::from_descriptors(train),
-        config,
-    )
-}
-
-/// Per-row nearest-neighbor result for a row with no neighbor in range.
-const NO_NEAREST: (usize, u32) = (usize::MAX, u32::MAX);
-
-/// [`match_binary`] over pre-built SoA blocks — the descriptor hot loop.
-///
 /// Runs sequentially: one call scores one pair of sets, and every
-/// production caller (MIH, linear and vocabulary rescoring, the SSMM
-/// pairwise graph) already fans out over whole pairs. Per row the scan
-/// runs [`DescriptorBlock::nearest_within`], which skips a candidate once
-/// its partial distance over the first two words exceeds
+/// production caller (MIH and linear rescoring, the SSMM pairwise graph)
+/// already fans out over whole pairs. Per row the scan runs
+/// [`DescriptorBlock::nearest_within`], which skips a candidate once its
+/// partial distance over the first two words exceeds
 /// `min(best_so_far, cap)` (partial-distance pruning).
 ///
 /// Pruning cannot change the emitted matches. The forward pass caps every
@@ -95,7 +74,7 @@ const NO_NEAREST: (usize, u32) = (usize::MAX, u32::MAX);
 /// true nearest does too, and `nearest_within` returns the same first
 /// argmin an unpruned scan would. The parity suite pins this against
 /// [`match_binary_exhaustive`].
-pub fn match_binary_blocks(
+pub fn match_binary(
     query: &DescriptorBlock,
     train: &DescriptorBlock,
     config: &MatchConfig,
@@ -132,13 +111,13 @@ pub fn match_binary_blocks(
     collect_binary_matches(&forward, &backward, config)
 }
 
-/// Unpruned AoS reference implementation of [`match_binary`].
+/// Unpruned reference implementation of [`match_binary`] over
+/// per-descriptor objects.
 ///
-/// Scans `Vec<BinaryDescriptor>` objects per pair exactly as the matcher
-/// did before the SoA restructuring. A supported API: it is the ground
-/// truth for the parity tests and the baseline side of the
-/// `descriptor_hotloop` bench; production paths should use
-/// [`match_binary`] / [`match_binary_blocks`].
+/// Compares every pair with [`BinaryDescriptor::hamming_distance`]. A
+/// supported API: it is the ground truth for the parity tests and the
+/// baseline side of the `descriptor_hotloop` bench; production paths use
+/// [`match_binary`].
 pub fn match_binary_exhaustive(
     query: &[BinaryDescriptor],
     train: &[BinaryDescriptor],
@@ -170,7 +149,7 @@ pub fn match_binary_exhaustive(
 }
 
 /// Emits the final match list from per-row nearest-neighbor results
-/// (shared by the SoA and reference paths so filtering can never drift).
+/// (shared by the block and reference paths so filtering can never drift).
 fn collect_binary_matches(
     forward: &[(usize, u32)],
     backward: &[(usize, u32)],
@@ -278,11 +257,17 @@ mod tests {
         d
     }
 
+    fn block(descs: &[BinaryDescriptor]) -> DescriptorBlock {
+        DescriptorBlock::from_descriptors(descs)
+    }
+
     #[test]
     fn identical_sets_match_fully() {
-        let set: Vec<BinaryDescriptor> = (0..8)
-            .map(|i| desc_with_bits(&[i * 30, i * 30 + 1, 200 - i]))
-            .collect();
+        let set = block(
+            &(0..8)
+                .map(|i| desc_with_bits(&[i * 30, i * 30 + 1, 200 - i]))
+                .collect::<Vec<_>>(),
+        );
         let m = match_binary(&set, &set, &MatchConfig::default());
         assert_eq!(m.len(), set.len());
         for mm in &m {
@@ -293,8 +278,8 @@ mod tests {
 
     #[test]
     fn distant_descriptors_do_not_match() {
-        let a = vec![desc_with_bits(&(0..100).collect::<Vec<_>>())];
-        let b = vec![desc_with_bits(&(100..250).collect::<Vec<_>>())];
+        let a = block(&[desc_with_bits(&(0..100).collect::<Vec<_>>())]);
+        let b = block(&[desc_with_bits(&(100..250).collect::<Vec<_>>())]);
         let m = match_binary(&a, &b, &MatchConfig::default());
         assert!(m.is_empty());
     }
@@ -302,11 +287,11 @@ mod tests {
     #[test]
     fn cross_check_removes_asymmetric_matches() {
         // Both b0 and b1 are nearest to a0, but a0's nearest is b0 only.
-        let a = vec![desc_with_bits(&[0, 1, 2])];
-        let b = vec![
+        let a = block(&[desc_with_bits(&[0, 1, 2])]);
+        let b = block(&[
             desc_with_bits(&[0, 1, 2, 3]),
             desc_with_bits(&[0, 1, 2, 3, 4, 5]),
-        ];
+        ]);
         let cfg = MatchConfig {
             cross_check: true,
             ..MatchConfig::default()
@@ -320,8 +305,8 @@ mod tests {
 
     #[test]
     fn empty_inputs_yield_no_matches() {
-        let a: Vec<BinaryDescriptor> = vec![];
-        let b = vec![BinaryDescriptor::zero()];
+        let a = DescriptorBlock::new();
+        let b = block(&[BinaryDescriptor::zero()]);
         assert!(match_binary(&a, &b, &MatchConfig::default()).is_empty());
         assert!(match_binary(&b, &a, &MatchConfig::default()).is_empty());
     }
@@ -352,7 +337,7 @@ mod tests {
 
     #[test]
     fn mixed_descriptor_kinds_do_not_match() {
-        let a = Descriptors::Binary(vec![BinaryDescriptor::zero()]);
+        let a = Descriptors::Binary(block(&[BinaryDescriptor::zero()]));
         let b = Descriptors::Vector(vec![VectorDescriptor::from_values(vec![0.0; 4])]);
         assert!(match_descriptors(&a, &b, &MatchConfig::default()).is_empty());
     }

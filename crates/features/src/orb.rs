@@ -2,15 +2,17 @@
 //!
 //! The extractor BEES runs on the smartphone. Pipeline per pyramid level:
 //!
-//! 1. FAST-9 corners ([`fast`](crate::fast)),
+//! 1. FAST-9 corners ([`fast`]),
 //! 2. Harris re-ranking, keeping the strongest corners overall
 //!    ([`harris`](crate::harris)),
 //! 3. intensity-centroid orientation ([`orientation`](crate::orientation)),
-//! 4. steered BRIEF over a Gaussian-smoothed level ([`brief`](crate::brief)).
+//! 4. steered BRIEF over a Gaussian-smoothed level ([`brief`](crate::brief)),
+//!    each descriptor pushed into the image's [`DescriptorBlock`].
 //!
 //! Keypoint budget is distributed across levels proportionally to level
 //! area, as in the reference implementation.
 
+use crate::block::DescriptorBlock;
 use crate::brief::{BriefPattern, DEFAULT_PATTERN_SEED, PATCH_RADIUS};
 use crate::descriptor::{Descriptors, ImageFeatures};
 use crate::extractor::{ExtractionStats, ExtractorKind, FeatureExtractor};
@@ -214,10 +216,10 @@ impl FeatureExtractor for Orb {
             (kp, desc)
         });
         let mut keypoints = Vec::with_capacity(candidates.len());
-        let mut descriptors = Vec::with_capacity(candidates.len());
+        let mut descriptors = DescriptorBlock::with_capacity(candidates.len());
         for (kp, desc) in described {
             keypoints.push(kp);
-            descriptors.push(desc);
+            descriptors.push(&desc);
         }
         stats.keypoints_described = keypoints.len();
         let features = ImageFeatures {
@@ -306,7 +308,7 @@ mod tests {
         let f = Orb::default().extract(&scene());
         if let Descriptors::Binary(d) = &f.descriptors {
             assert!(d.len() > 2);
-            assert_eq!(d[0].hamming_distance(&d[0]), 0);
+            assert_eq!(d.descriptor(0).hamming_distance(&d.descriptor(0)), 0);
         } else {
             panic!("ORB must produce binary descriptors");
         }

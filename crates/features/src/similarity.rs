@@ -11,9 +11,8 @@
 //! where the intersection is the number of matched descriptor pairs and the
 //! union is `|S1| + |S2| − |S1 ∩ S2|`.
 
-use crate::block::DescriptorBlock;
 use crate::descriptor::ImageFeatures;
-use crate::matcher::{match_binary_blocks, match_descriptors, MatchConfig};
+use crate::matcher::{match_descriptors, MatchConfig};
 
 /// A similarity score in `[0, 1]` between two images' feature sets.
 pub type Similarity = f64;
@@ -56,40 +55,17 @@ pub fn jaccard_similarity(
     intersection as f64 / union as f64
 }
 
-/// [`jaccard_similarity`] over pre-built SoA blocks (binary descriptors).
-///
-/// Callers that score one feature set against many — the SSMM pairwise
-/// graph, MIH candidate rescoring — convert each set to a
-/// [`DescriptorBlock`] once and reuse it across every pairing, so the
-/// `O(n·m)` Hamming panel runs over contiguous words without re-packing.
-/// Produces bit-identical scores to [`jaccard_similarity`] on the same
-/// binary sets: both routes bottom out in the same pruned block matcher.
-pub fn jaccard_similarity_blocks(
-    a: &DescriptorBlock,
-    b: &DescriptorBlock,
-    config: &SimilarityConfig,
-) -> Similarity {
-    if a.is_empty() || b.is_empty() {
-        return 0.0;
-    }
-    let intersection = match_binary_blocks(a, b, &config.matching).len();
-    let union = a.len() + b.len() - intersection;
-    if union == 0 {
-        return 0.0;
-    }
-    intersection as f64 / union as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::descriptor::{BinaryDescriptor, Descriptors};
     use crate::keypoint::Keypoint;
+    use crate::DescriptorBlock;
 
     fn features_from(descs: Vec<BinaryDescriptor>) -> ImageFeatures {
         ImageFeatures {
             keypoints: descs.iter().map(|_| Keypoint::default()).collect(),
-            descriptors: Descriptors::Binary(descs),
+            descriptors: Descriptors::Binary(DescriptorBlock::from_descriptors(&descs)),
         }
     }
 

@@ -1,9 +1,9 @@
 //! Pins the allocation shape of the binary matcher: a warmed
-//! `jaccard_similarity_blocks` call makes a small constant number of
-//! allocations, the same at 40, 150 and 300 descriptors and at every
-//! `bees_runtime` thread count. Measured with a counting global allocator
-//! (the `bees-telemetry` `no_alloc` pattern) rather than asserted by
-//! inspection.
+//! `jaccard_similarity` call on two binary feature sets makes a small
+//! constant number of allocations, the same at 40, 150 and 300
+//! descriptors and at every `bees_runtime` thread count. Measured with a
+//! counting global allocator (the `bees-telemetry` `no_alloc` pattern)
+//! rather than asserted by inspection.
 //!
 //! Per call: the forward nearest-neighbor table, the backward table of the
 //! cross-check, and the match list, sized up front for the most matches
@@ -11,8 +11,8 @@
 //! as matches are pushed, would make the count depend on the thread count
 //! or on the input.
 
-use bees_features::similarity::{jaccard_similarity_blocks, SimilarityConfig};
-use bees_features::{BinaryDescriptor, DescriptorBlock};
+use bees_features::similarity::{jaccard_similarity, SimilarityConfig};
+use bees_features::{BinaryDescriptor, DescriptorBlock, Descriptors, ImageFeatures, Keypoint};
 use bees_rng::ChaCha8Rng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -45,7 +45,7 @@ const WARMED_ALLOC_BUDGET: usize = 3;
 
 /// A query set and a train set that re-observes half of it with a few
 /// flipped bits, so the cross-check has real matches to keep.
-fn pair(n: usize) -> (DescriptorBlock, DescriptorBlock) {
+fn pair(n: usize) -> (ImageFeatures, ImageFeatures) {
     let mut rng = ChaCha8Rng::seed_from_u64(0xA110C + n as u64);
     let query: Vec<BinaryDescriptor> = (0..n)
         .map(|_| {
@@ -67,24 +67,28 @@ fn pair(n: usize) -> (DescriptorBlock, DescriptorBlock) {
             BinaryDescriptor::from_bytes(bytes)
         })
         .collect();
-    (
-        DescriptorBlock::from_descriptors(&query),
-        DescriptorBlock::from_descriptors(&train),
-    )
+    (features(&query), features(&train))
+}
+
+fn features(descs: &[BinaryDescriptor]) -> ImageFeatures {
+    ImageFeatures {
+        keypoints: vec![Keypoint::default(); descs.len()],
+        descriptors: Descriptors::Binary(DescriptorBlock::from_descriptors(descs)),
+    }
 }
 
 /// The fewest allocations over three warmed calls. The counter is
 /// process-wide, so worker-thread allocations count, but so can one the
 /// test harness makes on another thread inside a call's window; the
 /// minimum is the call's own count.
-fn warmed_alloc_count(query: &DescriptorBlock, train: &DescriptorBlock) -> usize {
+fn warmed_alloc_count(query: &ImageFeatures, train: &ImageFeatures) -> usize {
     let cfg = SimilarityConfig::default();
-    let warm = jaccard_similarity_blocks(query, train, &cfg);
+    let warm = jaccard_similarity(query, train, &cfg);
     assert!(warm > 0.0, "the pair must share matches");
     (0..3)
         .map(|_| {
             let before = ALLOCATIONS.load(Ordering::SeqCst);
-            let s = jaccard_similarity_blocks(query, train, &cfg);
+            let s = jaccard_similarity(query, train, &cfg);
             let count = ALLOCATIONS.load(Ordering::SeqCst) - before;
             assert_eq!(s.to_bits(), warm.to_bits());
             count
@@ -96,7 +100,7 @@ fn warmed_alloc_count(query: &DescriptorBlock, train: &DescriptorBlock) -> usize
 #[test]
 fn warmed_jaccard_allocation_is_constant_in_size_and_threads() {
     // Single test so no concurrent test thread can perturb the counter.
-    let pairs: Vec<(usize, (DescriptorBlock, DescriptorBlock))> =
+    let pairs: Vec<(usize, (ImageFeatures, ImageFeatures))> =
         [40, 150, 300].into_iter().map(|n| (n, pair(n))).collect();
     let mut counts = Vec::new();
     for threads in [1usize, 2, 8] {

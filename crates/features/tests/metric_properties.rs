@@ -5,7 +5,7 @@
 use bees_features::descriptor::{BinaryDescriptor, VectorDescriptor};
 use bees_features::matcher::{match_binary, match_vector, MatchConfig};
 use bees_features::similarity::{jaccard_similarity, SimilarityConfig};
-use bees_features::{Descriptors, ImageFeatures, Keypoint};
+use bees_features::{DescriptorBlock, Descriptors, ImageFeatures, Keypoint};
 use bees_rng::{check, ChaCha8Rng};
 
 const CASES: u64 = 64;
@@ -38,7 +38,7 @@ fn arb_vectors(rng: &mut ChaCha8Rng) -> Vec<VectorDescriptor> {
 fn features(descs: Vec<BinaryDescriptor>) -> ImageFeatures {
     ImageFeatures {
         keypoints: descs.iter().map(|_| Keypoint::default()).collect(),
-        descriptors: Descriptors::Binary(descs),
+        descriptors: Descriptors::Binary(DescriptorBlock::from_descriptors(&descs)),
     }
 }
 
@@ -83,7 +83,11 @@ fn matches_reference_valid_indices() {
             max_hamming: 256,
             ..MatchConfig::default()
         };
-        for m in match_binary(&a, &b, &cfg) {
+        let (ab, bb) = (
+            DescriptorBlock::from_descriptors(&a),
+            DescriptorBlock::from_descriptors(&b),
+        );
+        for m in match_binary(&ab, &bb, &cfg) {
             assert!(m.query_idx < a.len());
             assert!(m.train_idx < b.len());
             assert_eq!(
@@ -102,7 +106,8 @@ fn exact_duplicates_always_match_themselves() {
         let mut unique = arb_descriptors(rng, 1, 15);
         unique.sort_by_key(|d| *d.as_bytes());
         unique.dedup();
-        let matches = match_binary(&unique, &unique, &MatchConfig::default());
+        let block = DescriptorBlock::from_descriptors(&unique);
+        let matches = match_binary(&block, &block, &MatchConfig::default());
         assert_eq!(matches.len(), unique.len());
         for m in matches {
             assert_eq!(m.query_idx, m.train_idx);

@@ -1,15 +1,16 @@
-//! Seeded parity suite: the SoA descriptor paths must be byte-identical to
-//! the AoS reference.
+//! Seeded parity suite: the block (SoA) descriptor paths must be
+//! byte-identical to the unpruned reference over `BinaryDescriptor` slices
+//! (AoS).
 //!
 //! Property-style tests over seeded random inputs (plain `ChaCha8Rng`
 //! loops) pinning:
 //!
-//! * `match_binary` (SoA + pruning) == `match_binary_exhaustive` (the
+//! * `match_binary` (blocks + pruning) == `match_binary_exhaustive` (the
 //!   unpruned AoS reference) for every config shape, at thread counts
 //!   1/2/8, on random inputs and on hand-built shapes that stress the
 //!   targeted cross-check pass;
-//! * `jaccard_similarity_blocks` == `jaccard_similarity` to the last f64
-//!   bit;
+//! * `jaccard_similarity` == Eq. 2 over the reference match count, to the
+//!   last f64 bit;
 //! * `DescriptorBlock` round-trips descriptors exactly.
 //!
 //! Thread counts are set via `bees_runtime::set_threads`. The global
@@ -17,10 +18,8 @@
 //! thread-count-invariance claim, so whichever count is live, results must
 //! not move.
 
-use bees_features::matcher::{
-    match_binary, match_binary_blocks, match_binary_exhaustive, MatchConfig,
-};
-use bees_features::similarity::{jaccard_similarity, jaccard_similarity_blocks, SimilarityConfig};
+use bees_features::matcher::{match_binary, match_binary_exhaustive, MatchConfig};
+use bees_features::similarity::{jaccard_similarity, SimilarityConfig};
 use bees_features::{BinaryDescriptor, DescriptorBlock, Descriptors, ImageFeatures, Keypoint};
 use bees_rng::ChaCha8Rng;
 
@@ -59,11 +58,24 @@ fn correlated_descs(
         .collect()
 }
 
-fn features_from(descs: Vec<BinaryDescriptor>) -> ImageFeatures {
+fn features_from(descs: &[BinaryDescriptor]) -> ImageFeatures {
     ImageFeatures {
         keypoints: descs.iter().map(|_| Keypoint::default()).collect(),
-        descriptors: Descriptors::Binary(descs),
+        descriptors: Descriptors::Binary(DescriptorBlock::from_descriptors(descs)),
     }
+}
+
+/// Eq. 2 over the reference matcher's intersection count.
+fn reference_jaccard(
+    a: &[BinaryDescriptor],
+    b: &[BinaryDescriptor],
+    cfg: &SimilarityConfig,
+) -> f64 {
+    if a.is_empty() || b.is_empty() {
+        return 0.0;
+    }
+    let intersection = match_binary_exhaustive(a, b, &cfg.matching).len();
+    intersection as f64 / (a.len() + b.len() - intersection) as f64
 }
 
 fn configs() -> Vec<MatchConfig> {
@@ -162,14 +174,9 @@ fn matcher_soa_and_pruning_match_the_aos_reference() {
             for threads in [1usize, 2, 8] {
                 bees_runtime::set_threads(threads);
                 assert_eq!(
-                    match_binary(query, train, config),
+                    match_binary(&qblock, &tblock, config),
                     reference,
                     "case {case} config {ci} threads {threads}"
-                );
-                assert_eq!(
-                    match_binary_blocks(&qblock, &tblock, config),
-                    reference,
-                    "blocks: case {case} config {ci} threads {threads}"
                 );
             }
             bees_runtime::set_threads(0);
@@ -186,13 +193,8 @@ fn jaccard_blocks_bitwise_equals_the_aos_path() {
         let a = random_descs(&mut rng, na);
         let nb = rng.gen_range(0..30);
         let b = correlated_descs(&mut rng, &a, nb);
-        let (ab, bb) = (
-            DescriptorBlock::from_descriptors(&a),
-            DescriptorBlock::from_descriptors(&b),
-        );
-        let (af, bf) = (features_from(a), features_from(b));
-        let reference = jaccard_similarity(&af, &bf, &cfg);
-        let soa = jaccard_similarity_blocks(&ab, &bb, &cfg);
+        let reference = reference_jaccard(&a, &b, &cfg);
+        let soa = jaccard_similarity(&features_from(&a), &features_from(&b), &cfg);
         assert_eq!(
             reference.to_bits(),
             soa.to_bits(),
@@ -207,17 +209,21 @@ fn empty_sets_agree_on_every_path() {
     let some = random_descs(&mut ChaCha8Rng::seed_from_u64(3), 5);
     let empty: Vec<BinaryDescriptor> = Vec::new();
     for (q, t) in [(&empty, &some), (&some, &empty), (&empty, &empty)] {
+        let (qb, tb) = (
+            DescriptorBlock::from_descriptors(q),
+            DescriptorBlock::from_descriptors(t),
+        );
         assert_eq!(
-            match_binary(q, t, &cfg),
+            match_binary(&qb, &tb, &cfg),
             match_binary_exhaustive(q, t, &cfg)
         );
-        assert!(match_binary(q, t, &cfg).is_empty());
+        assert!(match_binary(&qb, &tb, &cfg).is_empty());
     }
     let scfg = SimilarityConfig::default();
-    let eb = DescriptorBlock::new();
-    let sb = DescriptorBlock::from_descriptors(&some);
-    assert_eq!(jaccard_similarity_blocks(&eb, &sb, &scfg), 0.0);
-    assert_eq!(jaccard_similarity_blocks(&sb, &eb, &scfg), 0.0);
+    let (ef, sf) = (ImageFeatures::empty_binary(), features_from(&some));
+    assert_eq!(jaccard_similarity(&ef, &sf, &scfg), 0.0);
+    assert_eq!(jaccard_similarity(&sf, &ef, &scfg), 0.0);
+    assert_eq!(reference_jaccard(&empty, &some, &scfg), 0.0);
 }
 
 #[test]
@@ -229,10 +235,5 @@ fn blocks_round_trip_descriptors_exactly() {
     for (i, d) in descs.iter().enumerate() {
         assert_eq!(&block.descriptor(i), d, "descriptor {i}");
     }
-    // The From impl and Descriptors::to_block agree with from_descriptors.
-    assert_eq!(DescriptorBlock::from(descs.as_slice()), block);
-    assert_eq!(
-        Descriptors::Binary(descs).to_block().expect("binary set"),
-        block
-    );
+    assert_eq!(block.iter().collect::<Vec<_>>(), descs);
 }

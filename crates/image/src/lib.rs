@@ -40,7 +40,6 @@ pub mod codec;
 pub mod draw;
 mod error;
 mod gray;
-pub mod integral;
 pub mod metrics;
 pub mod resize;
 mod rgb;

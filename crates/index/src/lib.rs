@@ -8,16 +8,17 @@
 //! declared redundant when that similarity exceeds the threshold `T`.
 //! The Kentucky precision experiments additionally need top-k queries.
 //!
-//! Three backends are provided:
+//! Two backends are provided:
 //!
 //! * [`LinearIndex`] — exact: scores the query against every stored image,
 //! * [`MihIndex`] — multi-index hashing over the four 64-bit words of each
 //!   256-bit ORB descriptor: images sharing no descriptor word with the
 //!   query (within the multi-probe radius) are skipped; survivors are
-//!   rescored exactly,
-//! * [`vocab::VocabIndex`] — a vocabulary tree (Nistér & Stewénius, the
-//!   paper's reference [20]): hierarchical k-medoids quantization into
-//!   visual words plus an inverted file, again with exact rescoring.
+//!   rescored exactly.
+//!
+//! Both score with the one Jaccard scorer,
+//! [`jaccard_similarity`](bees_features::similarity::jaccard_similarity),
+//! over the descriptor blocks the stored features already carry.
 //!
 //! Any backend can additionally be wrapped in a [`ShardedIndex`], which
 //! partitions images over N inner indexes by `ImageId` and fans queries out
@@ -43,7 +44,6 @@ mod mih;
 mod scratch;
 mod sharded;
 mod store;
-pub mod vocab;
 
 pub use linear::LinearIndex;
 pub use mih::MihIndex;
@@ -131,12 +131,12 @@ impl<'a> Query<'a> {
 
 /// A queryable image-feature index.
 ///
-/// Implemented by [`LinearIndex`] (exact), [`MihIndex`] (accelerated),
-/// [`vocab::VocabIndex`] (vocabulary tree), and [`ShardedIndex`]
-/// (partitioned composition of any of them). Backends implement [`query`]
-/// once; `max_similarity` and `top_k` are derived conveniences.
+/// Implemented by [`LinearIndex`] (exact), [`MihIndex`] (accelerated) and
+/// [`ShardedIndex`] (partitioned composition of either). Backends
+/// implement [`query_with_scratch`] once; `query`, `max_similarity` and
+/// `top_k` are derived conveniences.
 ///
-/// [`query`]: FeatureIndex::query
+/// [`query_with_scratch`]: FeatureIndex::query_with_scratch
 pub trait FeatureIndex {
     /// Inserts an image's features under `id`.
     ///
@@ -164,20 +164,18 @@ pub trait FeatureIndex {
     /// similarity with ascending-`ImageId` tie-breaking. Zero-score images
     /// are omitted. The ordering is a total order, so the result is unique
     /// — backends parallelizing internally must return exactly this list.
-    fn query(&self, query: &Query<'_>) -> Vec<QueryHit>;
-
-    /// [`query`](FeatureIndex::query) with caller-owned scratch buffers.
     ///
     /// Backends with per-query transient state ([`MihIndex`]'s merge heap
-    /// and candidate list, [`ShardedIndex`]'s per-shard fan-out) override
-    /// this to recycle `scratch` instead of allocating, and route their
-    /// plain `query` through it with a throwaway scratch. Results are
-    /// byte-identical to `query` — scratch contents never influence
-    /// scoring. The default simply ignores `scratch`, so exact backends
-    /// stay correct without an override.
-    fn query_with_scratch(&self, query: &Query<'_>, scratch: &mut QueryScratch) -> Vec<QueryHit> {
-        let _ = scratch;
-        self.query(query)
+    /// and candidate list, [`ShardedIndex`]'s per-shard fan-out) recycle
+    /// `scratch` instead of allocating; the exact [`LinearIndex`] ignores
+    /// it. Scratch contents never influence scoring, so the result does
+    /// not depend on which scratch a caller passes.
+    fn query_with_scratch(&self, query: &Query<'_>, scratch: &mut QueryScratch) -> Vec<QueryHit>;
+
+    /// [`query_with_scratch`](FeatureIndex::query_with_scratch) on a fresh
+    /// scratch.
+    fn query(&self, query: &Query<'_>) -> Vec<QueryHit> {
+        self.query_with_scratch(query, &mut QueryScratch::new())
     }
 
     /// Finds the stored image with the highest Jaccard similarity to

@@ -1,9 +1,9 @@
 //! Exact linear-scan index.
 
 use crate::store::{rank_hits, ImageEntry, ImageId, QueryHit};
-use crate::{FeatureIndex, Query};
-use bees_features::similarity::{jaccard_similarity, jaccard_similarity_blocks, SimilarityConfig};
-use bees_features::{DescriptorBlock, ImageFeatures};
+use crate::{FeatureIndex, Query, QueryScratch};
+use bees_features::similarity::{jaccard_similarity, SimilarityConfig};
+use bees_features::ImageFeatures;
 
 /// Exact index: every query is scored against every stored image.
 ///
@@ -26,9 +26,6 @@ use bees_features::{DescriptorBlock, ImageFeatures};
 #[derive(Debug, Clone, Default)]
 pub struct LinearIndex {
     entries: Vec<ImageEntry>,
-    /// SoA word blocks parallel to `entries` (`None` for vector feature
-    /// sets), built once at insert so the scan streams contiguous words.
-    blocks: Vec<Option<DescriptorBlock>>,
     config: SimilarityConfig,
 }
 
@@ -37,7 +34,6 @@ impl LinearIndex {
     pub fn new(config: SimilarityConfig) -> Self {
         LinearIndex {
             entries: Vec::new(),
-            blocks: Vec::new(),
             config,
         }
     }
@@ -51,7 +47,6 @@ impl LinearIndex {
     pub fn remove(&mut self, id: ImageId) -> bool {
         if let Some(pos) = self.entries.iter().position(|e| e.id == id) {
             self.entries.remove(pos);
-            self.blocks.remove(pos);
             true
         } else {
             false
@@ -61,19 +56,15 @@ impl LinearIndex {
     /// Removes all entries.
     pub fn clear(&mut self) {
         self.entries.clear();
-        self.blocks.clear();
     }
 }
 
 impl FeatureIndex for LinearIndex {
     fn insert(&mut self, id: ImageId, features: ImageFeatures) {
-        let block = features.descriptors.to_block();
         if let Some(pos) = self.entries.iter().position(|e| e.id == id) {
             self.entries[pos].features = features;
-            self.blocks[pos] = block;
         } else {
             self.entries.push(ImageEntry { id, features });
-            self.blocks.push(block);
         }
     }
 
@@ -81,24 +72,16 @@ impl FeatureIndex for LinearIndex {
         self.entries.len()
     }
 
-    fn query(&self, query: &Query<'_>) -> Vec<QueryHit> {
+    fn query_with_scratch(&self, query: &Query<'_>, _scratch: &mut QueryScratch) -> Vec<QueryHit> {
         // Exact backend: the candidate budget does not apply — every stored
         // image is scored, one pair per work item on the runtime (results
-        // come back in entry order). Binary queries build their SoA block
-        // once and score against the cached per-entry blocks; mixed or
-        // vector pairs fall back to the general path (scores are
-        // bit-identical either way — both routes bottom out in the same
-        // matcher).
-        let qblock = query.features.descriptors.to_block();
+        // come back in entry order).
         let hits = bees_runtime::par_map_range(self.entries.len(), |i| {
             let e = &self.entries[i];
             if !query.is_allowed(e.id) {
                 return None;
             }
-            let s = match (&qblock, &self.blocks[i]) {
-                (Some(qb), Some(tb)) => jaccard_similarity_blocks(qb, tb, &self.config),
-                _ => jaccard_similarity(query.features, &e.features, &self.config),
-            };
+            let s = jaccard_similarity(query.features, &e.features, &self.config);
             (s > 0.0).then_some(QueryHit {
                 id: e.id,
                 similarity: s,
@@ -120,7 +103,7 @@ impl FeatureIndex for LinearIndex {
 mod tests {
     use super::*;
     use bees_features::descriptor::{BinaryDescriptor, Descriptors};
-    use bees_features::Keypoint;
+    use bees_features::{DescriptorBlock, Keypoint};
 
     fn features(seeds: &[usize]) -> ImageFeatures {
         let descs: Vec<BinaryDescriptor> = seeds
@@ -135,7 +118,7 @@ mod tests {
             .collect();
         ImageFeatures {
             keypoints: descs.iter().map(|_| Keypoint::default()).collect(),
-            descriptors: Descriptors::Binary(descs),
+            descriptors: Descriptors::Binary(DescriptorBlock::from_descriptors(&descs)),
         }
     }
 

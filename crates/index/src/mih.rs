@@ -20,8 +20,9 @@
 use crate::scratch::QueryScratch;
 use crate::store::{rank_hits, ImageEntry, ImageId, QueryHit};
 use crate::{FeatureIndex, Query};
-use bees_features::similarity::{jaccard_similarity, jaccard_similarity_blocks, SimilarityConfig};
-use bees_features::{DescriptorBlock, Descriptors, ImageFeatures};
+use bees_features::block::WORDS_PER_DESCRIPTOR;
+use bees_features::similarity::{jaccard_similarity, SimilarityConfig};
+use bees_features::{Descriptors, ImageFeatures};
 use bees_runtime::Runtime;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -43,10 +44,6 @@ use std::collections::{BinaryHeap, HashMap};
 #[derive(Debug, Clone)]
 pub struct MihIndex {
     entries: Vec<ImageEntry>,
-    /// SoA word blocks parallel to `entries` (`None` for vector feature
-    /// sets), built once at insert so rescoring streams contiguous words
-    /// instead of re-deriving them per candidate pair.
-    blocks: Vec<Option<DescriptorBlock>>,
     id_to_pos: HashMap<ImageId, usize>,
     /// One hash table per 64-bit word position: word value -> image ids.
     tables: [HashMap<u64, Vec<ImageId>>; 4],
@@ -70,7 +67,6 @@ impl MihIndex {
     pub fn new(config: SimilarityConfig) -> Self {
         MihIndex {
             entries: Vec::new(),
-            blocks: Vec::new(),
             id_to_pos: HashMap::new(),
             tables: Default::default(),
             probe_radius: 1,
@@ -135,17 +131,15 @@ impl MihIndex {
         };
         // Gather every probed posting list (each sorted ascending).
         let mut lists: Vec<&[ImageId]> = Vec::with_capacity(scratch.lists_hint);
-        for d in descs {
-            for chunk in 0..4 {
-                let word = d.word(chunk);
-                if let Some(ids) = self.tables[chunk].get(&word) {
-                    lists.push(ids);
-                }
-                if self.probe_radius >= 1 {
-                    for bit in 0..64 {
-                        if let Some(ids) = self.tables[chunk].get(&(word ^ (1u64 << bit))) {
-                            lists.push(ids);
-                        }
+        for (k, &word) in descs.words().iter().enumerate() {
+            let table = &self.tables[k % WORDS_PER_DESCRIPTOR];
+            if let Some(ids) = table.get(&word) {
+                lists.push(ids);
+            }
+            if self.probe_radius >= 1 {
+                for bit in 0..64 {
+                    if let Some(ids) = table.get(&(word ^ (1u64 << bit))) {
+                        lists.push(ids);
                     }
                 }
             }
@@ -182,16 +176,16 @@ impl MihIndex {
 
     fn index_words(&mut self, id: ImageId, features: &ImageFeatures) {
         if let Descriptors::Binary(descs) = &features.descriptors {
-            for d in descs {
-                for chunk in 0..4 {
-                    let bucket = self.tables[chunk].entry(d.word(chunk)).or_default();
-                    // Sorted insertion keeps every posting list ascending,
-                    // which the budgeted k-way merge in `candidates` relies
-                    // on (ids usually arrive in order, making this a cheap
-                    // append in practice).
-                    if let Err(pos) = bucket.binary_search(&id) {
-                        bucket.insert(pos, id);
-                    }
+            for (k, &word) in descs.words().iter().enumerate() {
+                let bucket = self.tables[k % WORDS_PER_DESCRIPTOR]
+                    .entry(word)
+                    .or_default();
+                // Sorted insertion keeps every posting list ascending,
+                // which the budgeted k-way merge in `candidates` relies
+                // on (ids usually arrive in order, making this a cheap
+                // append in practice).
+                if let Err(pos) = bucket.binary_search(&id) {
+                    bucket.insert(pos, id);
                 }
             }
         }
@@ -199,11 +193,9 @@ impl MihIndex {
 
     fn unindex_words(&mut self, id: ImageId, features: &ImageFeatures) {
         if let Descriptors::Binary(descs) = &features.descriptors {
-            for d in descs {
-                for chunk in 0..4 {
-                    if let Some(bucket) = self.tables[chunk].get_mut(&d.word(chunk)) {
-                        bucket.retain(|&x| x != id);
-                    }
+            for (k, word) in descs.words().iter().enumerate() {
+                if let Some(bucket) = self.tables[k % WORDS_PER_DESCRIPTOR].get_mut(word) {
+                    bucket.retain(|&x| x != id);
                 }
             }
         }
@@ -212,18 +204,15 @@ impl MihIndex {
 
 impl FeatureIndex for MihIndex {
     fn insert(&mut self, id: ImageId, features: ImageFeatures) {
-        let block = features.descriptors.to_block();
         if let Some(&pos) = self.id_to_pos.get(&id) {
             let old = self.entries[pos].features.clone();
             self.unindex_words(id, &old);
             self.index_words(id, &features);
             self.entries[pos].features = features;
-            self.blocks[pos] = block;
         } else {
             self.index_words(id, &features);
             self.id_to_pos.insert(id, self.entries.len());
             self.entries.push(ImageEntry { id, features });
-            self.blocks.push(block);
         }
     }
 
@@ -231,31 +220,19 @@ impl FeatureIndex for MihIndex {
         self.entries.len()
     }
 
-    fn query(&self, query: &Query<'_>) -> Vec<QueryHit> {
-        self.query_with_scratch(query, &mut QueryScratch::new())
-    }
-
     fn query_with_scratch(&self, query: &Query<'_>, scratch: &mut QueryScratch) -> Vec<QueryHit> {
         // Exact Jaccard rescoring dominates query cost; score every
         // candidate (or entry) in parallel, keeping candidate order.
         let rt = Runtime::current();
-        let hits: Vec<QueryHit> = if let Some(qblock) = query.features.descriptors.to_block() {
+        let hits: Vec<QueryHit> = if let Descriptors::Binary(_) = &query.features.descriptors {
             self.candidates_into(query.features, query.max_candidates, scratch);
             rt.par_map(&scratch.cand_ids, |&id| {
                 if !query.is_allowed(id) {
                     return None;
                 }
                 let pos = *self.id_to_pos.get(&id).expect("candidate ids are indexed");
-                // Candidates only arise from word tables, which index
-                // binary sets exclusively — so a cached block exists.
-                let s = match &self.blocks[pos] {
-                    Some(tblock) => jaccard_similarity_blocks(&qblock, tblock, &self.config),
-                    None => jaccard_similarity(
-                        query.features,
-                        &self.entries[pos].features,
-                        &self.config,
-                    ),
-                };
+                let s =
+                    jaccard_similarity(query.features, &self.entries[pos].features, &self.config);
                 (s > 0.0).then_some(QueryHit { id, similarity: s })
             })
             .into_iter()
@@ -294,7 +271,7 @@ impl FeatureIndex for MihIndex {
 mod tests {
     use super::*;
     use bees_features::descriptor::BinaryDescriptor;
-    use bees_features::Keypoint;
+    use bees_features::{DescriptorBlock, Keypoint};
     use bees_rng::ChaCha8Rng;
 
     fn random_features(rng: &mut ChaCha8Rng, n: usize) -> ImageFeatures {
@@ -307,7 +284,7 @@ mod tests {
             .collect();
         ImageFeatures {
             keypoints: descs.iter().map(|_| Keypoint::default()).collect(),
-            descriptors: Descriptors::Binary(descs),
+            descriptors: Descriptors::Binary(DescriptorBlock::from_descriptors(&descs)),
         }
     }
 
@@ -327,7 +304,7 @@ mod tests {
                 .collect();
             ImageFeatures {
                 keypoints: f.keypoints.clone(),
-                descriptors: Descriptors::Binary(out),
+                descriptors: Descriptors::Binary(DescriptorBlock::from_descriptors(&out)),
             }
         } else {
             f.clone()

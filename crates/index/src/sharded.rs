@@ -110,18 +110,11 @@ impl<I: FeatureIndex + Send + Sync> FeatureIndex for ShardedIndex<I> {
         self.shards.iter().map(|s| s.len()).sum()
     }
 
-    fn query(&self, query: &Query<'_>) -> Vec<QueryHit> {
-        // Each shard ranks its own hits; merging per-shard top-k lists
-        // under the same total order reproduces the unsharded result.
-        let per_shard = Runtime::current().par_map(&self.shards, |shard| shard.query(query));
-        rank_hits(per_shard.into_iter().flatten().collect(), query.k)
-    }
-
     /// Fans out with one child scratch per shard, so each inner index
     /// recycles its own buffers across queries. Shard order is fixed, so a
-    /// given shard always receives the same child scratch — and results
-    /// stay byte-identical to [`query`](FeatureIndex::query) because
-    /// scratch contents never influence scoring.
+    /// given shard always receives the same child scratch. Each shard ranks
+    /// its own hits; merging the per-shard top-k lists under the same total
+    /// order reproduces the unsharded result.
     fn query_with_scratch(&self, query: &Query<'_>, scratch: &mut QueryScratch) -> Vec<QueryHit> {
         scratch.ensure_shards(self.shards.len());
         let mut work: Vec<(&I, &mut QueryScratch, Vec<QueryHit>)> = self
@@ -153,7 +146,7 @@ mod tests {
     use super::*;
     use crate::{LinearIndex, MihIndex};
     use bees_features::descriptor::BinaryDescriptor;
-    use bees_features::{Descriptors, Keypoint};
+    use bees_features::{DescriptorBlock, Descriptors, Keypoint};
     use bees_rng::ChaCha8Rng;
 
     fn random_features(rng: &mut ChaCha8Rng, n: usize) -> ImageFeatures {
@@ -166,7 +159,7 @@ mod tests {
             .collect();
         ImageFeatures {
             keypoints: descs.iter().map(|_| Keypoint::default()).collect(),
-            descriptors: Descriptors::Binary(descs),
+            descriptors: Descriptors::Binary(DescriptorBlock::from_descriptors(&descs)),
         }
     }
 
@@ -188,7 +181,7 @@ mod tests {
             .collect();
         ImageFeatures {
             keypoints: f.keypoints.clone(),
-            descriptors: Descriptors::Binary(out),
+            descriptors: Descriptors::Binary(DescriptorBlock::from_descriptors(&out)),
         }
     }
 

@@ -11,7 +11,7 @@
 
 use bees_features::descriptor::{BinaryDescriptor, Descriptors};
 use bees_features::similarity::SimilarityConfig;
-use bees_features::{ImageFeatures, Keypoint};
+use bees_features::{DescriptorBlock, ImageFeatures, Keypoint};
 use bees_index::{FeatureIndex, ImageId, MihIndex, QueryScratch};
 use bees_rng::ChaCha8Rng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -54,7 +54,7 @@ fn random_features(rng: &mut ChaCha8Rng, n: usize) -> ImageFeatures {
         .collect();
     ImageFeatures {
         keypoints: descs.iter().map(|_| Keypoint::default()).collect(),
-        descriptors: Descriptors::Binary(descs),
+        descriptors: Descriptors::Binary(DescriptorBlock::from_descriptors(&descs)),
     }
 }
 

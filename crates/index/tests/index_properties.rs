@@ -4,7 +4,7 @@
 
 use bees_features::descriptor::BinaryDescriptor;
 use bees_features::similarity::SimilarityConfig;
-use bees_features::{Descriptors, ImageFeatures, Keypoint};
+use bees_features::{DescriptorBlock, Descriptors, ImageFeatures, Keypoint};
 use bees_index::{FeatureIndex, ImageId, LinearIndex, MihIndex};
 use bees_rng::{check, ChaCha8Rng};
 
@@ -18,7 +18,7 @@ fn random_features(rng: &mut ChaCha8Rng, n: usize) -> ImageFeatures {
         .collect();
     ImageFeatures {
         keypoints: descs.iter().map(|_| Keypoint::default()).collect(),
-        descriptors: Descriptors::Binary(descs),
+        descriptors: Descriptors::Binary(DescriptorBlock::from_descriptors(&descs)),
     }
 }
 
@@ -41,7 +41,7 @@ fn perturb(f: &ImageFeatures, rng: &mut ChaCha8Rng, k: usize) -> ImageFeatures {
         .collect();
     ImageFeatures {
         keypoints: f.keypoints.clone(),
-        descriptors: Descriptors::Binary(out),
+        descriptors: Descriptors::Binary(DescriptorBlock::from_descriptors(&out)),
     }
 }
 
@@ -96,55 +96,6 @@ fn top_k_is_sorted_and_bounded() {
         }
         for h in &hits {
             assert!(h.similarity > 0.0 && h.similarity <= 1.0);
-        }
-    });
-}
-
-#[test]
-fn vocab_tree_hits_are_a_subset_of_linear() {
-    use bees_index::vocab::{VocabConfig, VocabIndex, Vocabulary};
-    check(CASES, |rng| {
-        let n_images = rng.gen_range(1usize..8);
-        let cfg = SimilarityConfig::default();
-        // Train on a pooled sample, then index random images in both
-        // backends.
-        let sample = {
-            let f = random_features(rng, 200);
-            match f.descriptors {
-                Descriptors::Binary(d) => d,
-                _ => unreachable!(),
-            }
-        };
-        let vocab = Vocabulary::train(&sample, VocabConfig::default());
-        let mut lin = LinearIndex::new(cfg);
-        let mut vt = VocabIndex::new(cfg, vocab);
-        let mut originals = Vec::new();
-        for i in 0..n_images {
-            let f = random_features(rng, 10);
-            lin.insert(ImageId(i as u64), f.clone());
-            vt.insert(ImageId(i as u64), f.clone());
-            originals.push(f);
-        }
-        for f in &originals {
-            // Exact re-query: the duplicate shares every visual word, so
-            // the tree must find it with the same exact score as linear.
-            let lh = lin.max_similarity(f).expect("duplicate indexed");
-            let vh = vt
-                .max_similarity(f)
-                .expect("vocab must find exact duplicates");
-            assert!((lh.similarity - vh.similarity).abs() < 1e-12);
-            assert!(vh.similarity >= 1.0 - 1e-12);
-            // And on arbitrary queries the tree never outscores linear.
-            let probe = random_features(rng, 10);
-            let lp = lin
-                .max_similarity(&probe)
-                .map(|h| h.similarity)
-                .unwrap_or(0.0);
-            let vp = vt
-                .max_similarity(&probe)
-                .map(|h| h.similarity)
-                .unwrap_or(0.0);
-            assert!(vp <= lp + 1e-12, "vocab {vp} outscored linear {lp}");
         }
     });
 }

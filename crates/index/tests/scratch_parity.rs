@@ -13,7 +13,7 @@
 
 use bees_features::descriptor::{BinaryDescriptor, Descriptors};
 use bees_features::similarity::SimilarityConfig;
-use bees_features::{ImageFeatures, Keypoint};
+use bees_features::{DescriptorBlock, ImageFeatures, Keypoint};
 use bees_index::{FeatureIndex, ImageId, LinearIndex, MihIndex, Query, QueryScratch, ShardedIndex};
 use bees_rng::ChaCha8Rng;
 
@@ -27,7 +27,7 @@ fn random_features(rng: &mut ChaCha8Rng, n: usize) -> ImageFeatures {
         .collect();
     ImageFeatures {
         keypoints: descs.iter().map(|_| Keypoint::default()).collect(),
-        descriptors: Descriptors::Binary(descs),
+        descriptors: Descriptors::Binary(DescriptorBlock::from_descriptors(&descs)),
     }
 }
 
@@ -49,7 +49,7 @@ fn perturb(f: &ImageFeatures, rng: &mut ChaCha8Rng, k: usize) -> ImageFeatures {
         .collect();
     ImageFeatures {
         keypoints: f.keypoints.clone(),
-        descriptors: Descriptors::Binary(out),
+        descriptors: Descriptors::Binary(DescriptorBlock::from_descriptors(&out)),
     }
 }
 

@@ -8,7 +8,7 @@
 
 use bees_features::descriptor::BinaryDescriptor;
 use bees_features::similarity::SimilarityConfig;
-use bees_features::{Descriptors, ImageFeatures, Keypoint};
+use bees_features::{DescriptorBlock, Descriptors, ImageFeatures, Keypoint};
 use bees_index::{FeatureIndex, ImageId, LinearIndex, MihIndex, Query, ShardedIndex};
 use bees_rng::ChaCha8Rng;
 
@@ -22,7 +22,7 @@ fn random_features(rng: &mut ChaCha8Rng, n: usize) -> ImageFeatures {
         .collect();
     ImageFeatures {
         keypoints: descs.iter().map(|_| Keypoint::default()).collect(),
-        descriptors: Descriptors::Binary(descs),
+        descriptors: Descriptors::Binary(DescriptorBlock::from_descriptors(&descs)),
     }
 }
 
@@ -45,7 +45,7 @@ fn perturb(f: &ImageFeatures, rng: &mut ChaCha8Rng, k: usize) -> ImageFeatures {
         .collect();
     ImageFeatures {
         keypoints: f.keypoints.clone(),
-        descriptors: Descriptors::Binary(out),
+        descriptors: Descriptors::Binary(DescriptorBlock::from_descriptors(&out)),
     }
 }
 

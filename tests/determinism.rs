@@ -837,15 +837,15 @@ fn battery_crossing_a_dimension_boundary_is_pinned() {
 }
 
 /// The SSMM pairwise similarity graph must not move a single bit when the
-/// descriptor layout (AoS vs SoA blocks) or the thread count changes —
-/// the invariance the BEES scheme's in-batch stage relies on after the
-/// SoA restructuring.
+/// thread count changes, and must equal the graph scored from the
+/// unpruned reference matcher over per-descriptor objects — the invariance
+/// the BEES scheme's in-batch stage relies on with descriptor blocks as
+/// the one storage format.
 #[test]
 fn ssmm_similarity_graph_is_layout_and_thread_invariant() {
-    use bees::features::similarity::{
-        jaccard_similarity, jaccard_similarity_blocks, SimilarityConfig,
-    };
-    use bees::features::DescriptorBlock;
+    use bees::features::matcher::match_binary_exhaustive;
+    use bees::features::similarity::{jaccard_similarity, SimilarityConfig};
+    use bees::features::{BinaryDescriptor, Descriptors};
     use bees::submodular::SimilarityGraph;
 
     let orb = Orb::new(BeesConfig::default().orb);
@@ -855,27 +855,31 @@ fn ssmm_similarity_graph_is_layout_and_thread_invariant() {
         .iter()
         .map(|img| orb.extract(&img.to_gray()))
         .collect();
-    let blocks: Vec<DescriptorBlock> = features
+    let descs: Vec<Vec<BinaryDescriptor>> = features
         .iter()
-        .map(|f| f.descriptors.to_block().expect("ORB features are binary"))
+        .map(|f| match &f.descriptors {
+            Descriptors::Binary(block) => block.iter().collect(),
+            Descriptors::Vector(_) => unreachable!("ORB features are binary"),
+        })
         .collect();
     let cfg = SimilarityConfig::default();
 
     bees::runtime::set_threads(1);
     let reference = SimilarityGraph::from_pairwise_par(features.len(), |a, b| {
-        jaccard_similarity(&features[a], &features[b], &cfg)
+        let (da, db) = (&descs[a], &descs[b]);
+        if da.is_empty() || db.is_empty() {
+            return 0.0;
+        }
+        let intersection = match_binary_exhaustive(da, db, &cfg.matching).len();
+        intersection as f64 / (da.len() + db.len() - intersection) as f64
     });
     for threads in [1usize, 2, 8] {
         bees::runtime::set_threads(threads);
-        let aos = SimilarityGraph::from_pairwise_par(features.len(), |a, b| {
+        let graph = SimilarityGraph::from_pairwise_par(features.len(), |a, b| {
             jaccard_similarity(&features[a], &features[b], &cfg)
         });
-        let soa = SimilarityGraph::from_pairwise_par(features.len(), |a, b| {
-            jaccard_similarity_blocks(&blocks[a], &blocks[b], &cfg)
-        });
         bees::runtime::set_threads(0);
-        assert_eq!(reference, aos, "AoS graph moved at {threads} threads");
-        assert_eq!(reference, soa, "SoA graph moved at {threads} threads");
+        assert_eq!(reference, graph, "graph moved at {threads} threads");
     }
 }
 

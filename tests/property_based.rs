@@ -6,7 +6,7 @@ use bees::energy::{AdaptiveScheme, Battery, EnergyLedger, LinearScheme};
 use bees::features::descriptor::BinaryDescriptor;
 use bees::features::matcher::{match_binary, MatchConfig};
 use bees::features::similarity::{jaccard_similarity, SimilarityConfig};
-use bees::features::{Descriptors, ImageFeatures, Keypoint};
+use bees::features::{DescriptorBlock, Descriptors, ImageFeatures, Keypoint};
 use bees::image::{codec, GrayImage};
 use bees::net::{BandwidthTrace, Channel};
 use bees::submodular::{partition_by_threshold, SimilarityGraph, Ssmm, SsmmConfig};
@@ -47,7 +47,7 @@ fn arb_vec<T>(
 fn features(descs: Vec<BinaryDescriptor>) -> ImageFeatures {
     ImageFeatures {
         keypoints: descs.iter().map(|_| Keypoint::default()).collect(),
-        descriptors: Descriptors::Binary(descs),
+        descriptors: Descriptors::Binary(DescriptorBlock::from_descriptors(&descs)),
     }
 }
 
@@ -102,8 +102,8 @@ fn jaccard_is_bounded_and_symmetric() {
 #[test]
 fn cross_checked_matches_are_one_to_one() {
     check(CASES, |rng| {
-        let a = arb_vec(rng, 0..25, arb_descriptor);
-        let b = arb_vec(rng, 0..25, arb_descriptor);
+        let a = DescriptorBlock::from_descriptors(&arb_vec(rng, 0..25, arb_descriptor));
+        let b = DescriptorBlock::from_descriptors(&arb_vec(rng, 0..25, arb_descriptor));
         let matches = match_binary(&a, &b, &MatchConfig::default());
         let mut q: Vec<usize> = matches.iter().map(|m| m.query_idx).collect();
         let mut t: Vec<usize> = matches.iter().map(|m| m.train_idx).collect();
