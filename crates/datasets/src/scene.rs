@@ -142,7 +142,9 @@ pub struct Scene {
 }
 
 impl Scene {
-    /// Generates the scene for `seed`.
+    /// Generates the scene for `seed`. Shape sizes scale with the sides,
+    /// down to a floor (8 px rectangles, 4 px disks, 16 px checkers) that
+    /// small scenes keep, so any side is accepted.
     pub fn new(seed: u64, config: SceneConfig) -> Self {
         let mut rng =
             ChaCha8Rng::seed_from_u64(seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1));
@@ -155,14 +157,14 @@ impl Scene {
                 0 => Shape::Rect {
                     x: rng.gen_range(0.0..w),
                     y: rng.gen_range(0.0..h),
-                    w: rng.gen_range(8.0..w / 3.0),
-                    h: rng.gen_range(8.0..h / 3.0),
+                    w: rng.gen_range(8.0..(w / 3.0).max(8.0)),
+                    h: rng.gen_range(8.0..(h / 3.0).max(8.0)),
                     color: color(&mut rng),
                 },
                 1 => Shape::Disk {
                     x: rng.gen_range(0.0..w),
                     y: rng.gen_range(0.0..h),
-                    r: rng.gen_range(4.0..w / 6.0),
+                    r: rng.gen_range(4.0..(w / 6.0).max(4.0)),
                     color: color(&mut rng),
                 },
                 2 => {
@@ -182,8 +184,8 @@ impl Scene {
                 3 => Shape::Checker {
                     x: rng.gen_range(0.0..w),
                     y: rng.gen_range(0.0..h),
-                    w: rng.gen_range(16.0..w / 2.5),
-                    h: rng.gen_range(16.0..h / 2.5),
+                    w: rng.gen_range(16.0..(w / 2.5).max(16.0)),
+                    h: rng.gen_range(16.0..(h / 2.5).max(16.0)),
                     cell: rng.gen_range(3..9),
                     a: color(&mut rng),
                     b: color(&mut rng),
@@ -224,6 +226,10 @@ impl Scene {
     }
 
     /// Renders one view of the scene.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the scene's width or height is zero.
     pub fn render(&self, view: &ViewJitter) -> RgbImage {
         let (w, h) = (self.config.width, self.config.height);
         let mut img = RgbImage::new(w, h).expect("scene dimensions are non-zero");
@@ -378,6 +384,29 @@ mod tests {
         let a = Scene::new(5, cfg).render(&ViewJitter::identity());
         let b = Scene::new(5, cfg).render(&ViewJitter::identity());
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn small_scenes_build_and_render() {
+        // Shape sizes used to be drawn from ranges that are empty below a
+        // 40 px side; every shape kind must now fit any non-zero side.
+        let view = ViewJitter {
+            noise_amp: 4,
+            ..ViewJitter::identity()
+        };
+        for side in 1..=48 {
+            for (width, height) in [(side, side), (side, 48), (48, side)] {
+                let cfg = SceneConfig {
+                    width,
+                    height,
+                    ..SceneConfig::default()
+                };
+                for seed in 0..5 {
+                    let img = Scene::new(seed, cfg).render(&view);
+                    assert_eq!(img.dimensions(), (width, height), "seed {seed}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -23,8 +23,10 @@ use crate::{ImageError, Result};
 #[derive(Debug, Default, Clone)]
 pub struct BitWriter {
     bytes: Vec<u8>,
-    current: u8,
-    filled: u8,
+    /// Pending bits in the low `filled` bits; bits above them are stale.
+    acc: u64,
+    /// Number of pending bits, below 32 between calls.
+    filled: u32,
 }
 
 impl BitWriter {
@@ -40,21 +42,32 @@ impl BitWriter {
     /// Panics if `count > 64`.
     pub fn write_bits(&mut self, value: u64, count: u8) {
         assert!(count <= 64, "cannot write more than 64 bits at once");
-        for i in (0..count).rev() {
-            let bit = ((value >> i) & 1) as u8;
-            self.current = (self.current << 1) | bit;
-            self.filled += 1;
-            if self.filled == 8 {
-                self.bytes.push(self.current);
-                self.current = 0;
-                self.filled = 0;
-            }
+        let count = u32::from(count);
+        if count > 32 {
+            self.push(value >> 32, count - 32);
+            self.push(value, 32);
+        } else {
+            self.push(value, count);
+        }
+    }
+
+    /// Appends the low `count` bits of `value`, `count` at most 32, and
+    /// moves every 32 complete bits to the byte vector as one word.
+    #[inline]
+    fn push(&mut self, value: u64, count: u32) {
+        debug_assert!(count <= 32 && self.filled < 32);
+        self.acc = (self.acc << count) | (value & ((1u64 << count) - 1));
+        self.filled += count;
+        if self.filled >= 32 {
+            self.filled -= 32;
+            let word = (self.acc >> self.filled) as u32;
+            self.bytes.extend_from_slice(&word.to_be_bytes());
         }
     }
 
     /// Appends a single bit.
     pub fn write_bit(&mut self, bit: bool) {
-        self.write_bits(bit as u64, 1);
+        self.push(bit as u64, 1);
     }
 
     /// Number of complete bits written so far.
@@ -64,13 +77,17 @@ impl BitWriter {
 
     /// Flushes (zero-padding the final partial byte) and returns the bytes.
     pub fn into_bytes(mut self) -> Vec<u8> {
-        if self.filled > 0 {
-            self.current <<= 8 - self.filled;
-            self.bytes.push(self.current);
-        }
+        let word = ((self.acc << (32 - self.filled)) as u32).to_be_bytes();
+        let tail = self.filled.div_ceil(8) as usize;
+        self.bytes.extend_from_slice(&word[..tail]);
         self.bytes
     }
 }
+
+/// The error every read past the end of the input returns.
+pub(crate) const END_OF_INPUT: ImageError = ImageError::CorruptBitstream {
+    detail: "unexpected end of input",
+};
 
 /// Reads bits most-significant-first from a byte slice.
 #[derive(Debug, Clone)]
@@ -85,25 +102,44 @@ impl<'a> BitReader<'a> {
         BitReader { bytes, pos: 0 }
     }
 
+    /// The next 64 bits from the read position, most significant first,
+    /// without consuming them; bits past the end of the input read as zero.
+    #[inline]
+    pub(crate) fn peek(&self) -> u64 {
+        let (at, shift) = (self.pos / 8, self.pos % 8);
+        let byte = |i: usize| u64::from(self.bytes.get(at + i).copied().unwrap_or(0));
+        let head = match self.bytes.get(at..at + 8) {
+            Some(word) => u64::from_be_bytes(word.try_into().expect("8 bytes")),
+            None => (0..8).fold(0, |acc, i| (acc << 8) | byte(i)),
+        };
+        (head << shift) | (byte(8) << shift >> 8)
+    }
+
+    /// Consumes `count` bits, at most [`bits_remaining`](Self::bits_remaining).
+    #[inline]
+    pub(crate) fn skip(&mut self, count: usize) {
+        debug_assert!(count <= self.bits_remaining());
+        self.pos += count;
+    }
+
     /// Reads `count` bits into the low bits of a `u64`.
     ///
     /// # Errors
     ///
-    /// Returns [`ImageError::CorruptBitstream`] if the input is exhausted.
+    /// Returns [`ImageError::CorruptBitstream`] if the input is exhausted;
+    /// the bits that were left are consumed.
     pub fn read_bits(&mut self, count: u8) -> Result<u64> {
         assert!(count <= 64, "cannot read more than 64 bits at once");
-        let mut value = 0u64;
-        for _ in 0..count {
-            let byte_idx = self.pos / 8;
-            if byte_idx >= self.bytes.len() {
-                return Err(ImageError::CorruptBitstream {
-                    detail: "unexpected end of input",
-                });
-            }
-            let bit = (self.bytes[byte_idx] >> (7 - (self.pos % 8))) & 1;
-            value = (value << 1) | bit as u64;
-            self.pos += 1;
+        let remaining = self.bits_remaining();
+        if usize::from(count) > remaining {
+            self.skip(remaining);
+            return Err(END_OF_INPUT);
         }
+        let value = match count {
+            0 => 0,
+            n => self.peek() >> (64 - n),
+        };
+        self.skip(count.into());
         Ok(value)
     }
 
@@ -112,8 +148,12 @@ impl<'a> BitReader<'a> {
     /// # Errors
     ///
     /// Returns [`ImageError::CorruptBitstream`] if the input is exhausted.
+    #[inline]
     pub fn read_bit(&mut self) -> Result<bool> {
-        Ok(self.read_bits(1)? == 1)
+        let byte = *self.bytes.get(self.pos / 8).ok_or(END_OF_INPUT)?;
+        let bit = (byte >> (7 - self.pos % 8)) & 1;
+        self.pos += 1;
+        Ok(bit == 1)
     }
 
     /// Number of bits consumed so far.

@@ -2,29 +2,56 @@
 //!
 //! Implemented as a separable transform (rows then columns) with a
 //! precomputed cosine basis, matching the orthonormal DCT used by JPEG.
+//!
+//! Each pass computes eight outputs side by side, so the compiler keeps
+//! them in vector lanes, but every output is still the one sum
+//! `0.0 + t₀·b₀ + t₁·b₁ + …` over ascending index, one `f32` multiply and
+//! one add per term (DESIGN §6's exact-order rule).
 
-/// Precomputed `cos((2x + 1) * u * PI / 16)` basis, `BASIS[u][x]`.
-fn basis() -> &'static [[f32; 8]; 8] {
+use std::f32::consts::FRAC_1_SQRT_2;
+
+/// The cosine basis `cos((2x + 1) * u * PI / 16)`, as `basis[u * 8 + x]`
+/// and transposed, as `transposed[x * 8 + u]`.
+struct Basis {
+    basis: [f32; 64],
+    transposed: [f32; 64],
+}
+
+fn tables() -> &'static Basis {
     use std::sync::OnceLock;
-    static BASIS: OnceLock<[[f32; 8]; 8]> = OnceLock::new();
+    static BASIS: OnceLock<Basis> = OnceLock::new();
     BASIS.get_or_init(|| {
-        let mut b = [[0f32; 8]; 8];
-        for (u, row) in b.iter_mut().enumerate() {
-            for (x, v) in row.iter_mut().enumerate() {
-                *v = (((2 * x + 1) as f32) * (u as f32) * std::f32::consts::PI / 16.0).cos();
+        let mut basis = [0f32; 64];
+        let mut transposed = [0f32; 64];
+        for u in 0..8 {
+            for x in 0..8 {
+                let c = (((2 * x + 1) as f32) * (u as f32) * std::f32::consts::PI / 16.0).cos();
+                basis[u * 8 + x] = c;
+                transposed[x * 8 + u] = c;
             }
         }
-        b
+        Basis { basis, transposed }
     })
 }
 
-#[inline]
-fn alpha(u: usize) -> f32 {
-    if u == 0 {
-        std::f32::consts::FRAC_1_SQRT_2
-    } else {
-        1.0
+/// `alpha(u)`: the orthonormal weight of frequency `u`.
+const ALPHA: [f32; 8] = [FRAC_1_SQRT_2, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0];
+
+/// `0.5 * alpha(u)`, the forward transform's output scale.
+const SCALE: [f32; 8] = [0.5 * FRAC_1_SQRT_2, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5];
+
+/// `out[lane] = 0.0 + m[0][lane]·w[0] + m[1][lane]·w[1] + …`: eight
+/// weighted sums of the rows of `m` (row-major 8×8), in ascending row
+/// order.
+#[inline(always)]
+fn combine(m: &[f32; 64], w: &[f32; 8]) -> [f32; 8] {
+    let mut acc = [0f32; 8];
+    for (row, &wk) in m.chunks_exact(8).zip(w) {
+        for (a, &v) in acc.iter_mut().zip(row) {
+            *a += v * wk;
+        }
     }
+    acc
 }
 
 /// Forward 2-D DCT of one 8×8 block (row-major `input[y*8 + x]`).
@@ -42,52 +69,56 @@ fn alpha(u: usize) -> f32 {
 /// assert!(out[1..].iter().all(|&c| c.abs() < 1e-3));
 /// ```
 pub fn forward_dct_8x8(input: &[f32; 64], output: &mut [f32; 64]) {
-    let b = basis();
-    // Rows.
+    let Basis { basis, transposed } = tables();
+    // Rows: tmp[y][u] = 0.5·alpha(u) · Σx input[y][x]·b[u][x].
     let mut tmp = [0f32; 64];
-    for y in 0..8 {
-        for u in 0..8 {
-            let mut acc = 0.0;
-            for x in 0..8 {
-                acc += input[y * 8 + x] * b[u][x];
-            }
-            tmp[y * 8 + u] = 0.5 * alpha(u) * acc;
+    for (row, dst) in input.chunks_exact(8).zip(tmp.chunks_exact_mut(8)) {
+        let acc = combine(transposed, row.try_into().expect("8 samples"));
+        for ((d, s), a) in dst.iter_mut().zip(SCALE).zip(acc) {
+            *d = s * a;
         }
     }
-    // Columns.
-    for u in 0..8 {
-        for v in 0..8 {
-            let mut acc = 0.0;
-            for y in 0..8 {
-                acc += tmp[y * 8 + u] * b[v][y];
-            }
-            output[v * 8 + u] = 0.5 * alpha(v) * acc;
+    // Columns: output[v][u] = 0.5·alpha(v) · Σy tmp[y][u]·b[v][y].
+    for ((bv, dst), s) in basis
+        .chunks_exact(8)
+        .zip(output.chunks_exact_mut(8))
+        .zip(SCALE)
+    {
+        let acc = combine(&tmp, bv.try_into().expect("8 weights"));
+        for (d, a) in dst.iter_mut().zip(acc) {
+            *d = s * a;
         }
     }
 }
 
 /// Inverse 2-D DCT of one 8×8 coefficient block.
 pub fn inverse_dct_8x8(coeffs: &[f32; 64], output: &mut [f32; 64]) {
-    let b = basis();
+    let Basis { basis, transposed } = tables();
     // Columns first (inverse of the forward order, though the transform is
-    // separable so order does not matter mathematically).
-    let mut tmp = [0f32; 64];
-    for u in 0..8 {
-        for y in 0..8 {
-            let mut acc = 0.0;
-            for v in 0..8 {
-                acc += alpha(v) * coeffs[v * 8 + u] * b[v][y];
-            }
-            tmp[y * 8 + u] = 0.5 * acc;
+    // separable so order does not matter mathematically):
+    // tmp[y][u] = 0.5 · Σv (alpha(v)·coeffs[v][u])·b[v][y].
+    let mut weighted = *coeffs;
+    for (row, a) in weighted.chunks_exact_mut(8).zip(ALPHA) {
+        for c in row {
+            *c *= a;
         }
     }
-    for y in 0..8 {
-        for x in 0..8 {
-            let mut acc = 0.0;
-            for u in 0..8 {
-                acc += alpha(u) * tmp[y * 8 + u] * b[u][x];
-            }
-            output[y * 8 + x] = 0.5 * acc;
+    let mut tmp = [0f32; 64];
+    for (by, dst) in transposed.chunks_exact(8).zip(tmp.chunks_exact_mut(8)) {
+        let acc = combine(&weighted, by.try_into().expect("8 weights"));
+        for (d, a) in dst.iter_mut().zip(acc) {
+            *d = 0.5 * a;
+        }
+    }
+    // Rows: output[y][x] = 0.5 · Σu (alpha(u)·tmp[y][u])·b[u][x].
+    for (row, dst) in tmp.chunks_exact(8).zip(output.chunks_exact_mut(8)) {
+        let mut w = [0f32; 8];
+        for ((wu, &t), a) in w.iter_mut().zip(row).zip(ALPHA) {
+            *wu = a * t;
+        }
+        let acc = combine(basis, &w);
+        for (d, a) in dst.iter_mut().zip(acc) {
+            *d = 0.5 * a;
         }
     }
 }

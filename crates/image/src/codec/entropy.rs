@@ -6,7 +6,7 @@
 //! tables. This is the same structure JPEG uses (DPCM DC + run-length AC),
 //! with exp-Golomb replacing canonical Huffman.
 
-use super::bits::{BitReader, BitWriter};
+use super::bits::{BitReader, BitWriter, END_OF_INPUT};
 use crate::{ImageError, Result};
 
 /// Writes an unsigned exp-Golomb code for `v`.
@@ -24,17 +24,31 @@ pub fn write_ue(writer: &mut BitWriter, v: u64) {
 /// Returns [`ImageError::CorruptBitstream`] on truncated input or an
 /// implausibly long prefix.
 pub fn read_ue(reader: &mut BitReader<'_>) -> Result<u64> {
-    let mut zeros = 0u8;
-    while !reader.read_bit()? {
-        zeros += 1;
-        if zeros > 62 {
-            return Err(ImageError::CorruptBitstream {
-                detail: "exp-golomb prefix too long",
-            });
-        }
+    // A legal prefix is at most 62 zeros and the one bit ending it, so the
+    // 64-bit window holds all of it; past the end of input it reads zeros.
+    let window = reader.peek();
+    let zeros = window.leading_zeros() as usize;
+    let remaining = reader.bits_remaining();
+    if zeros > 62 && remaining > 62 {
+        reader.skip(63);
+        return Err(ImageError::CorruptBitstream {
+            detail: "exp-golomb prefix too long",
+        });
     }
-    let rest = reader.read_bits(zeros)?;
-    Ok(((1u64 << zeros) | rest) - 1)
+    // The code is the prefix, the one bit and `zeros` more bits.
+    let len = 2 * zeros + 1;
+    if len > remaining {
+        reader.skip(remaining);
+        return Err(END_OF_INPUT);
+    }
+    let code = if len <= 64 {
+        reader.skip(len);
+        window >> (64 - len)
+    } else {
+        reader.skip(zeros + 1);
+        (1u64 << zeros) | reader.read_bits(zeros as u8)?
+    };
+    Ok(code - 1)
 }
 
 /// Writes a signed exp-Golomb code (zigzag mapping of the integers).
@@ -64,24 +78,8 @@ pub fn read_se(reader: &mut BitReader<'_>) -> Result<i64> {
 /// Encodes one zigzag-ordered quantized block. `prev_dc` carries the DC
 /// predictor across blocks and is updated in place.
 pub fn encode_block(writer: &mut BitWriter, zz: &[i32; 64], prev_dc: &mut i32) {
-    write_se(writer, (zz[0] - *prev_dc) as i64);
-    *prev_dc = zz[0];
-    let mut run = 0u64;
-    for &c in &zz[1..] {
-        if c == 0 {
-            run += 1;
-        } else {
-            writer.write_bit(true); // another (run, value) pair follows
-            write_ue(writer, run);
-            // Value is non-zero; shift magnitude down by one so the code is
-            // dense: v>0 -> 2(v-1), v<0 -> 2(|v|-1)+1.
-            let mag = (c.unsigned_abs() as u64) - 1;
-            writer.write_bit(c < 0);
-            write_ue(writer, mag);
-            run = 0;
-        }
-    }
-    writer.write_bit(false); // end of block
+    encode_dc(writer, zz[0], prev_dc);
+    encode_band(writer, zz, 1, 64);
 }
 
 /// Decodes one zigzag-ordered block. `prev_dc` carries the DC predictor and
@@ -93,40 +91,8 @@ pub fn encode_block(writer: &mut BitWriter, zz: &[i32; 64], prev_dc: &mut i32) {
 /// overflow the block.
 pub fn decode_block(reader: &mut BitReader<'_>, prev_dc: &mut i32) -> Result<[i32; 64]> {
     let mut zz = [0i32; 64];
-    let delta = read_se(reader)?;
-    let dc = (*prev_dc as i64) + delta;
-    if dc.abs() > i32::MAX as i64 / 2 {
-        return Err(ImageError::CorruptBitstream {
-            detail: "dc coefficient out of range",
-        });
-    }
-    zz[0] = dc as i32;
-    *prev_dc = zz[0];
-    let mut pos = 1usize;
-    while reader.read_bit()? {
-        let run = read_ue(reader)? as usize;
-        pos = pos.checked_add(run).ok_or(ImageError::CorruptBitstream {
-            detail: "ac run overflow",
-        })?;
-        if pos >= 64 {
-            return Err(ImageError::CorruptBitstream {
-                detail: "ac run past end of block",
-            });
-        }
-        let negative = reader.read_bit()?;
-        let mag = read_ue(reader)? + 1;
-        if mag > i32::MAX as u64 {
-            return Err(ImageError::CorruptBitstream {
-                detail: "ac magnitude out of range",
-            });
-        }
-        zz[pos] = if negative {
-            -(mag as i64) as i32
-        } else {
-            mag as i32
-        };
-        pos += 1;
-    }
+    zz[0] = decode_dc(reader, prev_dc)?;
+    decode_ac(reader, &mut zz, 1, 64, "ac run past end of block")?;
     Ok(zz)
 }
 
@@ -193,6 +159,18 @@ pub fn decode_band(
     hi: usize,
 ) -> Result<()> {
     debug_assert!((1..hi).contains(&lo) && hi <= 64, "band out of range");
+    decode_ac(reader, zz, lo, hi, "ac run past end of band")
+}
+
+/// The (run, value) pairs of the `[lo, hi)` band, up to the end-of-band
+/// bit; `past_end` names the error of a run that leaves the band.
+fn decode_ac(
+    reader: &mut BitReader<'_>,
+    zz: &mut [i32; 64],
+    lo: usize,
+    hi: usize,
+    past_end: &'static str,
+) -> Result<()> {
     let mut pos = lo;
     while reader.read_bit()? {
         let run = read_ue(reader)? as usize;
@@ -200,9 +178,7 @@ pub fn decode_band(
             detail: "ac run overflow",
         })?;
         if pos >= hi {
-            return Err(ImageError::CorruptBitstream {
-                detail: "ac run past end of band",
-            });
+            return Err(ImageError::CorruptBitstream { detail: past_end });
         }
         let negative = reader.read_bit()?;
         let mag = read_ue(reader)? + 1;

@@ -43,7 +43,7 @@ pub mod progressive;
 pub mod quant;
 pub mod zigzag;
 
-use crate::{GrayImage, ImageError, Result, Rgb, RgbImage};
+use crate::{round_u8, GrayImage, ImageError, Result, Rgb, RgbImage};
 use bees_runtime::Runtime;
 use bits::{BitReader, BitWriter};
 
@@ -223,14 +223,33 @@ fn read_header(bytes: &[u8]) -> Result<(u8, u32, u32, u8, &[u8])> {
     Ok((magic, width, height, quality, &bytes[10..]))
 }
 
-/// A borrowed or owned single-channel plane of f32 samples.
+/// An owned single-channel plane of f32 samples.
 struct PlaneView {
     width: u32,
     height: u32,
     data: Vec<f32>,
 }
 
+/// The top-left corners of a `width × height` plane's 8×8 blocks,
+/// row-major: the order of every block sequence in a bitstream.
+fn block_origins(width: u32, height: u32) -> impl Iterator<Item = (usize, usize)> {
+    let (w, h) = (width as usize, height as usize);
+    (0..h)
+        .step_by(8)
+        .flat_map(move |y0| (0..w).step_by(8).map(move |x0| (x0, y0)))
+}
+
 impl PlaneView {
+    /// An all-zero plane; [`decode_plane`] and [`plane_from_zigzags`]
+    /// overwrite every sample.
+    fn zeroed(width: u32, height: u32) -> Self {
+        PlaneView {
+            width,
+            height,
+            data: vec![0.0; (width as usize) * (height as usize)],
+        }
+    }
+
     fn from_gray(img: &GrayImage) -> Self {
         PlaneView {
             width: img.width(),
@@ -240,97 +259,87 @@ impl PlaneView {
     }
 
     fn into_gray(self) -> GrayImage {
-        let data = self
-            .data
-            .iter()
-            .map(|&v| v.round().clamp(0.0, 255.0) as u8)
-            .collect();
+        let data = self.data.iter().map(|&v| round_u8(v)).collect();
         GrayImage::from_raw(self.width, self.height, data).expect("plane dimensions are valid")
     }
 
-    fn get_clamped(&self, x: i64, y: i64) -> f32 {
-        let cx = x.clamp(0, self.width as i64 - 1) as usize;
-        let cy = y.clamp(0, self.height as i64 - 1) as usize;
-        self.data[cy * self.width as usize + cx]
+    /// Copies the block at `(x0, y0)` out of the plane rows with the level
+    /// shift, replicating the last column and row past the plane's edges.
+    fn gather(&self, x0: usize, y0: usize, block: &mut [f32; 64]) {
+        let (w, h) = (self.width as usize, self.height as usize);
+        for (y, out) in block.chunks_exact_mut(8).enumerate() {
+            let sy = (y0 + y).min(h - 1);
+            let row = &self.data[sy * w..(sy + 1) * w];
+            if let Some(src) = row.get(x0..x0 + 8) {
+                for (o, &v) in out.iter_mut().zip(src) {
+                    *o = v - 128.0;
+                }
+            } else {
+                for (x, o) in out.iter_mut().enumerate() {
+                    *o = row[(x0 + x).min(w - 1)] - 128.0;
+                }
+            }
+        }
+    }
+
+    /// Dequantizes a block from zigzag order, inverse transforms it and
+    /// writes it at `(x0, y0)` into the plane rows with the level shift,
+    /// dropping what falls past the plane's edges.
+    fn put_zigzag(&mut self, x0: usize, y0: usize, zz: &[i32; 64], table: &[u16; 64]) {
+        let (mut coeffs, mut block) = ([0f32; 64], [0f32; 64]);
+        quant::dequantize_zigzag(zz, table, &mut coeffs);
+        dct::inverse_dct_8x8(&coeffs, &mut block);
+        let (w, h) = (self.width as usize, self.height as usize);
+        let cols = x0..(x0 + 8).min(w);
+        for (y, src) in block.chunks_exact(8).enumerate().take(h - y0) {
+            let row = &mut self.data[(y0 + y) * w..(y0 + y + 1) * w];
+            for (o, &v) in row[cols.clone()].iter_mut().zip(src) {
+                *o = v + 128.0;
+            }
+        }
+    }
+
+    /// Stage 1 of plane encoding: hands `visit` every block, in bitstream
+    /// order, gathered, transformed and quantized into zigzag order.
+    fn for_each_zigzag(&self, table: &[u16; 64], mut visit: impl FnMut(&[i32; 64])) {
+        let (mut block, mut coeffs, mut zz) = ([0f32; 64], [0f32; 64], [0i32; 64]);
+        for (x0, y0) in block_origins(self.width, self.height) {
+            self.gather(x0, y0, &mut block);
+            dct::forward_dct_8x8(&block, &mut coeffs);
+            quant::quantize_zigzag(&coeffs, table, &mut zz);
+            visit(&zz);
+        }
     }
 }
 
-/// Stage 1 of plane encoding: per-block gather + forward DCT +
-/// quantization + zigzag. Independent per block, so it fans out over the
-/// runtime (blocks are ordered row-major, exactly as a sequential loop
-/// would visit them). Shared by the baseline and progressive encoders.
+/// Every block of `plane` in zigzag order, for the progressive encoder,
+/// whose scans each visit every block.
 fn plane_zigzags(plane: &PlaneView, table: &[u16; 64]) -> Vec<[i32; 64]> {
-    let blocks_x = (plane.width as usize).div_ceil(8);
-    let blocks_y = (plane.height as usize).div_ceil(8);
-    Runtime::current().par_map_range(blocks_x * blocks_y, |b| {
-        let (by, bx) = (b / blocks_x, b % blocks_x);
-        let mut block = [0f32; 64];
-        // Gather the block, replicating edge samples, with level shift.
-        for y in 0..8 {
-            for x in 0..8 {
-                block[y * 8 + x] =
-                    plane.get_clamped((bx * 8 + x) as i64, (by * 8 + y) as i64) - 128.0;
-            }
-        }
-        let mut coeffs = [0f32; 64];
-        let mut quantized = [0i32; 64];
-        dct::forward_dct_8x8(&block, &mut coeffs);
-        quant::quantize(&coeffs, table, &mut quantized);
-        zigzag::to_zigzag(&quantized)
-    })
+    let blocks = (plane.width as usize).div_ceil(8) * (plane.height as usize).div_ceil(8);
+    let mut zigzags = Vec::with_capacity(blocks);
+    plane.for_each_zigzag(table, |zz| zigzags.push(*zz));
+    zigzags
 }
 
-/// Inverse of [`plane_zigzags`]: dequantize + inverse-DCT every block in
-/// parallel and scatter the samples into a plane. Shared by the baseline
-/// and progressive decoders.
+/// Inverse of [`plane_zigzags`], for the progressive decoder.
 fn plane_from_zigzags(
     zigzags: &[[i32; 64]],
     width: u32,
     height: u32,
     table: &[u16; 64],
 ) -> PlaneView {
-    let blocks_x = (width as usize).div_ceil(8);
-    let mut plane = PlaneView {
-        width,
-        height,
-        data: vec![0.0; (width as usize) * (height as usize)],
-    };
-    let samples: Vec<[f32; 64]> = Runtime::current().par_map(zigzags, |zz| {
-        let quantized = zigzag::from_zigzag(zz);
-        let mut coeffs = [0f32; 64];
-        let mut out = [0f32; 64];
-        quant::dequantize(&quantized, table, &mut coeffs);
-        dct::inverse_dct_8x8(&coeffs, &mut out);
-        out
-    });
-    for (b, block) in samples.iter().enumerate() {
-        let (by, bx) = (b / blocks_x, b % blocks_x);
-        for y in 0..8 {
-            let py = by * 8 + y;
-            if py >= height as usize {
-                break;
-            }
-            for x in 0..8 {
-                let px = bx * 8 + x;
-                if px >= width as usize {
-                    break;
-                }
-                plane.data[py * width as usize + px] = block[y * 8 + x] + 128.0;
-            }
-        }
+    let mut plane = PlaneView::zeroed(width, height);
+    for ((x0, y0), zz) in block_origins(width, height).zip(zigzags) {
+        plane.put_zigzag(x0, y0, zz, table);
     }
     plane
 }
 
 fn encode_plane(writer: &mut BitWriter, plane: &PlaneView, table: &[u16; 64]) {
-    // Stage 1 fans out per block; stage 2 — entropy coding — stays
-    // sequential: the differential DC chain and the bit stream itself are
-    // serial by construction.
-    let zigzags = plane_zigzags(plane, table);
+    // Entropy coding is serial: the differential DC chain and the bit
+    // stream itself run in block order.
     let mut prev_dc = 0i32;
-    for zz in &zigzags {
-        entropy::encode_block(writer, zz, &mut prev_dc);
-    }
+    plane.for_each_zigzag(table, |zz| entropy::encode_block(writer, zz, &mut prev_dc));
 }
 
 fn decode_plane(
@@ -359,43 +368,49 @@ fn decode_plane(
         .ok_or(ImageError::CorruptBitstream {
             detail: "dimension overflow",
         })?;
-    // Stage 1 — entropy decoding is serial (differential DC over one bit
-    // stream); collect every block's zigzag scan first. Stage 2 —
-    // dequantization + inverse DCT — is independent per block.
+    // Entropy decoding is serial (differential DC over one bit stream);
+    // each block is reconstructed as soon as it is decoded.
+    let mut plane = PlaneView::zeroed(width, height);
     let mut prev_dc = 0i32;
-    let mut zigzags = Vec::with_capacity(blocks);
-    for _ in 0..blocks {
-        zigzags.push(entropy::decode_block(reader, &mut prev_dc)?);
+    for (x0, y0) in block_origins(width, height) {
+        let zz = entropy::decode_block(reader, &mut prev_dc)?;
+        plane.put_zigzag(x0, y0, &zz, table);
     }
-    Ok(plane_from_zigzags(&zigzags, width, height, table))
+    Ok(plane)
 }
 
 fn split_ycbcr(img: &RgbImage) -> (PlaneView, PlaneView, PlaneView) {
     let (w, h) = (img.width() as usize, img.height() as usize);
     let (cw, ch) = (w.div_ceil(2), h.div_ceil(2));
-    let pixels = img.pixels();
     let mut y_data = vec![0.0; w * h];
-    let mut cb_data = Vec::with_capacity(cw * ch);
-    let mut cr_data = Vec::with_capacity(cw * ch);
-    // One pass over the 2x2 neighborhoods (clipped at the right and bottom
-    // edges): each pixel's luma lands in the Y plane and the neighborhood's
-    // mean chroma, summed in row-major order, becomes one 4:2:0 sample.
-    for cy in 0..ch {
-        let rows = 2 * cy..(2 * cy + 2).min(h);
-        for cx in 0..cw {
-            let cols = 2 * cx..(2 * cx + 2).min(w);
-            let (mut cb_sum, mut cr_sum, mut n) = (0.0f32, 0.0f32, 0.0f32);
-            for sy in rows.clone() {
-                for sx in cols.clone() {
-                    let (y, cb, cr) = pixels[sy * w + sx].to_ycbcr();
-                    y_data[sy * w + sx] = y;
-                    cb_sum += cb;
-                    cr_sum += cr;
-                    n += 1.0;
+    let mut cb_data = vec![0.0f32; cw * ch];
+    let mut cr_data = vec![0.0f32; cw * ch];
+    // One pass over each pair of rows (the last may be alone): each pixel's
+    // luma lands in the Y plane, and its chroma is summed into its 2x2
+    // neighbourhood's sample (clipped at the right and bottom edges) in
+    // row-major order; the sums then become means, one 4:2:0 sample each.
+    let chroma_rows = cb_data
+        .chunks_exact_mut(cw)
+        .zip(cr_data.chunks_exact_mut(cw));
+    let pixel_rows = img.pixels().chunks(2 * w).zip(y_data.chunks_mut(2 * w));
+    for ((cb_row, cr_row), (src, lum)) in chroma_rows.zip(pixel_rows) {
+        for (src_row, lum_row) in src.chunks_exact(w).zip(lum.chunks_exact_mut(w)) {
+            let pairs = src_row.chunks(2).zip(lum_row.chunks_mut(2));
+            for ((pair, lum_pair), (cb, cr)) in pairs.zip(cb_row.iter_mut().zip(cr_row.iter_mut()))
+            {
+                for (p, l) in pair.iter().zip(lum_pair) {
+                    let (y, pcb, pcr) = p.to_ycbcr();
+                    *l = y;
+                    *cb += pcb;
+                    *cr += pcr;
                 }
             }
-            cb_data.push(cb_sum / n);
-            cr_data.push(cr_sum / n);
+        }
+        let rows = (src.len() / w) as f32;
+        for (x, (cb, cr)) in cb_row.iter_mut().zip(cr_row.iter_mut()).enumerate() {
+            let n = rows * (w - 2 * x).min(2) as f32;
+            *cb /= n;
+            *cr /= n;
         }
     }
     let plane = |width: usize, height: usize, data| PlaneView {
@@ -416,16 +431,21 @@ fn merge_ycbcr(y_plane: &PlaneView, cb_plane: &PlaneView, cr_plane: &PlaneView) 
     let (w, cw) = (y_plane.width as usize, cb_plane.width as usize);
     debug_assert_eq!(cw, w.div_ceil(2));
     debug_assert_eq!(cr_plane.width, cb_plane.width);
-    let mut data = Vec::with_capacity(y_plane.data.len());
-    for (y, lum_row) in y_plane.data.chunks_exact(w).enumerate() {
-        let chroma = (y / 2) * cw..(y / 2 + 1) * cw;
-        let (cb_row, cr_row) = (&cb_plane.data[chroma.clone()], &cr_plane.data[chroma]);
-        data.extend(
-            lum_row
-                .iter()
-                .enumerate()
-                .map(|(x, &lum)| Rgb::from_ycbcr(lum, cb_row[x / 2], cr_row[x / 2])),
-        );
+    let mut data = vec![Rgb::default(); y_plane.data.len()];
+    let chroma_rows = cb_plane
+        .data
+        .chunks_exact(cw)
+        .zip(cr_plane.data.chunks_exact(cw));
+    let pixel_rows = data.chunks_mut(2 * w).zip(y_plane.data.chunks(2 * w));
+    for ((cb_row, cr_row), (out, lum)) in chroma_rows.zip(pixel_rows) {
+        for (out_row, lum_row) in out.chunks_exact_mut(w).zip(lum.chunks_exact(w)) {
+            let pairs = out_row.chunks_mut(2).zip(lum_row.chunks(2));
+            for ((out_pair, lum_pair), (&cb, &cr)) in pairs.zip(cb_row.iter().zip(cr_row)) {
+                for (o, &l) in out_pair.iter_mut().zip(lum_pair) {
+                    *o = Rgb::from_ycbcr(l, cb, cr);
+                }
+            }
+        }
     }
     RgbImage {
         width: y_plane.width,

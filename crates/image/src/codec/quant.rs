@@ -4,7 +4,8 @@
 //! parameter scales them with the familiar libjpeg formula, so our quality
 //! axis behaves like everyone else's.
 
-use crate::{ImageError, Result};
+use super::zigzag::ZIGZAG;
+use crate::{round_i32, ImageError, Result};
 
 /// JPEG Annex K luminance quantization table (quality 50 reference).
 const BASE_LUMINANCE: [u16; 64] = [
@@ -72,7 +73,14 @@ pub fn chrominance_table(quality: u8) -> Result<[u16; 64]> {
 /// Quantizes a block of DCT coefficients (round-to-nearest division).
 pub fn quantize(coeffs: &[f32; 64], table: &[u16; 64], out: &mut [i32; 64]) {
     for i in 0..64 {
-        out[i] = (coeffs[i] / table[i] as f32).round() as i32;
+        out[i] = round_i32(coeffs[i] / table[i] as f32);
+    }
+}
+
+/// [`quantize`] writing the block straight into zigzag scan order.
+pub(crate) fn quantize_zigzag(coeffs: &[f32; 64], table: &[u16; 64], zz: &mut [i32; 64]) {
+    for (z, &i) in zz.iter_mut().zip(&ZIGZAG) {
+        *z = round_i32(coeffs[i] / table[i] as f32);
     }
 }
 
@@ -80,6 +88,13 @@ pub fn quantize(coeffs: &[f32; 64], table: &[u16; 64], out: &mut [i32; 64]) {
 pub fn dequantize(quantized: &[i32; 64], table: &[u16; 64], out: &mut [f32; 64]) {
     for i in 0..64 {
         out[i] = quantized[i] as f32 * table[i] as f32;
+    }
+}
+
+/// [`dequantize`] reading the block straight from zigzag scan order.
+pub(crate) fn dequantize_zigzag(zz: &[i32; 64], table: &[u16; 64], out: &mut [f32; 64]) {
+    for (&z, &i) in zz.iter().zip(&ZIGZAG) {
+        out[i] = z as f32 * table[i] as f32;
     }
 }
 

@@ -1,4 +1,4 @@
-use crate::{pixel_len, ImageError, Result};
+use crate::{pixel_len, round_u8, ImageError, Result};
 
 /// An owned 8-bit grayscale image stored in row-major order.
 ///
@@ -312,11 +312,7 @@ impl GrayF32 {
         GrayImage {
             width: self.width,
             height: self.height,
-            data: self
-                .data
-                .iter()
-                .map(|&p| p.round().clamp(0.0, 255.0) as u8)
-                .collect(),
+            data: self.data.iter().map(|&p| round_u8(p)).collect(),
         }
     }
 }

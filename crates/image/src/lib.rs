@@ -13,7 +13,7 @@
 //!   *bitmap compression proportion* semantics,
 //! * [`blur`] — separable Gaussian filtering used by the feature extractors,
 //! * [`codec`] — a real lossy DCT image codec (quality-scaled quantization,
-//!   zigzag, RLE + Rice entropy coding) standing in for JPEG,
+//!   zigzag, run-length + exp-Golomb entropy coding) standing in for JPEG,
 //! * [`metrics`] — MSE / PSNR / SSIM image-quality metrics,
 //! * [`draw`] — deterministic drawing primitives used by the synthetic datasets,
 //! * [`transform`] — lossless quarter-turn rotations and flips.
@@ -52,6 +52,25 @@ pub use rgb::{Rgb, RgbImage};
 /// Shorthand result type used throughout the crate.
 pub type Result<T> = std::result::Result<T, ImageError>;
 
+/// `x.round().clamp(0.0, 255.0) as u8`, bit for bit, without a call.
+///
+/// `f32::round` is an out-of-line `roundf` call on targets without SSE4.1,
+/// and a call in a per-pixel loop also blocks vectorisation. Adding the
+/// largest `f32` below one half and truncating rounds halves away from
+/// zero, as `round` does. `max` (not `clamp`) maps NaN and negatives to 0,
+/// and the saturating cast clamps above 255, so nothing is clamped twice.
+#[inline]
+pub(crate) fn round_u8(x: f32) -> u8 {
+    (x.max(0.0) + 0.499_999_97) as u8
+}
+
+/// `x.round() as i32`, bit for bit, without a call (see [`round_u8`]): the
+/// added near-half takes `x`'s sign, and `as` saturates as before.
+#[inline]
+pub(crate) fn round_i32(x: f32) -> i32 {
+    (x + 0.499_999_97f32.copysign(x)) as i32
+}
+
 /// The number of `T` samples in a `width × height` image, or
 /// [`ImageError::InvalidDimensions`] when a side is zero or the buffer would
 /// exceed `isize::MAX` bytes, the most one allocation may hold.
@@ -60,5 +79,89 @@ pub(crate) fn pixel_len<T>(width: u32, height: u32) -> Result<usize> {
     match (width as usize).checked_mul(height as usize) {
         Some(len) if len > 0 && len <= max => Ok(len),
         _ => Err(ImageError::InvalidDimensions { width, height }),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{round_i32, round_u8};
+
+    /// Both helpers against the `f32::round` forms they replace.
+    fn check(x: f32) {
+        let bits = x.to_bits();
+        assert_eq!(
+            round_u8(x),
+            x.round().clamp(0.0, 255.0) as u8,
+            "round_u8({x:e}), bits {bits:#010x}"
+        );
+        assert_eq!(
+            round_i32(x),
+            x.round() as i32,
+            "round_i32({x:e}), bits {bits:#010x}"
+        );
+    }
+
+    /// The `f32` `ulps` steps away from `x` in value order (through zero).
+    fn ulps_from(x: f32, ulps: i64) -> f32 {
+        let bits = x.to_bits();
+        let ordered = if bits >> 31 == 1 {
+            -i64::from(bits & 0x7fff_ffff)
+        } else {
+            i64::from(bits)
+        } + ulps;
+        if ordered < 0 {
+            f32::from_bits((-ordered) as u32 | 0x8000_0000)
+        } else {
+            f32::from_bits(ordered as u32)
+        }
+    }
+
+    #[test]
+    fn rounding_helpers_match_f32_round() {
+        let specials = [
+            0.0,
+            -0.0,
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            f32::from_bits(1),
+            f32::from_bits(0x8000_0001),
+            f32::from_bits(0x007f_ffff),
+            f32::from_bits(0x807f_ffff),
+            f32::MAX,
+            f32::MIN,
+            0.499_999_97,
+            -0.499_999_97,
+            8_388_607.5,
+            -8_388_607.5,
+            16_777_215.0,
+            2_147_483_520.0,
+            2_147_483_648.0,
+            -2_147_483_648.0,
+            -2_147_483_904.0,
+        ];
+        for x in specials {
+            check(x);
+        }
+        // Every value within 64 ulps of each integer and half-integer in
+        // [-1100, 1100]: the sample, coefficient and clamp-edge range.
+        for half_steps in -2200..=2200 {
+            let center = half_steps as f32 * 0.5;
+            for ulps in -64..=64 {
+                check(ulps_from(center, ulps));
+            }
+        }
+        // Seeded bit patterns over every exponent (SplitMix64).
+        let mut state = 0x5EED_u64;
+        for _ in 0..1_000_000 {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            check(f32::from_bits((z ^ (z >> 31)) as u32));
+        }
     }
 }

@@ -1,4 +1,4 @@
-use crate::{pixel_len, GrayImage, Result};
+use crate::{pixel_len, round_u8, GrayImage, Result};
 
 /// An 8-bit RGB pixel.
 ///
@@ -31,8 +31,7 @@ impl Rgb {
     /// ITU-R BT.601 luma, the grayscale value used throughout the pipeline.
     #[inline]
     pub fn luma(self) -> u8 {
-        let y = 0.299 * self.r as f32 + 0.587 * self.g as f32 + 0.114 * self.b as f32;
-        y.round().clamp(0.0, 255.0) as u8
+        round_u8(0.299 * self.r as f32 + 0.587 * self.g as f32 + 0.114 * self.b as f32)
     }
 
     /// Converts to YCbCr (BT.601, full range) as used by the DCT codec.
@@ -52,9 +51,9 @@ impl Rgb {
         let g = y - 0.344_136 * (cb - 128.0) - 0.714_136 * (cr - 128.0);
         let b = y + 1.772 * (cb - 128.0);
         Rgb {
-            r: r.round().clamp(0.0, 255.0) as u8,
-            g: g.round().clamp(0.0, 255.0) as u8,
-            b: b.round().clamp(0.0, 255.0) as u8,
+            r: round_u8(r),
+            g: round_u8(g),
+            b: round_u8(b),
         }
     }
 }

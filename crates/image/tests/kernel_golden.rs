@@ -1,16 +1,18 @@
-//! Bit-exactness pins for the Gaussian blur and SSIM kernels.
+//! Bit-exactness pins for the Gaussian blur, DCT and SSIM kernels.
 //!
 //! `gaussian_blur_f32` is compared bit for bit against a per-pixel
 //! reference convolution (clamped taps, one `f32` accumulator per pixel,
 //! taps in ascending order) across sizes narrower and shorter than the
-//! kernel radius. `ssim` and the colour codec round trip are pinned to
-//! constants, so any change to their arithmetic order shows up here.
+//! kernel radius, and the 8×8 DCT pair against per-output reference loops.
+//! `ssim` and the colour codec round trip are pinned to constants, so any
+//! change to their arithmetic order shows up here.
 //!
 //! Inputs come from integer arithmetic only (no seeded generator, no
 //! `sin`), so the pins depend on nothing but the kernels. Run at several
 //! `BEES_THREADS` values: the results must not depend on the worker count.
 
 use bees_image::blur::{gaussian_blur_f32, gaussian_kernel};
+use bees_image::codec::dct::{forward_dct_8x8, inverse_dct_8x8};
 use bees_image::{codec, metrics, GrayF32, GrayImage, Rgb, RgbImage};
 
 /// SplitMix64: a tiny seeded generator for test inputs.
@@ -79,6 +81,79 @@ fn reference_blur(src: &GrayF32, sigma: f64) -> GrayF32 {
     pass(&pass(src, true), false)
 }
 
+/// `cos((2x + 1) * u * PI / 16)`, computed as the codec computes it.
+fn dct_basis() -> [[f32; 8]; 8] {
+    let mut b = [[0f32; 8]; 8];
+    for (u, row) in b.iter_mut().enumerate() {
+        for (x, v) in row.iter_mut().enumerate() {
+            *v = (((2 * x + 1) as f32) * (u as f32) * std::f32::consts::PI / 16.0).cos();
+        }
+    }
+    b
+}
+
+fn dct_alpha(u: usize) -> f32 {
+    if u == 0 {
+        std::f32::consts::FRAC_1_SQRT_2
+    } else {
+        1.0
+    }
+}
+
+/// The forward DCT one output at a time: rows, then columns, each output
+/// summed from `0.0` in ascending index and scaled by `0.5 * alpha`.
+fn reference_forward_dct(input: &[f32; 64]) -> [f32; 64] {
+    let b = dct_basis();
+    let mut tmp = [0f32; 64];
+    for y in 0..8 {
+        for u in 0..8 {
+            let mut acc = 0.0;
+            for x in 0..8 {
+                acc += input[y * 8 + x] * b[u][x];
+            }
+            tmp[y * 8 + u] = 0.5 * dct_alpha(u) * acc;
+        }
+    }
+    let mut output = [0f32; 64];
+    for u in 0..8 {
+        for v in 0..8 {
+            let mut acc = 0.0;
+            for y in 0..8 {
+                acc += tmp[y * 8 + u] * b[v][y];
+            }
+            output[v * 8 + u] = 0.5 * dct_alpha(v) * acc;
+        }
+    }
+    output
+}
+
+/// The inverse DCT one output at a time: columns, then rows, each term
+/// `(alpha · c) · b`, summed from `0.0` in ascending index.
+fn reference_inverse_dct(coeffs: &[f32; 64]) -> [f32; 64] {
+    let b = dct_basis();
+    let mut tmp = [0f32; 64];
+    for u in 0..8 {
+        for y in 0..8 {
+            let mut acc = 0.0;
+            for v in 0..8 {
+                acc += dct_alpha(v) * coeffs[v * 8 + u] * b[v][y];
+            }
+            tmp[y * 8 + u] = 0.5 * acc;
+        }
+    }
+    let mut output = [0f32; 64];
+    for y in 0..8 {
+        for x in 0..8 {
+            let mut acc = 0.0;
+            for u in 0..8 {
+                acc += dct_alpha(u) * tmp[y * 8 + u] * b[u][x];
+            }
+            output[y * 8 + x] = 0.5 * acc;
+        }
+    }
+    output
+}
+
 fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
     bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
         (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3)
@@ -103,6 +178,42 @@ fn blur_matches_the_per_pixel_reference_bit_for_bit() {
                 );
             }
         }
+    }
+}
+
+#[test]
+fn dct_matches_the_per_output_reference_bit_for_bit() {
+    let mut s = 0xDC7u64;
+    let mut blocks: Vec<[f32; 64]> = Vec::new();
+    for k in 0..2000 {
+        let mut block = [0f32; 64];
+        for v in &mut block {
+            let n = splitmix(&mut s);
+            *v = match k % 4 {
+                // Level-shifted samples, as the encoder transforms them.
+                0 => (n % 256) as f32 - 128.0,
+                // Dequantized coefficients: a step times a small integer.
+                1 => ((n % 41) as f32 - 20.0) * (1 + (n >> 8) % 120) as f32,
+                // Sparse coefficients, as most decoded blocks are.
+                2 if n.is_multiple_of(5) => ((n >> 8) % 2001) as f32 - 1000.0,
+                2 => 0.0,
+                // Arbitrary magnitudes and signs, zeros of both signs.
+                _ => f32::from_bits((n >> 32) as u32 & 0xC7FF_FFFF),
+            };
+        }
+        blocks.push(block);
+    }
+    blocks.push([0.0; 64]);
+    blocks.push([-0.0; 64]);
+    for (k, block) in blocks.iter().enumerate() {
+        let mut got = [0f32; 64];
+        forward_dct_8x8(block, &mut got);
+        let want = reference_forward_dct(block);
+        let bits = |a: &[f32; 64]| a.map(f32::to_bits);
+        assert_eq!(bits(&got), bits(&want), "forward, block {k}");
+        inverse_dct_8x8(block, &mut got);
+        let want = reference_inverse_dct(block);
+        assert_eq!(bits(&got), bits(&want), "inverse, block {k}");
     }
 }
 

@@ -174,12 +174,14 @@ impl MihIndex {
         scratch.merge_heap = heap.into_vec();
     }
 
-    fn index_words(&mut self, id: ImageId, features: &ImageFeatures) {
+    fn index_words(
+        tables: &mut [HashMap<u64, Vec<ImageId>>],
+        id: ImageId,
+        features: &ImageFeatures,
+    ) {
         if let Descriptors::Binary(descs) = &features.descriptors {
             for (k, &word) in descs.words().iter().enumerate() {
-                let bucket = self.tables[k % WORDS_PER_DESCRIPTOR]
-                    .entry(word)
-                    .or_default();
+                let bucket = tables[k % WORDS_PER_DESCRIPTOR].entry(word).or_default();
                 // Sorted insertion keeps every posting list ascending,
                 // which the budgeted k-way merge in `candidates` relies
                 // on (ids usually arrive in order, making this a cheap
@@ -191,10 +193,14 @@ impl MihIndex {
         }
     }
 
-    fn unindex_words(&mut self, id: ImageId, features: &ImageFeatures) {
+    fn unindex_words(
+        tables: &mut [HashMap<u64, Vec<ImageId>>],
+        id: ImageId,
+        features: &ImageFeatures,
+    ) {
         if let Descriptors::Binary(descs) = &features.descriptors {
             for (k, word) in descs.words().iter().enumerate() {
-                if let Some(bucket) = self.tables[k % WORDS_PER_DESCRIPTOR].get_mut(word) {
+                if let Some(bucket) = tables[k % WORDS_PER_DESCRIPTOR].get_mut(word) {
                     bucket.retain(|&x| x != id);
                 }
             }
@@ -205,12 +211,11 @@ impl MihIndex {
 impl FeatureIndex for MihIndex {
     fn insert(&mut self, id: ImageId, features: ImageFeatures) {
         if let Some(&pos) = self.id_to_pos.get(&id) {
-            let old = self.entries[pos].features.clone();
-            self.unindex_words(id, &old);
-            self.index_words(id, &features);
-            self.entries[pos].features = features;
+            let old = std::mem::replace(&mut self.entries[pos].features, features);
+            Self::unindex_words(&mut self.tables, id, &old);
+            Self::index_words(&mut self.tables, id, &self.entries[pos].features);
         } else {
-            self.index_words(id, &features);
+            Self::index_words(&mut self.tables, id, &features);
             self.id_to_pos.insert(id, self.entries.len());
             self.entries.push(ImageEntry { id, features });
         }

@@ -6,9 +6,10 @@
 //! encoding (one image per task), brute-force L2 matching, index candidate
 //! rescoring, pairwise similarity graphs, greedy submodular maximization,
 //! and the cold-recompression pass (one blob per task) — is a fan-out over
-//! independent work items. ORB's pyramid levels and the block-DCT codec fan
-//! out too, but run inline when called from inside one of those tasks. This
-//! crate provides that fan-out with one non-negotiable property: **the
+//! independent work items. ORB's pyramid levels fan out too, but run inline
+//! when called from inside one of those tasks; the block-DCT codec runs each
+//! image sequentially. This crate provides that fan-out with one
+//! non-negotiable property: **the
 //! output is bit-identical at 1, 2, or N threads**.
 //!
 //! # Determinism model
