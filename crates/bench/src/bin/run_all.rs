@@ -31,7 +31,6 @@ fn main() {
     ex::contention::run(&args).print();
     ex::retrieval::run(&args).print();
     ex::storage::run(&args).print();
-    ex::descriptor_hotloop::run(&args).print();
     ex::query_throughput::run(&args).print();
     ex::runtime_scaling::run(&args).print();
     println!("\nAll experiments complete. See EXPERIMENTS.md for the paper-vs-measured record.");

@@ -13,7 +13,6 @@ use crate::args::ExpArgs;
 use crate::table::Table;
 use bees_core::BeesConfig;
 use bees_datasets::{Scene, SceneConfig, ViewJitter};
-use bees_energy::AdaptiveScheme;
 use bees_features::orb::Orb;
 use bees_features::similarity::jaccard_similarity;
 use bees_features::FeatureExtractor;

@@ -154,7 +154,6 @@ pub fn run(args: &ExpArgs) -> CalibrationResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bees_energy::AdaptiveScheme;
 
     #[test]
     fn measured_distributions_validate_config_defaults() {

@@ -11,7 +11,6 @@ use crate::experiments::top4_precision;
 use crate::table::{f3, Table};
 use bees_core::BeesConfig;
 use bees_datasets::{kentucky_like, SceneConfig};
-use bees_energy::AdaptiveScheme;
 use bees_features::orb::Orb;
 use bees_features::pca::PcaSift;
 use bees_features::sift::Sift;

@@ -3,7 +3,6 @@
 pub mod ablation_ssmm;
 pub mod calibrate;
 pub mod contention;
-pub mod descriptor_hotloop;
 pub mod fault_resilience;
 pub mod fig11_delay;
 pub mod fig12_coverage;

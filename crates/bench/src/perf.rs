@@ -1,10 +1,10 @@
 //! The perf-trajectory metric schema shared by the throughput benches.
 //!
-//! `descriptor_hotloop`, `query_throughput`, and `runtime_scaling` all emit
-//! flat JSON lines of the form
+//! `query_throughput`, `runtime_scaling`, `fault_resilience`, `contention`,
+//! `retrieval` and `storage` all emit flat JSON lines of the form
 //!
 //! ```json
-//! {"bench":"descriptor_hotloop","case":"n10000","metric":"soa_batched_mpairs_per_s","value":512.3}
+//! {"bench":"query_throughput","case":"mih","metric":"queries_per_s","value":4423.758662}
 //! ```
 //!
 //! via `--json-out`. Throughput-shaped metrics (**higher is better**,
@@ -20,9 +20,9 @@ use std::path::Path;
 /// One measured value: `(bench, case, metric) -> value`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Metric {
-    /// Bench binary name (`descriptor_hotloop`, ...).
+    /// Bench binary name (`query_throughput`, ...).
     pub bench: String,
-    /// Workload case within the bench (`n10000`, `mih_sharded4`, ...).
+    /// Workload case within the bench (`mih`, `mih_sharded4`, ...).
     pub case: String,
     /// Metric name; by convention ends in a unit suffix
     /// (`*_per_s`, `*_joules`, ...).
@@ -107,11 +107,11 @@ mod tests {
 
     #[test]
     fn json_shape_is_flat_and_stable() {
-        let m = Metric::new("descriptor_hotloop", "n1000", "aos_mpairs_per_s", 123.5);
+        let m = Metric::new("query_throughput", "mih", "queries_per_s", 123.5);
         assert_eq!(
             m.to_json(),
-            "{\"bench\":\"descriptor_hotloop\",\"case\":\"n1000\",\
-             \"metric\":\"aos_mpairs_per_s\",\"value\":123.500000}"
+            "{\"bench\":\"query_throughput\",\"case\":\"mih\",\
+             \"metric\":\"queries_per_s\",\"value\":123.500000}"
         );
     }
 

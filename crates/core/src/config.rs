@@ -159,19 +159,26 @@ impl BeesConfig {
         Self::quality_for_proportion(self.quality_proportion)
     }
 
-    /// Starts a [`BeesConfigBuilder`] from the paper defaults. The builder
-    /// validates at [`build()`](BeesConfigBuilder::build), so invalid
-    /// fault/retry/stall/quality knobs are caught where they are set
-    /// rather than deep inside a simulation.
-    pub fn builder() -> BeesConfigBuilder {
-        BeesConfigBuilder::default()
-    }
-
     /// Validates the network-robustness knobs (fault model, retry policy,
-    /// stall limit) and the compression/threshold knobs. Called by
-    /// [`crate::Client::try_new`] and [`BeesConfigBuilder::build`] so an
-    /// invalid configuration surfaces as a typed error instead of a panic
-    /// deep in the simulation.
+    /// stall limit), the adaptive schemes and the compression/threshold
+    /// knobs. Called by [`crate::Client::try_new`] and
+    /// [`crate::Server::try_new`] so an invalid configuration surfaces as a
+    /// typed error instead of a panic deep in the simulation.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use bees_core::BeesConfig;
+    /// use bees_net::BandwidthTrace;
+    ///
+    /// let config = BeesConfig {
+    ///     trace: BandwidthTrace::constant(256_000.0).unwrap(),
+    ///     quality_proportion: 0.85,
+    ///     ..BeesConfig::default()
+    /// };
+    /// config.validate().expect("knobs are in range");
+    /// assert_eq!(config.upload_quality(), 15);
+    /// ```
     ///
     /// # Errors
     ///
@@ -194,6 +201,18 @@ impl BeesConfig {
                     self.stall_limit_s
                 ),
             });
+        }
+        // `LinearScheme::value` clamps with `min` and `max`, which panics
+        // when they are inverted or NaN.
+        for (name, scheme) in [
+            ("eac", &self.eac),
+            ("edr", &self.edr),
+            ("tw", &self.tw),
+            ("eau", &self.eau),
+        ] {
+            scheme.validate().map_err(|rule| CoreError::InvalidConfig {
+                detail: format!("{name}: {rule}, got {scheme:?}"),
+            })?;
         }
         if self.camera_quality == 0 || self.camera_quality > 100 {
             return Err(CoreError::InvalidConfig {
@@ -262,133 +281,6 @@ impl BeesConfig {
                 detail: format!("storage: {e}"),
             })?;
         Ok(())
-    }
-}
-
-/// Builds a validated [`BeesConfig`].
-///
-/// Every setter takes the same type as the corresponding public field;
-/// [`build()`](BeesConfigBuilder::build) runs [`BeesConfig::validate`], so
-/// a config obtained through the builder is usable by construction:
-///
-/// ```
-/// use bees_core::BeesConfig;
-/// use bees_net::BandwidthTrace;
-///
-/// let config = BeesConfig::builder()
-///     .trace(BandwidthTrace::constant(256_000.0).unwrap())
-///     .quality_proportion(0.85)
-///     .build()
-///     .expect("knobs are in range");
-/// assert_eq!(config.upload_quality(), 15);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct BeesConfigBuilder {
-    config: BeesConfig,
-}
-
-macro_rules! builder_setters {
-    ($( $(#[$doc:meta])* $name:ident: $ty:ty ),* $(,)?) => {
-        $(
-            $(#[$doc])*
-            #[must_use]
-            pub fn $name(mut self, value: $ty) -> Self {
-                self.config.$name = value;
-                self
-            }
-        )*
-    };
-}
-
-impl BeesConfigBuilder {
-    builder_setters! {
-        /// Sets the ORB extractor settings.
-        orb: OrbConfig,
-        /// Sets the PCA-SIFT settings.
-        pca_sift: PcaSiftConfig,
-        /// Sets the PCA projection-basis seed.
-        pca_basis_seed: u64,
-        /// Sets the similarity-scoring thresholds.
-        similarity: SimilarityConfig,
-        /// Sets the SSMM objective weights.
-        ssmm: SsmmConfig,
-        /// Sets the EAC adaptation scheme.
-        eac: LinearScheme,
-        /// Sets the EDR adaptation scheme.
-        edr: LinearScheme,
-        /// Sets the SSMM partition-threshold scheme.
-        tw: LinearScheme,
-        /// Sets the EAU adaptation scheme.
-        eau: LinearScheme,
-        /// Sets the on-phone camera JPEG quality (1..=100).
-        camera_quality: u8,
-        /// Sets the fixed quality-compression proportion (in `[0, 1)`).
-        quality_proportion: f64,
-        /// Sets MRC's fixed ORB similarity threshold.
-        fixed_threshold: f64,
-        /// Sets SmartEye's fixed PCA-SIFT similarity threshold.
-        fixed_threshold_pca: f64,
-        /// Sets the PhotoNet-like histogram-intersection threshold.
-        histogram_threshold: f64,
-        /// Sets the starting battery.
-        battery: Battery,
-        /// Sets the energy cost model.
-        energy: EnergyModel,
-        /// Sets the bandwidth trace.
-        trace: BandwidthTrace,
-        /// Sets the fault-injection model.
-        fault: FaultModel,
-        /// Sets the retry/backoff/chunking policy.
-        retry: RetryPolicy,
-        /// Sets the channel stall limit in seconds.
-        stall_limit_s: f64,
-        /// Sets the server index backend.
-        index_backend: IndexBackend,
-        /// Sets how many shards the server partitions its index over.
-        server_shards: usize,
-        /// Sets the MIH multi-probe radius (0 or 1).
-        mih_probe_radius: u8,
-        /// Sets whether cut uploads are salvaged into partial images.
-        salvage_partials: bool,
-        /// Sets the shared uplink cell the fleet contends for.
-        cell: SharedCellConfig,
-        /// Sets the airtime-scheduler ranking policy.
-        scheduler: SchedulerPolicy,
-        /// Sets the storage-tier knobs (grouping + cold recompression).
-        storage: StorageConfig,
-    }
-
-    /// Validates and returns the configuration.
-    ///
-    /// On top of [`BeesConfig::validate`], the builder enforces stricter
-    /// retry-policy hygiene than the raw struct allows: a zero backoff
-    /// base is *representable* (and valid at the struct level), but a
-    /// config built here must back off for real, and its jitter amplitude
-    /// must stay below the backoff base it modulates.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidConfig`] naming the offending knob.
-    pub fn build(self) -> crate::Result<BeesConfig> {
-        if self.config.retry.base_backoff_s <= 0.0 {
-            return Err(CoreError::InvalidConfig {
-                detail: format!(
-                    "retry.base_backoff_s must be positive when built through \
-                     BeesConfigBuilder, got {}",
-                    self.config.retry.base_backoff_s
-                ),
-            });
-        }
-        if self.config.retry.jitter >= self.config.retry.base_backoff_s {
-            return Err(CoreError::InvalidConfig {
-                detail: format!(
-                    "retry.jitter ({}) must stay below retry.base_backoff_s ({})",
-                    self.config.retry.jitter, self.config.retry.base_backoff_s
-                ),
-            });
-        }
-        self.config.validate()?;
-        Ok(self.config)
     }
 }
 
@@ -462,6 +354,30 @@ mod tests {
         };
         assert!(detail(&c).contains("mih_probe_radius"));
 
+        let c = BeesConfig {
+            stall_limit_s: -1.0,
+            ..BeesConfig::default()
+        };
+        assert!(detail(&c).contains("stall_limit_s"));
+
+        let c = BeesConfig {
+            camera_quality: 0,
+            ..BeesConfig::default()
+        };
+        assert!(detail(&c).contains("camera_quality"));
+
+        let c = BeesConfig {
+            quality_proportion: 1.0,
+            ..BeesConfig::default()
+        };
+        assert!(detail(&c).contains("quality_proportion"));
+
+        let c = BeesConfig {
+            fixed_threshold: f64::NAN,
+            ..BeesConfig::default()
+        };
+        assert!(detail(&c).contains("fixed_threshold"));
+
         // Each of these would otherwise reach the first SSMM run with two
         // survivors and panic in `WeightedObjective::new`.
         for bad in [-1.0, f64::NAN, f64::INFINITY] {
@@ -471,6 +387,43 @@ mod tests {
             let mut c = BeesConfig::default();
             c.ssmm.lambda_diversity = bad;
             assert!(detail(&c).contains("ssmm.lambda_diversity"), "{bad}");
+        }
+    }
+
+    #[test]
+    fn invalid_adaptive_schemes_are_named_by_validate() {
+        // Each of these used to pass validation. The first upload then
+        // panicked in `f64::clamp` on the inverted or NaN clamp, and the
+        // infinite slope made `value(0.0)` NaN.
+        let inverted = LinearScheme {
+            min: 0.9,
+            max: 0.1,
+            ..LinearScheme::eac()
+        };
+        let nan_clamp = LinearScheme {
+            min: f64::NAN,
+            ..LinearScheme::eac()
+        };
+        let infinite_slope = LinearScheme {
+            slope: f64::INFINITY,
+            ..LinearScheme::eac()
+        };
+        for bad in [inverted, nan_clamp, infinite_slope] {
+            for name in ["eac", "edr", "tw", "eau"] {
+                let mut c = BeesConfig::default();
+                *match name {
+                    "eac" => &mut c.eac,
+                    "edr" => &mut c.edr,
+                    "tw" => &mut c.tw,
+                    _ => &mut c.eau,
+                } = bad;
+                match c.validate() {
+                    Err(CoreError::InvalidConfig { detail }) => {
+                        assert!(detail.starts_with(name), "{detail}");
+                    }
+                    other => panic!("{name} {bad:?}: expected InvalidConfig, got {other:?}"),
+                }
+            }
         }
     }
 
@@ -518,65 +471,6 @@ mod tests {
     }
 
     #[test]
-    fn builder_sets_fleet_knobs() {
-        let config = BeesConfig::builder()
-            .server_shards(4)
-            .mih_probe_radius(0)
-            .build()
-            .expect("knobs are in range");
-        assert_eq!(config.server_shards, 4);
-        assert_eq!(config.mih_probe_radius, 0);
-        let err = BeesConfig::builder().server_shards(0).build();
-        assert!(matches!(err, Err(CoreError::InvalidConfig { .. })));
-    }
-
-    #[test]
-    fn builder_round_trips_the_defaults() {
-        let built = BeesConfig::builder().build().expect("defaults are valid");
-        assert_eq!(format!("{built:?}"), format!("{:?}", BeesConfig::default()));
-    }
-
-    #[test]
-    fn builder_applies_setters_and_validates() {
-        let config = BeesConfig::builder()
-            .camera_quality(80)
-            .quality_proportion(0.5)
-            .stall_limit_s(120.0)
-            .index_backend(IndexBackend::Mih)
-            .build()
-            .expect("knobs are in range");
-        assert_eq!(config.camera_quality, 80);
-        assert_eq!(config.upload_quality(), 50);
-        assert_eq!(config.index_backend, IndexBackend::Mih);
-
-        let err = BeesConfig::builder().camera_quality(0).build();
-        assert!(matches!(err, Err(CoreError::InvalidConfig { .. })));
-        let err = BeesConfig::builder().quality_proportion(1.0).build();
-        assert!(matches!(err, Err(CoreError::InvalidConfig { .. })));
-        let err = BeesConfig::builder().fixed_threshold(f64::NAN).build();
-        assert!(matches!(err, Err(CoreError::InvalidConfig { .. })));
-        let err = BeesConfig::builder().stall_limit_s(-1.0).build();
-        assert!(matches!(err, Err(CoreError::InvalidConfig { .. })));
-    }
-
-    #[test]
-    fn builder_sets_contention_knobs() {
-        let cell = SharedCellConfig {
-            enabled: true,
-            epoch_s: 15.0,
-            ..SharedCellConfig::default()
-        };
-        let config = BeesConfig::builder()
-            .cell(cell.clone())
-            .scheduler(SchedulerPolicy::Fifo)
-            .build()
-            .expect("knobs are in range");
-        assert!(config.cell.enabled);
-        assert_eq!(config.cell.epoch_s, 15.0);
-        assert_eq!(config.scheduler, SchedulerPolicy::Fifo);
-    }
-
-    #[test]
     fn invalid_cell_knobs_are_named_by_validate() {
         let mut c = BeesConfig::default();
         c.cell.epoch_s = -1.0;
@@ -587,80 +481,13 @@ mod tests {
             }
             other => panic!("expected InvalidConfig, got {other:?}"),
         }
-        let bad = BeesConfig::builder()
-            .cell(SharedCellConfig {
-                oversubscription_threshold: 0.2,
-                ..SharedCellConfig::default()
-            })
-            .build();
-        assert!(matches!(bad, Err(CoreError::InvalidConfig { .. })));
-    }
-
-    #[test]
-    fn builder_rejects_zero_backoff_base() {
-        let err = BeesConfig::builder()
-            .retry(RetryPolicy {
-                base_backoff_s: 0.0,
-                jitter: 0.0,
-                ..RetryPolicy::default()
-            })
-            .build();
-        match err {
+        let mut c = BeesConfig::default();
+        c.cell.oversubscription_threshold = 0.2;
+        match c.validate() {
             Err(CoreError::InvalidConfig { detail }) => {
-                assert!(detail.contains("base_backoff_s"), "{detail}");
+                assert!(detail.contains("oversubscription_threshold"), "{detail}");
             }
             other => panic!("expected InvalidConfig, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn builder_rejects_negative_backoff_base() {
-        let err = BeesConfig::builder()
-            .retry(RetryPolicy {
-                base_backoff_s: -2.5,
-                ..RetryPolicy::default()
-            })
-            .build();
-        match err {
-            Err(CoreError::InvalidConfig { detail }) => {
-                assert!(detail.contains("base_backoff_s"), "{detail}");
-            }
-            other => panic!("expected InvalidConfig, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn builder_rejects_jitter_at_or_above_the_backoff_base() {
-        // jitter == base
-        let err = BeesConfig::builder()
-            .retry(RetryPolicy {
-                base_backoff_s: 0.25,
-                jitter: 0.25,
-                ..RetryPolicy::default()
-            })
-            .build();
-        match err {
-            Err(CoreError::InvalidConfig { detail }) => {
-                assert!(detail.contains("jitter"), "{detail}");
-            }
-            other => panic!("expected InvalidConfig, got {other:?}"),
-        }
-        // jitter > base
-        let err = BeesConfig::builder()
-            .retry(RetryPolicy {
-                base_backoff_s: 0.1,
-                jitter: 0.9,
-                ..RetryPolicy::default()
-            })
-            .build();
-        assert!(matches!(err, Err(CoreError::InvalidConfig { .. })));
-        // The raw struct keeps accepting what the builder rejects.
-        assert!(RetryPolicy {
-            base_backoff_s: 0.0,
-            jitter: 0.0,
-            ..RetryPolicy::default()
-        }
-        .validate()
-        .is_ok());
     }
 }

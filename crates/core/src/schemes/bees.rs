@@ -29,7 +29,7 @@ use crate::{
     BatchReport, BeesConfig, Client, IngestRequest, PartialImage, Result, RetrievalQuery,
     UploadTier,
 };
-use bees_energy::{AdaptiveScheme, EnergyCategory, LinearScheme};
+use bees_energy::{EnergyCategory, LinearScheme};
 use bees_features::orb::Orb;
 use bees_features::similarity::jaccard_similarity;
 use bees_features::ImageFeatures;

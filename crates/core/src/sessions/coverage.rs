@@ -8,7 +8,7 @@
 //! batteries.
 
 use crate::schemes::{BatchCtx, UploadScheme};
-use crate::{BeesConfig, Client, Result, Server};
+use crate::{BeesConfig, Client, CoreError, Result, Server};
 use bees_datasets::{ParisConfig, ParisLike};
 use bees_image::RgbImage;
 
@@ -39,6 +39,28 @@ impl Default for CoverageConfig {
     }
 }
 
+impl CoverageConfig {
+    /// Rejects a run that would panic or never upload: no phones, an empty
+    /// group, an upload interval that is negative or not finite, or a
+    /// corpus with fewer images than phones.
+    fn validate(&self) -> Result<()> {
+        super::check_counts_and_interval(
+            "coverage",
+            &[("n_phones", self.n_phones), ("group_size", self.group_size)],
+            self.interval_s,
+        )?;
+        if self.paris.n_images < self.n_phones {
+            return Err(CoreError::InvalidConfig {
+                detail: format!(
+                    "coverage paris.n_images must be at least n_phones ({}), got {}",
+                    self.n_phones, self.paris.n_images
+                ),
+            });
+        }
+        Ok(())
+    }
+}
+
 /// Result of a coverage run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CoverageResult {
@@ -61,15 +83,19 @@ pub struct CoverageResult {
 ///
 /// # Errors
 ///
-/// Returns a network error if a channel stalls beyond its limit.
+/// Returns a network error if a channel stalls beyond its limit, or an
+/// invalid-config error from server/client construction or naming the
+/// [`CoverageConfig`] field that is unusable: a zero `n_phones` or
+/// `group_size`, an `interval_s` that is negative or not finite, or a
+/// `paris.n_images` below `n_phones`.
 pub fn run_coverage(
     scheme: &dyn UploadScheme,
     config: &BeesConfig,
     cov: &CoverageConfig,
 ) -> Result<CoverageResult> {
+    cov.validate()?;
     let corpus = ParisLike::generate(cov.seed, cov.paris);
     let per_phone = corpus.len() / cov.n_phones;
-    assert!(per_phone > 0, "corpus too small for the fleet");
 
     let mut server = Server::try_new(config)?;
     let mut clients: Vec<Client> = (0..cov.n_phones)
@@ -188,6 +214,30 @@ mod tests {
         let res = run_coverage(&DirectUpload::new(&cfg), &cfg, &tiny_coverage()).unwrap();
         assert!(res.images_received < res.corpus_images);
         assert_eq!(res.phones_exhausted, 2);
+    }
+
+    #[test]
+    fn unusable_coverage_fields_are_typed_errors() {
+        let cfg = config(130.0);
+        let scheme = DirectUpload::new(&cfg);
+        let with = |edit: fn(&mut CoverageConfig)| {
+            let mut cov = tiny_coverage();
+            edit(&mut cov);
+            cov
+        };
+        for (field, cov) in [
+            ("n_phones", with(|c| c.n_phones = 0)),
+            ("group_size", with(|c| c.group_size = 0)),
+            ("interval_s", with(|c| c.interval_s = f64::INFINITY)),
+            ("paris.n_images", with(|c| c.paris.n_images = 1)),
+        ] {
+            match run_coverage(&scheme, &cfg, &cov) {
+                Err(CoreError::InvalidConfig { detail }) => {
+                    assert!(detail.contains(field), "{field}: {detail}")
+                }
+                other => panic!("{field}: expected InvalidConfig, got {other:?}"),
+            }
+        }
     }
 
     #[test]

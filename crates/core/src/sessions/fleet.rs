@@ -102,26 +102,15 @@ impl FleetConfig {
     /// Rejects a run that could not take a step: a zero device, round or
     /// group count, or an upload interval that is negative or not finite.
     fn validate(&self) -> Result<()> {
-        for (name, value) in [
-            ("n_devices", self.n_devices),
-            ("rounds", self.rounds),
-            ("group_size", self.group_size),
-        ] {
-            if value == 0 {
-                return Err(CoreError::InvalidConfig {
-                    detail: format!("fleet {name} must be positive, got 0"),
-                });
-            }
-        }
-        if !self.interval_s.is_finite() || self.interval_s < 0.0 {
-            return Err(CoreError::InvalidConfig {
-                detail: format!(
-                    "fleet interval_s must be finite and non-negative, got {}",
-                    self.interval_s
-                ),
-            });
-        }
-        Ok(())
+        super::check_counts_and_interval(
+            "fleet",
+            &[
+                ("n_devices", self.n_devices),
+                ("rounds", self.rounds),
+                ("group_size", self.group_size),
+            ],
+            self.interval_s,
+        )
     }
 }
 

@@ -7,7 +7,7 @@
 //! while every other scheme discharges linearly.
 
 use crate::schemes::{BatchCtx, UploadScheme};
-use crate::{BeesConfig, Client, Result, Server};
+use crate::{BeesConfig, Client, CoreError, Result, Server};
 use bees_datasets::{disaster_batch, SceneConfig};
 use bees_telemetry::Telemetry;
 
@@ -41,6 +41,28 @@ impl Default for LifetimeConfig {
     }
 }
 
+impl LifetimeConfig {
+    /// Rejects a run that would panic: an empty group, an upload interval
+    /// that is negative or not finite, or a `cross_ratio` outside
+    /// `[0, 1]`.
+    fn validate(&self) -> Result<()> {
+        super::check_counts_and_interval(
+            "lifetime",
+            &[("group_size", self.group_size)],
+            self.interval_s,
+        )?;
+        if !(0.0..=1.0).contains(&self.cross_ratio) {
+            return Err(CoreError::InvalidConfig {
+                detail: format!(
+                    "lifetime cross_ratio must be in [0, 1], got {}",
+                    self.cross_ratio
+                ),
+            });
+        }
+        Ok(())
+    }
+}
+
 /// One sample of the discharge curve.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LifetimeSample {
@@ -68,8 +90,12 @@ pub struct LifetimeResult {
 ///
 /// # Errors
 ///
-/// Returns a network error if the channel stalls beyond its limit;
-/// battery exhaustion is the expected terminal state, not an error.
+/// Returns a network error if the channel stalls beyond its limit, or an
+/// invalid-config error from server/client construction or naming the
+/// [`LifetimeConfig`] field that is unusable: a zero `group_size`, an
+/// `interval_s` that is negative or not finite, or a `cross_ratio` outside
+/// `[0, 1]`. Battery exhaustion is the expected terminal state, not an
+/// error.
 pub fn run_lifetime(
     scheme: &dyn UploadScheme,
     config: &BeesConfig,
@@ -85,14 +111,14 @@ pub fn run_lifetime(
 ///
 /// # Errors
 ///
-/// Returns a network error if the channel stalls beyond its limit;
-/// battery exhaustion is the expected terminal state, not an error.
+/// Same as [`run_lifetime`].
 pub fn run_lifetime_traced(
     scheme: &dyn UploadScheme,
     config: &BeesConfig,
     lt: &LifetimeConfig,
     telemetry: Telemetry,
 ) -> Result<LifetimeResult> {
+    lt.validate()?;
     let mut server = Server::try_new(config)?;
     let mut client = Client::try_new(0, config)?;
     client.set_telemetry(telemetry.clone());
@@ -214,5 +240,29 @@ mod tests {
         let res = run_lifetime(&DirectUpload::new(&cfg), &cfg, &lt).unwrap();
         assert_eq!(res.groups_uploaded, 2);
         assert!(res.samples.last().unwrap().ebat > 0.99);
+    }
+
+    #[test]
+    fn unusable_lifetime_fields_are_typed_errors() {
+        let cfg = config_with_small_battery();
+        let scheme = DirectUpload::new(&cfg);
+        let with = |edit: fn(&mut LifetimeConfig)| {
+            let mut lt = tiny_lifetime();
+            edit(&mut lt);
+            lt
+        };
+        for (field, lt) in [
+            ("group_size", with(|lt| lt.group_size = 0)),
+            ("interval_s", with(|lt| lt.interval_s = f64::INFINITY)),
+            ("cross_ratio", with(|lt| lt.cross_ratio = 1.5)),
+            ("cross_ratio", with(|lt| lt.cross_ratio = f64::NAN)),
+        ] {
+            match run_lifetime(&scheme, &cfg, &lt) {
+                Err(CoreError::InvalidConfig { detail }) => {
+                    assert!(detail.contains(field), "{field}: {detail}")
+                }
+                other => panic!("{field}: expected InvalidConfig, got {other:?}"),
+            }
+        }
     }
 }

@@ -13,3 +13,30 @@ pub use fleet::{
 pub use lifetime::{
     run_lifetime, run_lifetime_traced, LifetimeConfig, LifetimeResult, LifetimeSample,
 };
+
+use crate::{CoreError, Result};
+
+/// Rejects a session that could not take a step: a zero count, or an
+/// upload interval that is negative or not finite (idling out an infinite
+/// interval panics in `Battery::drain`). Errors name `"{session} {field}"`.
+fn check_counts_and_interval(
+    session: &str,
+    counts: &[(&str, usize)],
+    interval_s: f64,
+) -> Result<()> {
+    for &(name, value) in counts {
+        if value == 0 {
+            return Err(CoreError::InvalidConfig {
+                detail: format!("{session} {name} must be positive, got 0"),
+            });
+        }
+    }
+    if !interval_s.is_finite() || interval_s < 0.0 {
+        return Err(CoreError::InvalidConfig {
+            detail: format!(
+                "{session} interval_s must be finite and non-negative, got {interval_s}"
+            ),
+        });
+    }
+    Ok(())
+}

@@ -14,21 +14,12 @@
 //!   compression proportion `Cr = 0.8 − 0.8·Ebat`,
 //! * **SSMM** reuses the EDR form for its graph-partition threshold `Tw`.
 
-/// A scheme mapping the remaining battery fraction to a control value.
-///
-/// Implementors must be pure functions of `ebat` so experiments are
-/// reproducible.
-pub trait AdaptiveScheme {
-    /// Control value for a battery fraction `ebat ∈ [0, 1]`.
-    fn value(&self, ebat: f64) -> f64;
-}
-
 /// A clamped linear adaptive scheme: `clamp(intercept + slope·ebat)`.
 ///
 /// # Examples
 ///
 /// ```
-/// use bees_energy::{AdaptiveScheme, LinearScheme};
+/// use bees_energy::LinearScheme;
 ///
 /// let eac = LinearScheme::eac();
 /// assert!((eac.value(1.0) - 0.0).abs() < 1e-9);   // full battery: no compression
@@ -53,17 +44,45 @@ impl LinearScheme {
     ///
     /// Panics if `min > max` or any parameter is not finite.
     pub fn new(intercept: f64, slope: f64, min: f64, max: f64) -> Self {
-        assert!(
-            intercept.is_finite() && slope.is_finite() && min.is_finite() && max.is_finite(),
-            "scheme parameters must be finite"
-        );
-        assert!(min <= max, "min must not exceed max");
-        LinearScheme {
+        let scheme = LinearScheme {
             intercept,
             slope,
             min,
             max,
+        };
+        if let Err(rule) = scheme.validate() {
+            panic!("{rule}");
         }
+        scheme
+    }
+
+    /// Checks the rules [`LinearScheme::new`] enforces, for a scheme built
+    /// from its public fields: every parameter finite and `min <= max`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the rule the scheme breaks.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        let params = [self.intercept, self.slope, self.min, self.max];
+        if !params.iter().all(|p| p.is_finite()) {
+            return Err("scheme parameters must be finite");
+        }
+        if self.min > self.max {
+            return Err("min must not exceed max");
+        }
+        Ok(())
+    }
+
+    /// Control value for a battery fraction `ebat`, clamped into `[0, 1]`
+    /// first. A pure function of `ebat`, so experiments are reproducible.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `min > max` or either is NaN, which
+    /// [`validate`](LinearScheme::validate) rejects.
+    pub fn value(&self, ebat: f64) -> f64 {
+        let e = ebat.clamp(0.0, 1.0);
+        (self.intercept + self.slope * e).clamp(self.min, self.max)
     }
 
     /// A constant scheme (ignores `ebat`) — what BEES-EA effectively runs.
@@ -88,13 +107,6 @@ impl LinearScheme {
     /// (§III-C).
     pub fn eau() -> Self {
         LinearScheme::new(0.8, -0.8, 0.0, 0.9)
-    }
-}
-
-impl AdaptiveScheme for LinearScheme {
-    fn value(&self, ebat: f64) -> f64 {
-        let e = ebat.clamp(0.0, 1.0);
-        (self.intercept + self.slope * e).clamp(self.min, self.max)
     }
 }
 

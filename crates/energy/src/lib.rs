@@ -36,7 +36,7 @@ mod battery;
 mod ledger;
 mod model;
 
-pub use adaptive::{AdaptiveScheme, LinearScheme};
+pub use adaptive::LinearScheme;
 pub use battery::Battery;
 pub use ledger::{EnergyCategory, EnergyLedger};
 pub use model::EnergyModel;

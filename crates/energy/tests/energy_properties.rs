@@ -1,9 +1,7 @@
 //! Property tests of the energy substrate: battery conservation,
 //! adaptive-scheme monotonicity, and cost-model linearity.
 
-use bees_energy::{
-    AdaptiveScheme, Battery, EnergyCategory, EnergyLedger, EnergyModel, LinearScheme,
-};
+use bees_energy::{Battery, EnergyCategory, EnergyLedger, EnergyModel, LinearScheme};
 use bees_features::{ExtractionStats, ExtractorKind};
 use bees_rng::{check, ChaCha8Rng};
 

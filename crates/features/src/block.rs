@@ -4,11 +4,9 @@
 //! ORB pushes each BRIEF descriptor into one, and it is what
 //! [`Descriptors::Binary`] holds. Every hot loop in the system — brute-force
 //! matching, MIH candidate rescoring, the SSMM pairwise similarity graph —
-//! reduces to "XOR + popcount this query against *many* stored
-//! descriptors", and the block keeps the words of a whole set in one flat
-//! contiguous `u64` array so a batch scan is a single linear sweep the
-//! compiler can keep in registers (and, where the CPU provides it, lower to
-//! the hardware `popcnt` instruction — see the dispatch notes below).
+//! reduces to "find the stored descriptor nearest this query", and the block
+//! keeps the words of a whole set in one flat contiguous `u64` array so that
+//! scan, [`DescriptorBlock::nearest_within`], is a single linear sweep.
 //! [`BinaryDescriptor`] remains the element type that goes in and comes
 //! out.
 //!
@@ -18,27 +16,22 @@
 //!
 //! `rustc` targets baseline `x86-64` by default, which predates the
 //! `POPCNT` instruction, so `u64::count_ones()` compiles to a ~15-op
-//! bit-twiddling sequence per word. The batch kernels here come in three
+//! bit-twiddling sequence per word. The scan therefore comes in three
 //! tiers selected once at runtime via `is_x86_feature_detected!`: a
 //! portable fallback, a `#[target_feature(enable = "popcnt")]` scalar
 //! variant with explicit `_popcnt64` intrinsics, and — where the CPU has
 //! AVX-512VPOPCNTDQ — a `VPOPCNTQ` variant that counts eight words (two
-//! whole descriptors) per instruction. Every tier computes exactly the
-//! same integers, so results are byte-identical regardless of which one
-//! runs — the dispatch moves throughput, never answers. The measured gaps
-//! are recorded in `BENCH_baseline.json` by the `descriptor_hotloop`
-//! bench.
+//! whole descriptors) per instruction. Every tier returns exactly the same
+//! answer, so the dispatch moves throughput, never results.
 //!
-//! # Pruned scans
-//!
-//! The scalar [`DescriptorBlock::nearest_within`] kernels additionally
-//! early-exit the word loop of each candidate once the partial distance
-//! over the first two words already exceeds the running bound
-//! (partial-distance pruning); the AVX-512 kernel scans fully instead —
+//! The scalar tiers early-exit the word loop of each candidate once the
+//! partial distance over the first two words already exceeds the running
+//! bound (partial-distance pruning); the AVX-512 tier scans fully instead —
 //! at eight words per instruction the straight-line sweep outruns the
-//! branchy pruned loop. All kernels return the same first-argmin answer,
-//! and the parity tests in `tests/soa_parity.rs` pin the full match lists
-//! against the unpruned reference over `BinaryDescriptor` slices.
+//! branchy pruned loop. All tiers return the same first-argmin answer; the
+//! tests below run each one against an unpruned reference, and
+//! `tests/soa_parity.rs` pins the full match lists against the unpruned
+//! reference over `BinaryDescriptor` slices.
 
 use crate::descriptor::BinaryDescriptor;
 
@@ -60,9 +53,9 @@ pub const WORDS_PER_DESCRIPTOR: usize = 4;
 /// let descs = vec![BinaryDescriptor::zero(); 3];
 /// let block = DescriptorBlock::from_descriptors(&descs);
 /// assert_eq!(block.len(), 3);
-/// let mut row = Vec::new();
-/// block.distances_into([0, 0, 0, 0], &mut row);
-/// assert_eq!(row, vec![0, 0, 0]);
+/// // All three are at distance 0; the tie goes to the lowest index.
+/// assert_eq!(block.nearest_within([0, 0, 0, 0], 0), Some((0, 0)));
+/// assert_eq!(block.nearest_within([1, 0, 0, 0], 0), None);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DescriptorBlock {
@@ -146,30 +139,6 @@ impl DescriptorBlock {
         (0..self.len()).map(|i| self.descriptor(i))
     }
 
-    /// Computes the Hamming distance of `query` to every descriptor in the
-    /// block, writing one `u32` per descriptor into `out` (cleared first;
-    /// capacity is reused across calls, so a warmed buffer never
-    /// reallocates).
-    pub fn distances_into(&self, query: [u64; 4], out: &mut Vec<u32>) {
-        #[cfg(target_arch = "x86_64")]
-        if vpopcnt_available() {
-            out.clear();
-            out.resize(self.len(), 0);
-            // SAFETY: `vpopcnt_available` verified AVX-512F and
-            // AVX-512VPOPCNTDQ support at runtime.
-            unsafe { distances_avx512(&self.words, query, out) };
-            return;
-        }
-        #[cfg(target_arch = "x86_64")]
-        if popcnt_available() {
-            // SAFETY: `popcnt_available` verified the CPU supports the
-            // POPCNT instruction this function is compiled to use.
-            unsafe { distances_popcnt(&self.words, query, out) };
-            return;
-        }
-        distances_generic(&self.words, query, out);
-    }
-
     /// Finds the nearest descriptor to `query` among those within Hamming
     /// distance `cap`, returning `(index, distance)`; ties break toward
     /// the lower index. Returns `None` when no descriptor is within `cap`.
@@ -220,92 +189,6 @@ fn popcnt_available() -> bool {
 fn vpopcnt_available() -> bool {
     std::arch::is_x86_feature_detected!("avx512f")
         && std::arch::is_x86_feature_detected!("avx512vpopcntdq")
-}
-
-/// Portable batch-distance kernel: one linear sweep over the flat word
-/// array; the `chunks_exact(4)` shape keeps the XOR + popcount reduction
-/// free of bounds checks so the compiler can unroll or vectorize it.
-fn distances_generic(words: &[u64], q: [u64; 4], out: &mut Vec<u32>) {
-    out.clear();
-    out.extend(words.chunks_exact(WORDS_PER_DESCRIPTOR).map(|w| {
-        (q[0] ^ w[0]).count_ones()
-            + (q[1] ^ w[1]).count_ones()
-            + (q[2] ^ w[2]).count_ones()
-            + (q[3] ^ w[3]).count_ones()
-    }));
-}
-
-/// Hardware-popcount batch-distance kernel. Identical arithmetic to
-/// [`distances_generic`]; the explicit `_popcnt64` intrinsics stop LLVM
-/// from re-vectorizing the loop with the slow baseline `ctpop` lowering.
-///
-/// # Safety
-///
-/// The CPU must support the `POPCNT` instruction.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "popcnt")]
-unsafe fn distances_popcnt(words: &[u64], q: [u64; 4], out: &mut Vec<u32>) {
-    use std::arch::x86_64::_popcnt64;
-    out.clear();
-    out.extend(words.chunks_exact(WORDS_PER_DESCRIPTOR).map(|w| {
-        (_popcnt64((q[0] ^ w[0]) as i64)
-            + _popcnt64((q[1] ^ w[1]) as i64)
-            + _popcnt64((q[2] ^ w[2]) as i64)
-            + _popcnt64((q[3] ^ w[3]) as i64)) as u32
-    }));
-}
-
-/// AVX-512 vector-popcount batch-distance kernel: `VPOPCNTQ` counts eight
-/// `u64` words (two whole descriptors) per instruction. Each 512-bit lane
-/// group is XORed against the query broadcast twice, popcounted, and
-/// horizontally folded with two rotate-and-add steps so lanes 0 and 4 hold
-/// the two descriptors' distances; four such vectors are then merged into
-/// one row of eight `u32` distances per store. Identical integers to
-/// [`distances_generic`] — popcounts are exact, so dispatch moves
-/// throughput, never answers. `out.len()` must equal the descriptor count;
-/// the sub-8 tail falls back to scalar `POPCNT` (implied by AVX-512F).
-///
-/// # Safety
-///
-/// The CPU must support AVX-512F and AVX-512VPOPCNTDQ.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512vpopcntdq,popcnt")]
-unsafe fn distances_avx512(words: &[u64], q: [u64; 4], out: &mut [u32]) {
-    use std::arch::x86_64::*;
-    let n = out.len();
-    debug_assert_eq!(words.len(), n * WORDS_PER_DESCRIPTOR);
-    let qv = _mm512_broadcast_i64x4(_mm256_loadu_si256(q.as_ptr() as *const __m256i));
-    // Lane selectors: `merge_lo` picks lanes {0,4} of two folded vectors
-    // (four distances), `merge_all` concatenates two such quads.
-    let merge_lo = _mm512_setr_epi64(0, 4, 8, 12, 0, 0, 0, 0);
-    let merge_all = _mm512_setr_epi64(0, 1, 2, 3, 8, 9, 10, 11);
-    let mut i = 0usize;
-    while i + 8 <= n {
-        let p = words.as_ptr().add(WORDS_PER_DESCRIPTOR * i);
-        let mut folded = [_mm512_setzero_si512(); 4];
-        for (k, slot) in folded.iter_mut().enumerate() {
-            let v = _mm512_loadu_si512(p.add(8 * k) as *const _);
-            let x = _mm512_popcnt_epi64(_mm512_xor_si512(v, qv));
-            // Rotate-and-add twice: lane 0 <- x0+x1+x2+x3, lane 4 <- x4..x7.
-            let t = _mm512_add_epi64(x, _mm512_alignr_epi64(x, x, 1));
-            *slot = _mm512_add_epi64(t, _mm512_alignr_epi64(t, t, 2));
-        }
-        let r01 = _mm512_permutex2var_epi64(folded[0], merge_lo, folded[1]);
-        let r23 = _mm512_permutex2var_epi64(folded[2], merge_lo, folded[3]);
-        let r = _mm512_permutex2var_epi64(r01, merge_all, r23);
-        _mm256_storeu_si256(
-            out.as_mut_ptr().add(i) as *mut __m256i,
-            _mm512_cvtepi64_epi32(r),
-        );
-        i += 8;
-    }
-    for (j, slot) in out.iter_mut().enumerate().skip(i) {
-        let w = &words[WORDS_PER_DESCRIPTOR * j..WORDS_PER_DESCRIPTOR * (j + 1)];
-        *slot = (_popcnt64((q[0] ^ w[0]) as i64)
-            + _popcnt64((q[1] ^ w[1]) as i64)
-            + _popcnt64((q[2] ^ w[2]) as i64)
-            + _popcnt64((q[3] ^ w[3]) as i64)) as u32;
-    }
 }
 
 /// Portable pruned nearest-neighbor kernel; returns
@@ -376,10 +259,12 @@ unsafe fn nearest_avx512(words: &[u64], q: [u64; 4], cap: u32) -> (usize, u32) {
     use std::arch::x86_64::*;
     let n = words.len() / WORDS_PER_DESCRIPTOR;
     let qv = _mm512_broadcast_i64x4(_mm256_loadu_si256(q.as_ptr() as *const __m256i));
+    // Lane selectors: `merge_lo` picks lanes {0,4} of two folded vectors
+    // (four distances), `merge_all` concatenates two such quads.
     let merge_lo = _mm512_setr_epi64(0, 4, 8, 12, 0, 0, 0, 0);
     let merge_all = _mm512_setr_epi64(0, 1, 2, 3, 8, 9, 10, 11);
-    // Untouched lanes keep i32::MAX, which loses to any real distance in
-    // the reduction below (and to the tail loop's strict compare).
+    // i32::MAX loses to any real distance, so the first full vector step
+    // writes every lane. Without one the lanes are never read.
     let mut lane_best = _mm256_set1_epi32(i32::MAX);
     let mut lane_idx = _mm256_setzero_si256();
     let mut idx = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
@@ -391,6 +276,7 @@ unsafe fn nearest_avx512(words: &[u64], q: [u64; 4], cap: u32) -> (usize, u32) {
         for (k, slot) in folded.iter_mut().enumerate() {
             let v = _mm512_loadu_si512(p.add(8 * k) as *const _);
             let x = _mm512_popcnt_epi64(_mm512_xor_si512(v, qv));
+            // Rotate-and-add twice: lane 0 <- x0+x1+x2+x3, lane 4 <- x4..x7.
             let t = _mm512_add_epi64(x, _mm512_alignr_epi64(x, x, 1));
             *slot = _mm512_add_epi64(t, _mm512_alignr_epi64(t, t, 2));
         }
@@ -408,10 +294,12 @@ unsafe fn nearest_avx512(words: &[u64], q: [u64; 4], cap: u32) -> (usize, u32) {
     _mm256_storeu_si256(dists.as_mut_ptr() as *mut __m256i, lane_best);
     _mm256_storeu_si256(idxs.as_mut_ptr() as *mut __m256i, lane_idx);
     let mut best = (usize::MAX, u32::MAX);
-    for k in 0..8 {
-        let (d, ix) = (dists[k] as u32, idxs[k] as usize);
-        if d < best.1 || (d == best.1 && ix < best.0) {
-            best = (ix, d);
+    if i > 0 {
+        for k in 0..8 {
+            let (d, ix) = (dists[k] as u32, idxs[k] as usize);
+            if d < best.1 || (d == best.1 && ix < best.0) {
+                best = (ix, d);
+            }
         }
     }
     for j in i..n {
@@ -471,42 +359,62 @@ mod tests {
         assert_eq!(bulk, inc);
     }
 
+    /// Every tier against the unpruned first-argmin over `descs`, for
+    /// block lengths on both sides of the AVX-512 tier's 8-row step and
+    /// rows duplicated across its lanes and tail so exact ties occur.
     #[test]
-    fn batch_distances_match_scalar_hamming() {
-        let descs = random_descs(3, 64);
-        let queries = random_descs(4, 8);
-        let block = DescriptorBlock::from_descriptors(&descs);
-        let mut row = Vec::new();
-        for q in &queries {
-            let qw = [q.word(0), q.word(1), q.word(2), q.word(3)];
-            block.distances_into(qw, &mut row);
-            assert_eq!(row.len(), descs.len());
-            for (j, d) in descs.iter().enumerate() {
-                assert_eq!(row[j], q.hamming_distance(d), "pair {j}");
+    fn every_nearest_tier_matches_the_first_argmin_reference() {
+        type Kernel = fn(&[u64], [u64; 4], u32) -> (usize, u32);
+        #[allow(unused_mut)] // only x86-64 adds tiers
+        let mut tiers: Vec<(&str, Kernel)> = vec![("generic", nearest_generic)];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if popcnt_available() {
+                // SAFETY: POPCNT support was verified at runtime.
+                tiers.push(("popcnt", |w, q, cap| unsafe { nearest_popcnt(w, q, cap) }));
+            }
+            if vpopcnt_available() {
+                // SAFETY: AVX-512F + AVX-512VPOPCNTDQ verified at runtime.
+                tiers.push(("avx512", |w, q, cap| unsafe { nearest_avx512(w, q, cap) }));
             }
         }
-    }
-
-    #[test]
-    fn generic_and_dispatched_kernels_agree() {
-        let descs = random_descs(5, 40);
-        let queries = random_descs(6, 6);
-        let block = DescriptorBlock::from_descriptors(&descs);
-        let mut dispatched = Vec::new();
-        let mut generic = Vec::new();
-        for q in &queries {
-            let qw = [q.word(0), q.word(1), q.word(2), q.word(3)];
-            block.distances_into(qw, &mut dispatched);
-            distances_generic(block.words(), qw, &mut generic);
-            assert_eq!(dispatched, generic);
-            assert_eq!(
-                block.nearest_within(qw, 256),
-                {
-                    let b = nearest_generic(block.words(), qw, 256);
-                    (b.0 != usize::MAX).then_some(b)
-                },
-                "nearest"
-            );
+        for len in [0usize, 1, 7, 8, 9, 120] {
+            let mut descs = random_descs(10 + len as u64, len);
+            for i in (2..len).step_by(3) {
+                descs[i] = descs[i / 3];
+            }
+            let block = DescriptorBlock::from_descriptors(&descs);
+            // Random queries, every stored row (ties at distance 0), and
+            // near copies (ties at a small positive distance).
+            let mut queries = random_descs(20 + len as u64, 4);
+            for d in &descs {
+                queries.push(*d);
+                let mut bytes = *d.as_bytes();
+                bytes[0] ^= 0b1011;
+                bytes[31] ^= 0x80;
+                queries.push(BinaryDescriptor::from_bytes(bytes));
+            }
+            for q in &queries {
+                let qw = [q.word(0), q.word(1), q.word(2), q.word(3)];
+                let mut reference = (usize::MAX, u32::MAX);
+                for (j, d) in descs.iter().enumerate() {
+                    let dist = q.hamming_distance(d);
+                    if dist < reference.1 {
+                        reference = (j, dist);
+                    }
+                }
+                for cap in [0u32, 64, 128, reference.1, 256, u32::MAX] {
+                    let expected = (len > 0 && reference.1 <= cap).then_some(reference);
+                    for (name, kernel) in &tiers {
+                        let got = kernel(block.words(), qw, cap);
+                        assert_eq!(
+                            (got.0 != usize::MAX).then_some(got),
+                            expected,
+                            "{name} tier, len {len}, cap {cap}"
+                        );
+                    }
+                }
+            }
         }
     }
 
@@ -549,8 +457,5 @@ mod tests {
     fn empty_block_has_no_nearest() {
         let block = DescriptorBlock::new();
         assert_eq!(block.nearest_within([0; 4], 256), None);
-        let mut row = vec![1, 2, 3];
-        block.distances_into([0; 4], &mut row);
-        assert!(row.is_empty());
     }
 }

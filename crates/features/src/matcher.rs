@@ -115,9 +115,8 @@ pub fn match_binary(
 /// per-descriptor objects.
 ///
 /// Compares every pair with [`BinaryDescriptor::hamming_distance`]. A
-/// supported API: it is the ground truth for the parity tests and the
-/// baseline side of the `descriptor_hotloop` bench; production paths use
-/// [`match_binary`].
+/// supported API: it is the ground truth for the parity tests; production
+/// paths use [`match_binary`].
 pub fn match_binary_exhaustive(
     query: &[BinaryDescriptor],
     train: &[BinaryDescriptor],

@@ -4,7 +4,7 @@
 //!
 //! Every hot path in the pipeline — a batch's feature extraction and image
 //! encoding (one image per task), brute-force L2 matching, index candidate
-//! rescoring, pairwise similarity graphs, greedy submodular maximization,
+//! rescoring, pairwise similarity graphs, lazy greedy's first-round gains,
 //! and the cold-recompression pass (one blob per task) — is a fan-out over
 //! independent work items. ORB's pyramid levels fan out too, but run inline
 //! when called from inside one of those tasks; the block-DCT codec runs each
@@ -17,12 +17,8 @@
 //! [`Runtime::par_map`] and friends split the input range into chunks whose
 //! boundaries depend only on the input length, never on the thread count.
 //! Workers claim chunks dynamically (work stealing via an atomic cursor),
-//! but results are merged back in ascending chunk order, so:
-//!
-//! - `par_map` output is the same `Vec` a sequential `map` would produce;
-//! - `par_map_reduce` folds each chunk left-to-right and combines the chunk
-//!   accumulators in chunk order, so even non-associative-in-ulps floating
-//!   point reductions are reproducible across thread counts.
+//! but results are merged back in ascending chunk order, so `par_map`
+//! output is the same `Vec` a sequential `map` would produce.
 //!
 //! The only requirement on the closures is that they are pure functions of
 //! their index (no interior mutation observable across items).
@@ -46,7 +42,7 @@ use std::thread::ScopedJoinHandle;
 
 /// Target number of chunks a range is split into. Fixed (rather than derived
 /// from the thread count) so the chunk decomposition — and therefore every
-/// merge and reduction order — is a function of the input length alone.
+/// merge order — is a function of the input length alone.
 const TARGET_CHUNKS: usize = 64;
 
 /// Programmatic thread-count override; 0 means "no override".
@@ -234,45 +230,6 @@ impl Runtime {
         self.par_map_range(items.len(), |i| f(&items[i]))
     }
 
-    /// Maps `map` over `0..n` and reduces: each chunk is folded
-    /// left-to-right from a clone of `identity`, then the chunk accumulators
-    /// are combined in ascending chunk order, again starting from
-    /// `identity`.
-    ///
-    /// Because the chunk decomposition depends only on `n`, the exact
-    /// fold/combine tree — and therefore the result, even for
-    /// floating-point accumulators — is identical at any thread count.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use bees_runtime::Runtime;
-    ///
-    /// let rt = Runtime::new(3);
-    /// let sum = rt.par_map_reduce(100, |i| i as u64, 0u64, |a, x| a + x, |a, b| a + b);
-    /// assert_eq!(sum, 4950);
-    /// ```
-    pub fn par_map_reduce<R, A, M, F, C>(
-        &self,
-        n: usize,
-        map: M,
-        identity: A,
-        fold: F,
-        combine: C,
-    ) -> A
-    where
-        R: Send,
-        A: Send + Sync + Clone,
-        M: Fn(usize) -> R + Sync,
-        F: Fn(A, R) -> A + Sync,
-        C: Fn(A, A) -> A,
-    {
-        let chunks = self.run_chunked(n, |start, end| {
-            (start..end).map(&map).fold(identity.clone(), &fold)
-        });
-        chunks.into_iter().fold(identity, combine)
-    }
-
     /// Runs `f` on every element of `items` in place, passing the element's
     /// index. Each worker owns a disjoint contiguous sub-slice, so no
     /// synchronization is needed beyond the final join; as with the other
@@ -366,18 +323,6 @@ where
     Runtime::current().par_for_each_mut(items, f)
 }
 
-/// [`Runtime::par_map_reduce`] on the current global runtime.
-pub fn par_map_reduce<R, A, M, F, C>(n: usize, map: M, identity: A, fold: F, combine: C) -> A
-where
-    R: Send,
-    A: Send + Sync + Clone,
-    M: Fn(usize) -> R + Sync,
-    F: Fn(A, R) -> A + Sync,
-    C: Fn(A, A) -> A,
-{
-    Runtime::current().par_map_reduce(n, map, identity, fold, combine)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -402,32 +347,6 @@ mod tests {
             rt.par_map(&items, |&x| x * x),
             items.iter().map(|&x| x * x).collect::<Vec<_>>()
         );
-    }
-
-    #[test]
-    fn float_reduction_is_identical_across_thread_counts() {
-        // Sums of f64 are not associative in ulps; the fixed chunk tree must
-        // make the result independent of the worker count anyway.
-        let values: Vec<f64> = (0..10_000)
-            .map(|i| ((i * 37) % 101) as f64 * 0.1 + 0.01)
-            .collect();
-        let sum_at = |threads: usize| {
-            Runtime::new(threads).par_map_reduce(
-                values.len(),
-                |i| values[i],
-                0.0f64,
-                |a, x| a + x,
-                |a, b| a + b,
-            )
-        };
-        let baseline = sum_at(1);
-        for threads in [2, 3, 4, 8, 16] {
-            assert_eq!(
-                baseline.to_bits(),
-                sum_at(threads).to_bits(),
-                "threads={threads}"
-            );
-        }
     }
 
     #[test]
@@ -503,45 +422,5 @@ mod tests {
         });
         let expected: Vec<usize> = (0..6).map(|i| 8 * i + 28).collect();
         assert_eq!(out, expected);
-    }
-
-    #[test]
-    fn reduce_handles_empty_range() {
-        let rt = Runtime::new(4);
-        let sum = rt.par_map_reduce(0, |i| i as u64, 7u64, |a, x| a + x, |a, b| a + b);
-        assert_eq!(sum, 7);
-    }
-
-    #[test]
-    fn argmax_reduction_matches_sequential_scan() {
-        // The greedy maximizer's reduction shape: strictly-greater wins, so
-        // the earliest index is kept on exact ties at any thread count.
-        let gains: Vec<f64> = (0..997).map(|i| ((i * 31) % 50) as f64).collect();
-        let pick = |threads: usize| {
-            Runtime::new(threads).par_map_reduce(
-                gains.len(),
-                |i| (i, gains[i]),
-                None::<(usize, f64)>,
-                |acc, (i, g)| match acc {
-                    Some((_, bg)) if g <= bg => acc,
-                    _ => Some((i, g)),
-                },
-                |a, b| match (a, b) {
-                    (Some((_, ag)), Some((bi, bg))) if bg > ag => Some((bi, bg)),
-                    (None, b) => b,
-                    (a, _) => a,
-                },
-            )
-        };
-        let seq = gains
-            .iter()
-            .enumerate()
-            .fold(None::<(usize, f64)>, |acc, (i, &g)| match acc {
-                Some((_, bg)) if g <= bg => acc,
-                _ => Some((i, g)),
-            });
-        for threads in [1, 2, 5, 8] {
-            assert_eq!(pick(threads), seq, "threads={threads}");
-        }
     }
 }

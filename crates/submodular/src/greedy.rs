@@ -23,35 +23,16 @@ pub fn greedy_maximize(f: &dyn SubmodularFunction, budget: usize) -> Vec<usize> 
     assert!(budget <= n, "budget {budget} exceeds ground set {n}");
     let mut selected: Vec<usize> = Vec::with_capacity(budget);
     let mut remaining: Vec<bool> = vec![true; n];
-    let rt = Runtime::current();
     for _ in 0..budget {
-        // Parallel argmax over the remaining elements. The fold keeps the
-        // first index on exact ties (strictly-greater wins) and the combine
-        // prefers the lower-chunk accumulator, so the pick is exactly the
-        // one a sequential 0..n scan would make, at any thread count.
-        let best: Option<(usize, f64)> = rt.par_map_reduce(
-            n,
-            |v| {
-                if remaining[v] {
-                    Some((v, f.marginal_gain(&selected, v)))
-                } else {
-                    None
-                }
-            },
-            None,
-            |acc, item| match item {
-                None => acc,
-                Some((v, gain)) => match acc {
-                    Some((_, bg)) if gain <= bg => acc,
-                    _ => Some((v, gain)),
-                },
-            },
-            |a, b| match (a, b) {
-                (Some((_, ag)), Some((bi, bg))) if bg > ag => Some((bi, bg)),
-                (None, b) => b,
-                (a, _) => a,
-            },
-        );
+        // Only a strictly greater gain replaces the best, so exact ties keep
+        // the lowest index.
+        let mut best: Option<(usize, f64)> = None;
+        for v in (0..n).filter(|&v| remaining[v]) {
+            let gain = f.marginal_gain(&selected, v);
+            if best.is_none_or(|(_, bg)| gain > bg) {
+                best = Some((v, gain));
+            }
+        }
         match best {
             Some((v, _)) => {
                 remaining[v] = false;

@@ -3,7 +3,7 @@
 //! and AIU (resolution + quality compression) behave as the paper claims.
 
 use bees::datasets::{Scene, SceneConfig, ViewJitter};
-use bees::energy::{AdaptiveScheme, LinearScheme};
+use bees::energy::LinearScheme;
 use bees::features::orb::Orb;
 use bees::features::similarity::{jaccard_similarity, SimilarityConfig};
 use bees::features::FeatureExtractor;

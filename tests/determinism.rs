@@ -765,7 +765,7 @@ fn battery_crossing_a_dimension_boundary_is_pinned() {
     // by the digests of its report's `Debug` text, its JSONL trace and its
     // store layout, at 1, 2 and 8 workers.
     use bees::core::schemes::{make_scheme, SchemeKind};
-    use bees::energy::{AdaptiveScheme, Battery, EnergyCategory, LinearScheme};
+    use bees::energy::{Battery, EnergyCategory, LinearScheme};
     use bees::image::resize::compressed_dimensions;
     use bees::telemetry::{JsonlSink, SharedBuf, Telemetry};
     use std::sync::Arc;

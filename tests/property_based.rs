@@ -2,7 +2,7 @@
 
 use bees::core::retrieval::haversine_km;
 use bees::core::{BeesConfig, RetrievalQuery, Server};
-use bees::energy::{AdaptiveScheme, Battery, EnergyLedger, LinearScheme};
+use bees::energy::{Battery, EnergyLedger, LinearScheme};
 use bees::features::descriptor::BinaryDescriptor;
 use bees::features::matcher::{match_binary, MatchConfig};
 use bees::features::similarity::{jaccard_similarity, SimilarityConfig};
