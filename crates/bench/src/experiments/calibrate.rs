@@ -7,13 +7,14 @@
 //! budget, or the matcher thresholds.
 
 use crate::args::ExpArgs;
+use crate::experiments::extract_groups;
 use crate::table::{f3, Table};
 use bees_core::BeesConfig;
 use bees_datasets::{kentucky_like, SceneConfig};
 use bees_features::orb::Orb;
 use bees_features::pca::PcaSift;
 use bees_features::similarity::{jaccard_similarity, SimilarityConfig};
-use bees_features::{FeatureExtractor, ImageFeatures};
+use bees_features::ImageFeatures;
 
 /// Distribution summary for one feature family.
 #[derive(Debug, Clone, PartialEq)]
@@ -118,25 +119,9 @@ pub fn run(args: &ExpArgs) -> CalibrationResult {
     let groups = kentucky_like(args.seed, n_groups, SceneConfig::default());
 
     let orb = Orb::new(config.orb);
-    let orb_feats: Vec<Vec<ImageFeatures>> = groups
-        .iter()
-        .map(|g| {
-            g.images
-                .iter()
-                .map(|im| orb.extract(&im.to_gray()))
-                .collect()
-        })
-        .collect();
     let pca = PcaSift::with_seeded_basis(config.pca_sift, config.pca_basis_seed);
-    let pca_feats: Vec<Vec<ImageFeatures>> = groups
-        .iter()
-        .map(|g| {
-            g.images
-                .iter()
-                .map(|im| pca.extract(&im.to_gray()))
-                .collect()
-        })
-        .collect();
+    let orb_feats = extract_groups(&groups, &orb);
+    let pca_feats = extract_groups(&groups, &pca);
 
     let d_orb = measure("ORB", &orb_feats, &config.similarity);
     let d_pca = measure("PCA-SIFT", &pca_feats, &config.similarity);

@@ -7,7 +7,7 @@
 //! (approximately linearly in the paper's measurements).
 
 use crate::args::ExpArgs;
-use crate::experiments::top4_precision;
+use crate::experiments::{extract_queries, kentucky_index, top4_precision};
 use crate::table::{f3, Table};
 use bees_core::BeesConfig;
 use bees_datasets::{kentucky_like, SceneConfig};
@@ -68,25 +68,21 @@ pub fn run(args: &ExpArgs) -> Fig3Result {
         .filter(|&c| c < 0.95)
         .collect();
 
+    let index = kentucky_index(&groups, &config.similarity, &orb);
     let mut precisions = Vec::new();
     let mut energies = Vec::new();
     for &c in &proportions {
+        let extracted = extract_queries(&groups, |g| {
+            let compressed = resize::compress_bitmap(g, c).expect("proportion is valid");
+            orb.extract_with_stats(&compressed)
+        });
         let mut energy = 0.0;
-        let mut n = 0usize;
-        let p = top4_precision(
-            &groups,
-            &config.similarity,
-            |g| orb.extract(g),
-            |g| {
-                let compressed = resize::compress_bitmap(g, c).expect("proportion is valid");
-                let (f, stats) = orb.extract_with_stats(&compressed);
-                energy += config.energy.extraction_energy(orb.kind(), &stats);
-                n += 1;
-                f
-            },
-        );
-        precisions.push(p);
-        energies.push(energy / n as f64);
+        for (_, stats) in &extracted {
+            energy += config.energy.extraction_energy(orb.kind(), stats);
+        }
+        let queries: Vec<_> = extracted.into_iter().map(|(f, _)| f).collect();
+        precisions.push(top4_precision(&index, &queries));
+        energies.push(energy / queries.len() as f64);
     }
 
     let base_p = precisions[0].max(1e-9);

@@ -7,12 +7,12 @@
 //! from *our* measured distribution (DESIGN.md §5).
 
 use crate::args::ExpArgs;
+use crate::experiments::extract_groups;
 use crate::table::{pct, Table};
 use bees_core::BeesConfig;
 use bees_datasets::{kentucky_like, SceneConfig};
 use bees_features::orb::Orb;
 use bees_features::similarity::jaccard_similarity;
-use bees_features::FeatureExtractor;
 
 /// One threshold sample.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -71,15 +71,7 @@ pub fn run(args: &ExpArgs) -> Fig4Result {
     let n_groups = args.scaled(25, 4);
     let groups = kentucky_like(args.seed, n_groups, SceneConfig::default());
     let orb = Orb::new(config.orb);
-    let features: Vec<Vec<_>> = groups
-        .iter()
-        .map(|g| {
-            g.images
-                .iter()
-                .map(|im| orb.extract(&im.to_gray()))
-                .collect()
-        })
-        .collect();
+    let features = extract_groups(&groups, &orb);
 
     let mut similar = Vec::new();
     let mut dissimilar = Vec::new();

@@ -7,7 +7,7 @@
 //! ~85 %).
 
 use crate::args::ExpArgs;
-use crate::experiments::top4_precision;
+use crate::experiments::{extract_queries, kentucky_index, top4_precision};
 use crate::table::{f3, Table};
 use bees_core::BeesConfig;
 use bees_datasets::{kentucky_like, SceneConfig};
@@ -62,10 +62,8 @@ pub fn run(args: &ExpArgs) -> Fig6Result {
 
     let sift = Sift::new(config.pca_sift.sift);
     let p_sift = top4_precision(
-        &groups,
-        &config.similarity,
-        |g| sift.extract(g),
-        |g| sift.extract(g),
+        &kentucky_index(&groups, &config.similarity, &sift),
+        &extract_queries(&groups, |g| sift.extract(g)),
     );
     rows.push(PrecisionRow {
         label: "SIFT".into(),
@@ -75,10 +73,8 @@ pub fn run(args: &ExpArgs) -> Fig6Result {
 
     let pca = PcaSift::with_seeded_basis(config.pca_sift, config.pca_basis_seed);
     let p_pca = top4_precision(
-        &groups,
-        &config.similarity,
-        |g| pca.extract(g),
-        |g| pca.extract(g),
+        &kentucky_index(&groups, &config.similarity, &pca),
+        &extract_queries(&groups, |g| pca.extract(g)),
     );
     rows.push(PrecisionRow {
         label: "PCA-SIFT".into(),
@@ -87,17 +83,14 @@ pub fn run(args: &ExpArgs) -> Fig6Result {
     });
 
     let orb = Orb::new(config.orb);
+    let orb_index = kentucky_index(&groups, &config.similarity, &orb);
     for ebat_pct in [100u32, 70, 40, 10] {
         let c = config.eac.value(ebat_pct as f64 / 100.0);
-        let p = top4_precision(
-            &groups,
-            &config.similarity,
-            |g| orb.extract(g),
-            |g| {
-                let compressed = resize::compress_bitmap(g, c).expect("valid proportion");
-                orb.extract(&compressed)
-            },
-        );
+        let queries = extract_queries(&groups, |g| {
+            let compressed = resize::compress_bitmap(g, c).expect("valid proportion");
+            orb.extract(&compressed)
+        });
+        let p = top4_precision(&orb_index, &queries);
         rows.push(PrecisionRow {
             label: format!("BEES({ebat_pct})"),
             precision: p,

@@ -164,10 +164,7 @@ pub fn run(args: &ExpArgs) -> GlobalVsLocalResult {
         .flat_map(|g| g.images.iter())
         .map(|im| draw::posterize(im, &SHARED_PALETTE))
         .collect();
-    let orb_feats: Vec<_> = all_images
-        .iter()
-        .map(|im| orb.extract(&im.to_gray()))
-        .collect();
+    let orb_feats = bees_runtime::par_map(&all_images, |im| orb.extract(&im.to_gray()));
     let hists: Vec<_> = all_images.iter().map(ColorHistogram::from_image).collect();
 
     let orb_score = |q: usize, c: usize| -> f64 {

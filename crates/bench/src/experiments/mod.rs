@@ -24,4 +24,4 @@ pub mod telemetry_report;
 
 mod precision;
 
-pub use precision::top4_precision;
+pub use precision::{extract_groups, extract_queries, kentucky_index, top4_precision};

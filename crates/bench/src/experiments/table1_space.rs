@@ -78,13 +78,21 @@ fn measure(name: &str, images: &[RgbImage], config: &BeesConfig) -> SpaceRow {
         pca_bytes: 0,
         orb_bytes: 0,
     };
-    for img in images {
+    let sizes = bees_runtime::par_map(images, |img| {
         let gray = img.to_gray();
-        row.image_bytes += bees_image::codec::encoded_rgb_size(img, config.camera_quality)
-            .expect("valid camera quality");
-        row.sift_bytes += sift.extract(&gray).wire_size();
-        row.pca_bytes += pca.extract(&gray).wire_size();
-        row.orb_bytes += orb.extract(&gray).wire_size();
+        [
+            bees_image::codec::encoded_rgb_size(img, config.camera_quality)
+                .expect("valid camera quality"),
+            sift.extract(&gray).wire_size(),
+            pca.extract(&gray).wire_size(),
+            orb.extract(&gray).wire_size(),
+        ]
+    });
+    for [image_bytes, sift_bytes, pca_bytes, orb_bytes] in sizes {
+        row.image_bytes += image_bytes;
+        row.sift_bytes += sift_bytes;
+        row.pca_bytes += pca_bytes;
+        row.orb_bytes += orb_bytes;
     }
     row
 }

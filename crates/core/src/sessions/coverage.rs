@@ -41,14 +41,31 @@ impl Default for CoverageConfig {
 
 impl CoverageConfig {
     /// Rejects a run that would panic or never upload: no phones, an empty
-    /// group, an upload interval that is negative or not finite, or a
-    /// corpus with fewer images than phones.
+    /// group, an upload interval that is negative or not finite, a corpus
+    /// with no locations, a scene with a zero side or a bounding box that
+    /// is not finite and strictly ordered, or fewer images than phones.
     fn validate(&self) -> Result<()> {
         super::check_counts_and_interval(
             "coverage",
-            &[("n_phones", self.n_phones), ("group_size", self.group_size)],
+            &[
+                ("n_phones", self.n_phones),
+                ("group_size", self.group_size),
+                ("paris.n_locations", self.paris.n_locations),
+            ],
             self.interval_s,
         )?;
+        super::check_scene("coverage", "paris.scene", &self.paris.scene)?;
+        let (lon0, lon1, lat0, lat1) = self.paris.bbox;
+        let finite = [lon0, lon1, lat0, lat1].iter().all(|v| v.is_finite());
+        if !(finite && lon0 < lon1 && lat0 < lat1) {
+            return Err(CoreError::InvalidConfig {
+                detail: format!(
+                    "coverage paris.bbox must be finite with lon_min < lon_max and \
+                     lat_min < lat_max, got {:?}",
+                    self.paris.bbox
+                ),
+            });
+        }
         if self.paris.n_images < self.n_phones {
             return Err(CoreError::InvalidConfig {
                 detail: format!(
@@ -230,6 +247,16 @@ mod tests {
             ("group_size", with(|c| c.group_size = 0)),
             ("interval_s", with(|c| c.interval_s = f64::INFINITY)),
             ("paris.n_images", with(|c| c.paris.n_images = 1)),
+            ("paris.n_locations", with(|c| c.paris.n_locations = 0)),
+            ("paris.scene.width", with(|c| c.paris.scene.width = 0)),
+            ("paris.scene.height", with(|c| c.paris.scene.height = 0)),
+            ("paris.bbox", with(|c| c.paris.bbox.1 = c.paris.bbox.0)),
+            (
+                "paris.bbox",
+                with(|c| c.paris.bbox.3 = c.paris.bbox.2 - 0.01),
+            ),
+            ("paris.bbox", with(|c| c.paris.bbox.0 = f64::NAN)),
+            ("paris.bbox", with(|c| c.paris.bbox.3 = f64::INFINITY)),
         ] {
             match run_coverage(&scheme, &cfg, &cov) {
                 Err(CoreError::InvalidConfig { detail }) => {

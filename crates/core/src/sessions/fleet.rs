@@ -100,7 +100,8 @@ pub struct FleetConfig {
 
 impl FleetConfig {
     /// Rejects a run that could not take a step: a zero device, round or
-    /// group count, or an upload interval that is negative or not finite.
+    /// group count, an upload interval that is negative or not finite, or
+    /// a scene with a zero side.
     fn validate(&self) -> Result<()> {
         super::check_counts_and_interval(
             "fleet",
@@ -110,7 +111,8 @@ impl FleetConfig {
                 ("group_size", self.group_size),
             ],
             self.interval_s,
-        )
+        )?;
+        super::check_scene("fleet", "scene", &self.scene)
     }
 }
 
@@ -1161,6 +1163,8 @@ mod tests {
             ("interval_s", fleet_with(|f| f.interval_s = f64::NAN)),
             ("interval_s", fleet_with(|f| f.interval_s = f64::INFINITY)),
             ("interval_s", fleet_with(|f| f.interval_s = -30.0)),
+            ("scene.width", fleet_with(|f| f.scene.width = 0)),
+            ("scene.height", fleet_with(|f| f.scene.height = 0)),
         ] {
             match run_fleet(&scheme, &cfg, &fleet) {
                 Err(CoreError::InvalidConfig { detail }) => {

@@ -43,14 +43,15 @@ impl Default for LifetimeConfig {
 
 impl LifetimeConfig {
     /// Rejects a run that would panic: an empty group, an upload interval
-    /// that is negative or not finite, or a `cross_ratio` outside
-    /// `[0, 1]`.
+    /// that is negative or not finite, a scene with a zero side, or a
+    /// `cross_ratio` outside `[0, 1]`.
     fn validate(&self) -> Result<()> {
         super::check_counts_and_interval(
             "lifetime",
             &[("group_size", self.group_size)],
             self.interval_s,
         )?;
+        super::check_scene("lifetime", "scene", &self.scene)?;
         if !(0.0..=1.0).contains(&self.cross_ratio) {
             return Err(CoreError::InvalidConfig {
                 detail: format!(
@@ -254,6 +255,8 @@ mod tests {
         for (field, lt) in [
             ("group_size", with(|lt| lt.group_size = 0)),
             ("interval_s", with(|lt| lt.interval_s = f64::INFINITY)),
+            ("scene.width", with(|lt| lt.scene.width = 0)),
+            ("scene.height", with(|lt| lt.scene.height = 0)),
             ("cross_ratio", with(|lt| lt.cross_ratio = 1.5)),
             ("cross_ratio", with(|lt| lt.cross_ratio = f64::NAN)),
         ] {

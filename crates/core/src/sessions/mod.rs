@@ -15,6 +15,7 @@ pub use lifetime::{
 };
 
 use crate::{CoreError, Result};
+use bees_datasets::SceneConfig;
 
 /// Rejects a session that could not take a step: a zero count, or an
 /// upload interval that is negative or not finite (idling out an infinite
@@ -37,6 +38,19 @@ fn check_counts_and_interval(
                 "{session} interval_s must be finite and non-negative, got {interval_s}"
             ),
         });
+    }
+    Ok(())
+}
+
+/// Rejects a scene `Scene::render` cannot draw: a zero width or height.
+/// Errors name `"{session} {field}.width"` or `"{session} {field}.height"`.
+fn check_scene(session: &str, field: &str, scene: &SceneConfig) -> Result<()> {
+    for (side, value) in [("width", scene.width), ("height", scene.height)] {
+        if value == 0 {
+            return Err(CoreError::InvalidConfig {
+                detail: format!("{session} {field}.{side} must be positive, got 0"),
+            });
+        }
     }
     Ok(())
 }

@@ -8,7 +8,6 @@
 
 use crate::block::DescriptorBlock;
 use crate::descriptor::{BinaryDescriptor, Descriptors, VectorDescriptor};
-use bees_runtime::Runtime;
 
 /// A correspondence between descriptor `query_idx` in set A and
 /// `train_idx` in set B.
@@ -125,18 +124,19 @@ pub fn match_binary_exhaustive(
     if query.is_empty() || train.is_empty() {
         return Vec::new();
     }
-    let rt = Runtime::current();
     let nearest = |from: &[BinaryDescriptor], to: &[BinaryDescriptor]| -> Vec<(usize, u32)> {
-        rt.par_map(from, |d| {
-            let mut best = NO_NEAREST;
-            for (j, t) in to.iter().enumerate() {
-                let dist = d.hamming_distance(t);
-                if dist < best.1 {
-                    best = (j, dist);
+        from.iter()
+            .map(|d| {
+                let mut best = NO_NEAREST;
+                for (j, t) in to.iter().enumerate() {
+                    let dist = d.hamming_distance(t);
+                    if dist < best.1 {
+                        best = (j, dist);
+                    }
                 }
-            }
-            best
-        })
+                best
+            })
+            .collect()
     };
     let forward = nearest(query, train);
     let backward = if config.cross_check {
@@ -183,23 +183,24 @@ pub fn match_vector(
     if query.is_empty() || train.is_empty() {
         return Vec::new();
     }
-    let rt = Runtime::current();
     let two_nearest =
         |from: &[VectorDescriptor], to: &[VectorDescriptor]| -> Vec<(usize, f32, f32)> {
-            rt.par_map(from, |d| {
-                let mut best = (usize::MAX, f32::INFINITY);
-                let mut second = f32::INFINITY;
-                for (j, t) in to.iter().enumerate() {
-                    let dist = d.l2_squared(t);
-                    if dist < best.1 {
-                        second = best.1;
-                        best = (j, dist);
-                    } else if dist < second {
-                        second = dist;
+            from.iter()
+                .map(|d| {
+                    let mut best = (usize::MAX, f32::INFINITY);
+                    let mut second = f32::INFINITY;
+                    for (j, t) in to.iter().enumerate() {
+                        let dist = d.l2_squared(t);
+                        if dist < best.1 {
+                            second = best.1;
+                            best = (j, dist);
+                        } else if dist < second {
+                            second = dist;
+                        }
                     }
-                }
-                (best.0, best.1.sqrt(), second.sqrt())
-            })
+                    (best.0, best.1.sqrt(), second.sqrt())
+                })
+                .collect()
         };
     let forward = two_nearest(query, train);
     let backward = if config.cross_check {

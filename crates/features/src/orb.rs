@@ -22,7 +22,6 @@ use crate::keypoint::Keypoint;
 use crate::orientation::intensity_centroid_angle;
 use crate::pyramid::Pyramid;
 use bees_image::{blur, GrayImage};
-use bees_runtime::Runtime;
 
 /// Configuration for the [`Orb`] extractor.
 ///
@@ -136,13 +135,11 @@ impl FeatureExtractor for Orb {
         stats.pixels_processed = pyramid.total_pixels();
 
         // Distribute the feature budget across levels proportionally to
-        // level area. Levels are a runtime fan-out flattened back in level
-        // order, matching the sequential loop exactly; inside a batch's
-        // one-image-per-task extraction this and the blur and BRIEF fan-outs
-        // below run inline on the image's worker.
-        let rt = Runtime::current();
+        // level area. Each call is one image: a batch fans out whole images,
+        // so levels, blurs and descriptors run in order on the image's task.
         let total_pixels = pyramid.total_pixels() as f64;
-        let per_level: Vec<Vec<Candidate>> = rt.par_map_range(pyramid.len(), |level| {
+        let mut candidates: Vec<Candidate> = Vec::new();
+        for level in 0..pyramid.len() {
             let level_img = pyramid.level(level);
             let share = level_img.pixel_count() as f64 / total_pixels;
             let budget = ((self.config.n_features as f64 * share).ceil() as usize).max(8);
@@ -176,28 +173,26 @@ impl FeatureExtractor for Orb {
                 .collect();
             ranked.sort_by(|a, b| b.harris.partial_cmp(&a.harris).expect("finite scores"));
             ranked.truncate(budget);
-            ranked
-        });
-        let mut candidates: Vec<Candidate> = per_level.into_iter().flatten().collect();
+            candidates.append(&mut ranked);
+        }
 
         // Global re-rank by Harris response and cut to the overall budget.
         candidates.sort_by(|a, b| b.harris.partial_cmp(&a.harris).expect("finite scores"));
         candidates.truncate(self.config.n_features);
 
         // Blur each level once for BRIEF sampling (only levels that have
-        // surviving candidates), one level per task.
-        let mut needed: Vec<usize> = candidates.iter().map(|c| c.level).collect();
-        needed.sort_unstable();
-        needed.dedup();
+        // surviving candidates).
         let mut blurred: Vec<Option<GrayImage>> = vec![None; pyramid.len()];
-        for (level, img) in needed.iter().zip(rt.par_map(&needed, |&level| {
-            blur::gaussian_blur(pyramid.level(level), self.config.brief_blur_sigma)
-                .expect("blur sigma is positive")
-        })) {
-            blurred[*level] = Some(img);
+        for c in &candidates {
+            blurred[c.level].get_or_insert_with(|| {
+                blur::gaussian_blur(pyramid.level(c.level), self.config.brief_blur_sigma)
+                    .expect("blur sigma is positive")
+            });
         }
 
-        let described: Vec<(Keypoint, _)> = rt.par_map(&candidates, |c| {
+        let mut keypoints = Vec::with_capacity(candidates.len());
+        let mut descriptors = DescriptorBlock::with_capacity(candidates.len());
+        for c in &candidates {
             let level_img = pyramid.level(c.level);
             let angle = intensity_centroid_angle(level_img, c.lx, c.ly, PATCH_RADIUS as u32);
             let smooth = blurred[c.level].as_ref().expect("level was blurred above");
@@ -205,20 +200,14 @@ impl FeatureExtractor for Orb {
                 .pattern
                 .describe(smooth, c.lx as f32, c.ly as f32, angle);
             let scale = pyramid.scale_of(c.level);
-            let kp = Keypoint {
+            keypoints.push(Keypoint {
                 x: c.lx as f32 * scale,
                 y: c.ly as f32 * scale,
                 response: c.harris,
                 angle,
                 octave: c.level as u8,
                 scale,
-            };
-            (kp, desc)
-        });
-        let mut keypoints = Vec::with_capacity(candidates.len());
-        let mut descriptors = DescriptorBlock::with_capacity(candidates.len());
-        for (kp, desc) in described {
-            keypoints.push(kp);
+            });
             descriptors.push(&desc);
         }
         stats.keypoints_described = keypoints.len();

@@ -15,7 +15,6 @@ use crate::descriptor::{Descriptors, ImageFeatures, VectorDescriptor};
 use crate::extractor::{ExtractionStats, ExtractorKind, FeatureExtractor};
 use crate::keypoint::Keypoint;
 use bees_image::{blur, GrayF32, GrayImage};
-use bees_runtime::Runtime;
 
 /// Configuration for the [`Sift`] extractor.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -178,12 +177,8 @@ impl Sift {
     /// Detects scale-space extrema with contrast and edge rejection, and
     /// assigns each a dominant orientation.
     pub fn detect(&self, space: &ScaleSpace) -> Vec<ScaleSpacePoint> {
-        // Octaves are independent: scan them in parallel and flatten in
-        // octave order, then apply the same stable sort as the sequential
-        // path (ties keep scan order, so the result is unchanged).
-        let per_octave = Runtime::current().par_map_range(space.octaves.len(), |o| {
-            let stack = &space.octaves[o];
-            let mut points = Vec::new();
+        let mut points = Vec::new();
+        for (o, stack) in space.octaves.iter().enumerate() {
             // DoG layers.
             let dogs: Vec<GrayF32> = stack
                 .windows(2)
@@ -224,9 +219,7 @@ impl Sift {
                     }
                 }
             }
-            points
-        });
-        let mut points: Vec<ScaleSpacePoint> = per_octave.into_iter().flatten().collect();
+        }
         points.sort_by(|a, b| {
             b.response
                 .partial_cmp(&a.response)
@@ -358,25 +351,19 @@ impl FeatureExtractor for Sift {
         let space = self.scale_space(img);
         stats.pixels_processed = space.total_pixels();
         let points = self.detect(&space);
-        // Each 128-d descriptor only reads the shared scale space; describe
-        // all surviving points in parallel, in detection order.
-        let described = Runtime::current().par_map(&points, |p| {
+        let mut keypoints = Vec::with_capacity(points.len());
+        let mut descriptors = Vec::with_capacity(points.len());
+        for p in &points {
             let scale = space.octave_scales[p.octave];
-            let kp = Keypoint {
+            keypoints.push(Keypoint {
                 x: p.x as f32 * scale,
                 y: p.y as f32 * scale,
                 response: p.response,
                 angle: p.angle,
                 octave: p.octave as u8,
                 scale,
-            };
-            (kp, self.describe(&space, p))
-        });
-        let mut keypoints = Vec::with_capacity(points.len());
-        let mut descriptors = Vec::with_capacity(points.len());
-        for (kp, desc) in described {
-            keypoints.push(kp);
-            descriptors.push(desc);
+            });
+            descriptors.push(self.describe(&space, p));
         }
         stats.keypoints_described = keypoints.len();
         let features = ImageFeatures {

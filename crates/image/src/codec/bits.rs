@@ -35,6 +35,17 @@ impl BitWriter {
         Self::default()
     }
 
+    /// Creates a writer whose bits follow `prefix` (a header, say), so
+    /// [`into_bytes`](Self::into_bytes) returns prefix and bitstream in one
+    /// vector, grown from `prefix`'s capacity. [`bit_len`](Self::bit_len)
+    /// counts the prefix.
+    pub(crate) fn with_prefix(prefix: Vec<u8>) -> Self {
+        BitWriter {
+            bytes: prefix,
+            ..Self::default()
+        }
+    }
+
     /// Appends the low `count` bits of `value`, most significant first.
     ///
     /// # Panics

@@ -44,13 +44,14 @@ pub mod quant;
 pub mod zigzag;
 
 use crate::{round_u8, GrayImage, ImageError, Result, Rgb, RgbImage};
-use bees_runtime::Runtime;
 use bits::{BitReader, BitWriter};
 
 /// Magic byte marking a grayscale bitstream.
 const MAGIC_GRAY: u8 = 0xB1;
 /// Magic byte marking a YCbCr 4:2:0 bitstream.
 const MAGIC_COLOR: u8 = 0xB3;
+/// Header bytes: magic, little-endian width and height, quality.
+const HEADER_LEN: usize = 10;
 
 /// Encodes a grayscale image at the given quality (1..=100).
 ///
@@ -60,12 +61,10 @@ const MAGIC_COLOR: u8 = 0xB3;
 /// `1..=100`.
 pub fn encode_gray(img: &GrayImage, quality: u8) -> Result<Vec<u8>> {
     let table = quant::luminance_table(quality)?;
-    let mut out = Vec::new();
-    write_header(&mut out, MAGIC_GRAY, img.width(), img.height(), quality);
-    let mut writer = BitWriter::new();
+    let (width, height) = img.dimensions();
+    let mut writer = baseline_writer(MAGIC_GRAY, width, height, quality, img.pixel_count());
     encode_plane(&mut writer, &PlaneView::from_gray(img), &table);
-    out.extend_from_slice(&writer.into_bytes());
-    Ok(out)
+    Ok(finish(writer))
 }
 
 /// Decodes a grayscale bitstream produced by [`encode_gray`].
@@ -96,14 +95,13 @@ pub fn encode_rgb(img: &RgbImage, quality: u8) -> Result<Vec<u8>> {
     let lum = quant::luminance_table(quality)?;
     let chrom = quant::chrominance_table(quality)?;
     let (y_plane, cb_plane, cr_plane) = split_ycbcr(img);
-    let mut out = Vec::new();
-    write_header(&mut out, MAGIC_COLOR, img.width(), img.height(), quality);
-    let mut writer = BitWriter::new();
+    let samples = y_plane.data.len() + cb_plane.data.len() + cr_plane.data.len();
+    let (width, height) = img.dimensions();
+    let mut writer = baseline_writer(MAGIC_COLOR, width, height, quality, samples);
     encode_plane(&mut writer, &y_plane, &lum);
     encode_plane(&mut writer, &cb_plane, &chrom);
     encode_plane(&mut writer, &cr_plane, &chrom);
-    out.extend_from_slice(&writer.into_bytes());
-    Ok(out)
+    Ok(finish(writer))
 }
 
 /// Decodes an RGB bitstream produced by [`encode_rgb`].
@@ -187,10 +185,27 @@ pub fn recompress(bytes: &[u8], quality: u8) -> Option<Recompressed> {
 
 /// [`recompress`] over many payloads, one payload per runtime task, with
 /// the outcomes in payload order. Each outcome depends only on its payload,
-/// so the result equals a sequential map at any worker count. The codec and
-/// SSIM fan-outs inside a task run inline.
+/// so the result equals a sequential map at any worker count. Each task's
+/// codec and SSIM work runs sequentially.
 pub fn recompress_all(payloads: &[&[u8]], quality: u8) -> Vec<Option<Recompressed>> {
-    Runtime::current().par_map(payloads, |bytes| recompress(bytes, quality))
+    bees_runtime::par_map(payloads, |bytes| recompress(bytes, quality))
+}
+
+/// Starts a baseline bitstream behind its header, in one vector with room
+/// for a byte per plane sample: photo-like planes code to well under that
+/// up to about q90, so the stream rarely outgrows it.
+fn baseline_writer(magic: u8, width: u32, height: u32, quality: u8, samples: usize) -> BitWriter {
+    let mut out = Vec::with_capacity(HEADER_LEN + samples);
+    write_header(&mut out, magic, width, height, quality);
+    BitWriter::with_prefix(out)
+}
+
+/// The finished bitstream, its spare capacity released: stored payloads
+/// hold only their bytes.
+fn finish(writer: BitWriter) -> Vec<u8> {
+    let mut bytes = writer.into_bytes();
+    bytes.shrink_to_fit();
+    bytes
 }
 
 fn write_header(out: &mut Vec<u8>, magic: u8, width: u32, height: u32, quality: u8) {
@@ -201,7 +216,7 @@ fn write_header(out: &mut Vec<u8>, magic: u8, width: u32, height: u32, quality: 
 }
 
 fn read_header(bytes: &[u8]) -> Result<(u8, u32, u32, u8, &[u8])> {
-    if bytes.len() < 10 {
+    if bytes.len() < HEADER_LEN {
         return Err(ImageError::CorruptBitstream {
             detail: "header truncated",
         });
@@ -220,7 +235,7 @@ fn read_header(bytes: &[u8]) -> Result<(u8, u32, u32, u8, &[u8])> {
             detail: "quality byte out of range",
         });
     }
-    Ok((magic, width, height, quality, &bytes[10..]))
+    Ok((magic, width, height, quality, &bytes[HEADER_LEN..]))
 }
 
 /// An owned single-channel plane of f32 samples.

@@ -47,7 +47,7 @@
 use super::bits::{BitReader, BitWriter};
 use super::{
     entropy, merge_ycbcr, plane_from_zigzags, plane_zigzags, quant, read_header, split_ycbcr,
-    write_header, PlaneView,
+    write_header, PlaneView, HEADER_LEN,
 };
 use crate::{GrayImage, ImageError, Result, RgbImage};
 
@@ -284,7 +284,7 @@ fn checked_blocks(width: u32, height: u32) -> Result<usize> {
 /// Serializes the per-scan byte segments behind the header + directory.
 fn assemble(magic: u8, width: u32, height: u32, quality: u8, scans: &[Vec<u8>]) -> Vec<u8> {
     let body: usize = scans.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(10 + 1 + 4 * scans.len() + body);
+    let mut out = Vec::with_capacity(HEADER_LEN + 1 + 4 * scans.len() + body);
     write_header(&mut out, magic, width, height, quality);
     out.push(scans.len() as u8);
     for scan in scans {

@@ -7,7 +7,6 @@
 
 use crate::blur::{convolve_separable, gaussian_kernel};
 use crate::{GrayF32, GrayImage, ImageError, Result};
-use bees_runtime::Runtime;
 
 /// Mean squared error between two equally sized images.
 ///
@@ -82,19 +81,10 @@ pub fn ssim(a: &GrayImage, b: &GrayImage) -> Result<f64> {
     const C1: f64 = (0.01 * 255.0) * (0.01 * 255.0);
     const C2: f64 = (0.03 * 255.0) * (0.03 * 255.0);
 
-    // The five blurs are independent; each runs sequentially, so the
-    // result is the same at any worker count. Each task builds its own
-    // `f32` input plane (a, b, a², b² or ab) and drops it once blurred, so
-    // a call holds one input plane per running task, not five.
+    // Each input plane (a, b, a², b² or ab) is built, blurred and dropped
+    // in turn, so a call holds one unblurred plane at a time, not five.
     let kernel = gaussian_kernel(SIGMA)?;
-    let planes: [(&GrayImage, Option<&GrayImage>); 5] = [
-        (a, None),
-        (b, None),
-        (a, Some(a)),
-        (b, Some(b)),
-        (a, Some(b)),
-    ];
-    let blurred = Runtime::current().par_map(&planes, |&(p, q)| {
+    let blurred = |p: &GrayImage, q: Option<&GrayImage>| {
         let plane = match q {
             None => p.to_f32(),
             Some(q) => {
@@ -107,10 +97,13 @@ pub fn ssim(a: &GrayImage, b: &GrayImage) -> Result<f64> {
             }
         };
         convolve_separable(&plane, &kernel)
-    });
-    let [mu_a, mu_b, mu_aa, mu_bb, mu_ab] = &blurred[..] else {
-        unreachable!("one blur per plane")
     };
+    let (mu_a, mu_b) = (blurred(a, None), blurred(b, None));
+    let (mu_aa, mu_bb, mu_ab) = (
+        blurred(a, Some(a)),
+        blurred(b, Some(b)),
+        blurred(a, Some(b)),
+    );
 
     let mut total = 0.0f64;
     let means = mu_a.data.iter().zip(&mu_b.data);

@@ -5,15 +5,15 @@
 //!
 //! Per call:
 //! - `decode_rgb`: three planes and the output pixels;
-//! - `encode_rgb`: three planes, the header and the bit writer's doubling
-//!   byte vector;
-//! - `encode_progressive_rgb`: the same, plus each plane's zigzag blocks and
-//!   one byte vector per scan;
-//! - `recompress`: two decodes, two luma images, one encode and one SSIM,
-//!   whose five-plane fan-out spawns workers when `BEES_THREADS` > 1.
+//! - `encode_rgb`: three planes and one output vector that starts with the
+//!   header, sized for a byte per sample and shrunk to the stream once
+//!   written;
+//! - `encode_progressive_rgb`: three planes, each plane's zigzag blocks,
+//!   one doubling byte vector per scan and the assembled output;
+//! - `recompress`: two decodes, two luma images, one encode and one
+//!   sequential SSIM.
 //!
-//! The codec itself does not fan out, so only `recompress` depends on the
-//! worker count.
+//! Nothing here fans out, so no count depends on the worker count.
 
 use bees_image::codec::{self, progressive};
 use bees_image::{Rgb, RgbImage};
@@ -43,13 +43,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Warmed-call budgets. Measured: 4, 18, 63, and 56 / 65 / 74 at
-/// `BEES_THREADS` 1 / 2 / 8. A per-block or per-chunk allocation would
-/// add hundreds.
+/// Warmed-call budgets. `ENCODE_BUDGET` and `RECOMPRESS_BUDGET` are the
+/// measured counts at every `BEES_THREADS` width; a per-block or per-chunk
+/// allocation would add hundreds.
 const DECODE_BUDGET: usize = 8;
-const ENCODE_BUDGET: usize = 24;
+const ENCODE_BUDGET: usize = 5;
 const PROGRESSIVE_BUDGET: usize = 72;
-const RECOMPRESS_BUDGET: usize = 96;
+const RECOMPRESS_BUDGET: usize = 36;
 
 /// The fewest allocations over three warmed calls. The counter is
 /// process-wide, so worker-thread allocations count, but so can one the

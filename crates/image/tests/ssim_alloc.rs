@@ -1,14 +1,13 @@
 //! Pins the allocation shape of `metrics::ssim`: a warmed call makes a
-//! small constant number of allocations, the same at 96×72 and 384×288.
-//! Measured with a counting global allocator (the `bees-telemetry`
-//! `no_alloc` pattern) rather than asserted by inspection.
+//! small constant number of allocations, the same at 96×72 and 384×288 and
+//! at every `BEES_THREADS` width. Measured with a counting global allocator
+//! (the `bees-telemetry` `no_alloc` pattern) rather than asserted by
+//! inspection.
 //!
-//! Per call: the kernel; per blurred plane, its `f32` input (a, b, a², b²
-//! or ab, built inside the plane's task and dropped once blurred), a row
-//! pad, a scratch plane and an output; the runtime's result vectors for the
-//! five-plane fan-out; and the worker spawns when `BEES_THREADS` > 1. None
-//! of it scales with the image height; a row fan-out or a per-row buffer
-//! would.
+//! Per call: the kernel, then per blurred plane, in turn, its `f32` input
+//! (a, b, a², b² or ab, dropped once blurred), a row pad, a scratch plane
+//! and an output. None of it scales with the image height or the worker
+//! count; a row fan-out, a plane fan-out or a per-row buffer would.
 
 use bees_image::{metrics, GrayImage};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -37,9 +36,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Warmed-call budget: 28 allocations inline, plus a handful per spawned
-/// worker (at most five, one per plane).
-const WARMED_ALLOC_BUDGET: usize = 64;
+/// Warmed-call budget: the measured count, 1 + 5 × 4.
+const WARMED_ALLOC_BUDGET: usize = 21;
 
 /// The fewest allocations over three warmed calls. The counter is
 /// process-wide, so worker-thread allocations count, but so can one the

@@ -23,7 +23,6 @@ use crate::{FeatureIndex, Query};
 use bees_features::block::WORDS_PER_DESCRIPTOR;
 use bees_features::similarity::{jaccard_similarity, SimilarityConfig};
 use bees_features::{Descriptors, ImageFeatures};
-use bees_runtime::Runtime;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
@@ -228,10 +227,9 @@ impl FeatureIndex for MihIndex {
     fn query_with_scratch(&self, query: &Query<'_>, scratch: &mut QueryScratch) -> Vec<QueryHit> {
         // Exact Jaccard rescoring dominates query cost; score every
         // candidate (or entry) in parallel, keeping candidate order.
-        let rt = Runtime::current();
         let hits: Vec<QueryHit> = if let Descriptors::Binary(_) = &query.features.descriptors {
             self.candidates_into(query.features, query.max_candidates, scratch);
-            rt.par_map(&scratch.cand_ids, |&id| {
+            bees_runtime::par_map(&scratch.cand_ids, |&id| {
                 if !query.is_allowed(id) {
                     return None;
                 }
@@ -246,7 +244,7 @@ impl FeatureIndex for MihIndex {
         } else {
             // Vector features: no word structure, fall back to a full scan
             // (exact, so the candidate budget does not apply).
-            rt.par_map(&self.entries, |e| {
+            bees_runtime::par_map(&self.entries, |e| {
                 if !query.is_allowed(e.id) {
                     return None;
                 }

@@ -20,7 +20,6 @@ use crate::store::{rank_hits, QueryHit};
 use crate::{FeatureIndex, ImageId, Query};
 use bees_features::similarity::SimilarityConfig;
 use bees_features::ImageFeatures;
-use bees_runtime::Runtime;
 
 /// A fixed number of inner indexes, partitioned by `ImageId`.
 ///
@@ -99,7 +98,7 @@ impl<I: FeatureIndex + Send + Sync> FeatureIndex for ShardedIndex<I> {
         }
         let mut work: Vec<(&mut I, Vec<(ImageId, ImageFeatures)>)> =
             self.shards.iter_mut().zip(buckets).collect();
-        Runtime::current().par_for_each_mut(&mut work, |_, (shard, bucket)| {
+        bees_runtime::par_for_each_mut(&mut work, |_, (shard, bucket)| {
             for (id, features) in bucket.drain(..) {
                 shard.insert(id, features);
             }
@@ -123,7 +122,7 @@ impl<I: FeatureIndex + Send + Sync> FeatureIndex for ShardedIndex<I> {
             .zip(scratch.shards.iter_mut())
             .map(|(shard, child)| (shard, child, Vec::new()))
             .collect();
-        Runtime::current().par_for_each_mut(&mut work, |_, (shard, child, out)| {
+        bees_runtime::par_for_each_mut(&mut work, |_, (shard, child, out)| {
             *out = shard.query_with_scratch(query, child);
         });
         rank_hits(

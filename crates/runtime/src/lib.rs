@@ -1,24 +1,26 @@
 #![warn(missing_docs)]
 
-//! Deterministic scoped worker pool for the BEES reproduction.
+//! Deterministic scoped fan-out over whole work items for the BEES
+//! reproduction.
 //!
-//! Every hot path in the pipeline — a batch's feature extraction and image
-//! encoding (one image per task), brute-force L2 matching, index candidate
-//! rescoring, pairwise similarity graphs, lazy greedy's first-round gains,
-//! and the cold-recompression pass (one blob per task) — is a fan-out over
-//! independent work items. ORB's pyramid levels fan out too, but run inline
-//! when called from inside one of those tasks; the block-DCT codec runs each
-//! image sequentially. This crate provides that fan-out with one
-//! non-negotiable property: **the
-//! output is bit-identical at 1, 2, or N threads**.
+//! BEES is a per-image pipeline, so the work that pays to spread over the
+//! host's cores is a whole independent item: an image of a batch (feature
+//! extraction, speculative encodes, server preload), a blob of the
+//! cold-recompression pass, a candidate pair being rescored, or an index
+//! shard. Everything below an item — pyramid levels, planes, rows, blocks —
+//! runs in order on the item's task. This crate provides that fan-out with
+//! one non-negotiable property: **the output is bit-identical at 1, 2, or N
+//! threads**.
 //!
 //! # Determinism model
 //!
-//! [`Runtime::par_map`] and friends split the input range into chunks whose
-//! boundaries depend only on the input length, never on the thread count.
-//! Workers claim chunks dynamically (work stealing via an atomic cursor),
-//! but results are merged back in ascending chunk order, so `par_map`
-//! output is the same `Vec` a sequential `map` would produce.
+//! [`par_for_each_mut`] is the one scheduling path. It cuts a slice into at
+//! most 64 chunks whose length depends only on the slice length, never on
+//! the thread count, and workers claim chunks dynamically. Each closure call
+//! sees exactly one `(index, item)` pair, so which worker ran it cannot show
+//! in the result. [`par_map_range`] and [`par_map`] give every index its own
+//! result slot and fill the slots through [`par_for_each_mut`], so they
+//! return the `Vec` a sequential `map` would, with no merge step.
 //!
 //! The only requirement on the closures is that they are pure functions of
 //! their index (no interior mutation observable across items).
@@ -31,25 +33,24 @@
 //! 2. the `BEES_THREADS` environment variable,
 //! 3. [`std::thread::available_parallelism`].
 //!
-//! A width of 1 (or a call from inside a worker thread — nested parallelism
-//! is flattened rather than oversubscribed) runs the exact same chunked code
-//! path inline without spawning.
+//! A width of 1, or a call from inside a worker thread (nested parallelism
+//! is flattened rather than oversubscribed), runs the same closures inline,
+//! in index order, without spawning.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
-use std::thread::ScopedJoinHandle;
 
-/// Target number of chunks a range is split into. Fixed (rather than derived
-/// from the thread count) so the chunk decomposition — and therefore every
-/// merge order — is a function of the input length alone.
-const TARGET_CHUNKS: usize = 64;
+/// Most chunks a slice is cut into. Fixed (rather than derived from the
+/// thread count) so the chunk decomposition is a function of the slice
+/// length alone.
+const MAX_CHUNKS: usize = 64;
 
 /// Programmatic thread-count override; 0 means "no override".
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
-    /// True inside pool workers: nested `par_map` calls run inline.
+    /// True inside pool workers: nested calls run inline.
     static IN_POOL: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -77,7 +78,7 @@ pub fn set_threads(threads: usize) {
     THREAD_OVERRIDE.store(threads, Ordering::SeqCst);
 }
 
-/// The thread count new [`Runtime::current`] handles will use.
+/// The thread count the next fan-out will use.
 pub fn current_threads() -> usize {
     match THREAD_OVERRIDE.load(Ordering::SeqCst) {
         0 => default_threads(),
@@ -85,242 +86,129 @@ pub fn current_threads() -> usize {
     }
 }
 
-/// Whether the calling thread is a pool worker (nested calls run inline).
-pub fn in_worker() -> bool {
-    IN_POOL.with(|p| p.get())
-}
-
-/// A handle selecting how many worker threads parallel operations may use.
+/// Runs `f` on every element of `items` in place, passing the element's
+/// index.
 ///
-/// The handle is a plain value: scoped threads are spawned per call and
-/// joined before the call returns, so there is no pool lifecycle to manage
-/// and borrowed (non-`'static`) data can flow into the closures freely.
+/// Workers claim fixed-length chunks of the slice, so no synchronization is
+/// needed beyond the claim and the final join; the result is independent
+/// of the thread count because each closure call sees exactly one
+/// `(index, element)` pair. A worker's panic reaches the caller with its
+/// own payload.
 ///
 /// # Examples
 ///
 /// ```
-/// use bees_runtime::Runtime;
+/// let mut v = vec![10u64, 20, 30];
+/// bees_runtime::par_for_each_mut(&mut v, |i, x| *x += i as u64);
+/// assert_eq!(v, vec![10, 21, 32]);
+/// ```
+pub fn par_for_each_mut<T, F>(items: &mut [T], f: F)
+where
+    T: Send,
+    F: Fn(usize, &mut T) + Sync,
+{
+    for_each_on(current_threads(), items, f)
+}
+
+/// Maps `f` over `0..n`, returning results in index order.
 ///
-/// let rt = Runtime::new(4);
-/// let squares = rt.par_map_range(10, |i| i * i);
+/// Bit-identical to `(0..n).map(f).collect()` at any thread count.
+///
+/// # Examples
+///
+/// ```
+/// let squares = bees_runtime::par_map_range(10, |i| i * i);
 /// assert_eq!(squares, (0..10).map(|i| i * i).collect::<Vec<_>>());
 /// ```
-#[derive(Debug, Clone, Copy)]
-pub struct Runtime {
-    threads: usize,
-}
-
-impl Default for Runtime {
-    fn default() -> Self {
-        Runtime::current()
-    }
-}
-
-impl Runtime {
-    /// Creates a handle with an explicit thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    pub fn new(threads: usize) -> Self {
-        assert!(threads > 0, "runtime needs at least one thread");
-        Runtime { threads }
-    }
-
-    /// Creates a handle using the global thread-count setting (see
-    /// [`set_threads`] and the `BEES_THREADS` environment variable).
-    pub fn current() -> Self {
-        Runtime {
-            threads: current_threads().max(1),
-        }
-    }
-
-    /// The configured thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Chunk length for an input of `n` items — a function of `n` only.
-    fn chunk_len(n: usize) -> usize {
-        n.div_ceil(TARGET_CHUNKS).max(1)
-    }
-
-    /// Runs `work` once per chunk of `0..n` and returns the per-chunk
-    /// outputs in ascending chunk order. The scheduling backbone of every
-    /// public operation.
-    fn run_chunked<R, W>(&self, n: usize, work: W) -> Vec<R>
-    where
-        R: Send,
-        W: Fn(usize, usize) -> R + Sync,
-    {
-        if n == 0 {
-            return Vec::new();
-        }
-        let chunk = Self::chunk_len(n);
-        let n_chunks = n.div_ceil(chunk);
-        let run_chunk = |c: usize| {
-            let start = c * chunk;
-            work(start, (start + chunk).min(n))
-        };
-        let workers = self.threads.min(n_chunks);
-        if workers <= 1 || in_worker() {
-            return (0..n_chunks).map(run_chunk).collect();
-        }
-        let cursor = AtomicUsize::new(0);
-        let results: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(n_chunks));
-        std::thread::scope(|scope| {
-            let handles = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        IN_POOL.with(|p| p.set(true));
-                        loop {
-                            let c = cursor.fetch_add(1, Ordering::Relaxed);
-                            if c >= n_chunks {
-                                break;
-                            }
-                            let out = run_chunk(c);
-                            results
-                                .lock()
-                                .expect("no panic while holding lock")
-                                .push((c, out));
-                        }
-                    })
-                })
-                .collect();
-            join_all(handles);
-        });
-        let mut chunks = results.into_inner().expect("workers joined");
-        chunks.sort_unstable_by_key(|&(c, _)| c);
-        chunks.into_iter().map(|(_, r)| r).collect()
-    }
-
-    /// Maps `f` over `0..n`, returning results in index order.
-    ///
-    /// Bit-identical to `(0..n).map(f).collect()` at any thread count.
-    pub fn par_map_range<R, F>(&self, n: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        let chunks = self.run_chunked(n, |start, end| (start..end).map(&f).collect::<Vec<R>>());
-        let mut out = Vec::with_capacity(n);
-        for c in chunks {
-            out.extend(c);
-        }
-        out
-    }
-
-    /// Maps `f` over a slice, returning results in item order.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use bees_runtime::Runtime;
-    ///
-    /// let words = ["a", "bb", "ccc"];
-    /// let lens = Runtime::current().par_map(&words, |w| w.len());
-    /// assert_eq!(lens, vec![1, 2, 3]);
-    /// ```
-    pub fn par_map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
-        self.par_map_range(items.len(), |i| f(&items[i]))
-    }
-
-    /// Runs `f` on every element of `items` in place, passing the element's
-    /// index. Each worker owns a disjoint contiguous sub-slice, so no
-    /// synchronization is needed beyond the final join; as with the other
-    /// primitives the result is independent of the thread count because each
-    /// closure sees exactly one `(index, element)` pair.
-    ///
-    /// Used by the sharded index to build / query all shards concurrently.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use bees_runtime::Runtime;
-    ///
-    /// let mut v = vec![10u64, 20, 30];
-    /// Runtime::new(2).par_for_each_mut(&mut v, |i, x| *x += i as u64);
-    /// assert_eq!(v, vec![10, 21, 32]);
-    /// ```
-    pub fn par_for_each_mut<T, F>(&self, items: &mut [T], f: F)
-    where
-        T: Send,
-        F: Fn(usize, &mut T) + Sync,
-    {
-        let n = items.len();
-        let workers = self.threads.min(n);
-        if workers <= 1 || in_worker() {
-            for (i, item) in items.iter_mut().enumerate() {
-                f(i, item);
-            }
-            return;
-        }
-        let per_worker = n.div_ceil(workers);
-        std::thread::scope(|scope| {
-            let handles = items
-                .chunks_mut(per_worker)
-                .enumerate()
-                .map(|(w, slab)| {
-                    let f = &f;
-                    scope.spawn(move || {
-                        IN_POOL.with(|p| p.set(true));
-                        for (i, item) in slab.iter_mut().enumerate() {
-                            f(w * per_worker + i, item);
-                        }
-                    })
-                })
-                .collect();
-            join_all(handles);
-        });
-    }
-}
-
-/// Joins every worker, then re-raises the first worker panic with its own
-/// payload. Left to itself, `std::thread::scope` would replace the message
-/// with "a scoped thread panicked".
-fn join_all(handles: Vec<ScopedJoinHandle<'_, ()>>) {
-    let mut first = None;
-    for handle in handles {
-        if let Err(payload) = handle.join() {
-            first.get_or_insert(payload);
-        }
-    }
-    if let Some(payload) = first {
-        std::panic::resume_unwind(payload);
-    }
-}
-
-/// [`Runtime::par_map_range`] on the current global runtime.
 pub fn par_map_range<R, F>(n: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    Runtime::current().par_map_range(n, f)
+    map_range_on(current_threads(), n, f)
 }
 
-/// [`Runtime::par_map`] on the current global runtime.
+/// Maps `f` over a slice, returning results in item order.
+///
+/// # Examples
+///
+/// ```
+/// let words = ["a", "bb", "ccc"];
+/// let lens = bees_runtime::par_map(&words, |w| w.len());
+/// assert_eq!(lens, vec![1, 2, 3]);
+/// ```
 pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    Runtime::current().par_map(items, f)
+    par_map_range(items.len(), |i| f(&items[i]))
 }
 
-/// [`Runtime::par_for_each_mut`] on the current global runtime.
-pub fn par_for_each_mut<T, F>(items: &mut [T], f: F)
+/// [`par_map_range`] on `threads` workers: one slot per index, each filled
+/// by the task that owns the index.
+fn map_range_on<R, F>(threads: usize, n: usize, f: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize) -> R + Sync,
+{
+    let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(n).collect();
+    for_each_on(threads, &mut slots, |i, slot| *slot = Some(f(i)));
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("every slot is filled"))
+        .collect()
+}
+
+/// [`par_for_each_mut`] on `threads` workers: the scheduling path behind
+/// every public operation.
+fn for_each_on<T, F>(threads: usize, items: &mut [T], f: F)
 where
     T: Send,
     F: Fn(usize, &mut T) + Sync,
 {
-    Runtime::current().par_for_each_mut(items, f)
+    let chunk = items.len().div_ceil(MAX_CHUNKS).max(1);
+    let workers = threads.min(items.len().div_ceil(chunk));
+    if workers <= 1 || IN_POOL.with(Cell::get) {
+        for (i, item) in items.iter_mut().enumerate() {
+            f(i, item);
+        }
+        return;
+    }
+    let chunks = Mutex::new(items.chunks_mut(chunk).enumerate());
+    let claim = || {
+        chunks
+            .lock()
+            .expect("no worker panics while claiming a chunk")
+            .next()
+    };
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    IN_POOL.with(|p| p.set(true));
+                    while let Some((c, slab)) = claim() {
+                        for (i, item) in slab.iter_mut().enumerate() {
+                            f(c * chunk + i, item);
+                        }
+                    }
+                })
+            })
+            .collect();
+        // Join every worker, then re-raise the first panic with its own
+        // payload; left to itself, `std::thread::scope` would replace the
+        // message with "a scoped thread panicked".
+        let mut first = None;
+        for handle in handles {
+            if let Err(payload) = handle.join() {
+                first.get_or_insert(payload);
+            }
+        }
+        if let Some(payload) = first {
+            std::panic::resume_unwind(payload);
+        }
+    });
 }
 
 #[cfg(test)]
@@ -330,9 +218,8 @@ mod tests {
     #[test]
     fn par_map_range_matches_sequential() {
         for threads in [1, 2, 3, 8, 17] {
-            let rt = Runtime::new(threads);
             for n in [0usize, 1, 2, 63, 64, 65, 1000] {
-                let par = rt.par_map_range(n, |i| i * 3 + 1);
+                let par = map_range_on(threads, n, |i| i * 3 + 1);
                 let seq: Vec<usize> = (0..n).map(|i| i * 3 + 1).collect();
                 assert_eq!(par, seq, "threads={threads} n={n}");
             }
@@ -342,22 +229,23 @@ mod tests {
     #[test]
     fn par_map_preserves_item_order() {
         let items: Vec<i64> = (0..500).map(|i| i - 250).collect();
-        let rt = Runtime::new(4);
         assert_eq!(
-            rt.par_map(&items, |&x| x * x),
+            par_map(&items, |&x| x * x),
             items.iter().map(|&x| x * x).collect::<Vec<_>>()
         );
     }
 
     #[test]
     fn nested_calls_run_inline() {
-        let rt = Runtime::new(4);
-        let out = rt.par_map_range(8, |i| {
-            assert!(in_worker(), "item {i} ran outside a pool worker");
+        let out = map_range_on(4, 8, |i| {
+            assert!(
+                IN_POOL.with(Cell::get),
+                "item {i} ran outside a pool worker"
+            );
             // The nested call must not deadlock or oversubscribe; it simply
             // runs inline inside the worker, on the worker's own thread.
             let worker = std::thread::current().id();
-            let nested = rt.par_map_range(16, move |j| (std::thread::current().id(), i * 16 + j));
+            let nested = map_range_on(4, 16, move |j| (std::thread::current().id(), i * 16 + j));
             assert!(
                 nested.iter().all(|&(thread, _)| thread == worker),
                 "a nested item of {i} left its worker thread"
@@ -375,7 +263,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "boom")]
     fn worker_panics_propagate() {
-        Runtime::new(4).par_map_range(100, |i| {
+        map_range_on(4, 100, |i| {
             if i == 57 {
                 panic!("boom");
             }
@@ -387,14 +275,13 @@ mod tests {
     #[should_panic(expected = "boom")]
     fn for_each_mut_worker_panic_keeps_its_message() {
         let mut v = vec![0u8; 8];
-        Runtime::new(4).par_for_each_mut(&mut v, |i, _| assert_ne!(i, 5, "boom"));
+        for_each_on(4, &mut v, |i, _| assert_ne!(i, 5, "boom"));
     }
 
     #[test]
     fn set_threads_overrides_and_resets() {
         set_threads(3);
         assert_eq!(current_threads(), 3);
-        assert_eq!(Runtime::current().threads(), 3);
         set_threads(0);
         assert!(current_threads() >= 1);
     }
@@ -402,10 +289,9 @@ mod tests {
     #[test]
     fn for_each_mut_matches_sequential_at_any_thread_count() {
         for threads in [1, 2, 3, 8, 17] {
-            let rt = Runtime::new(threads);
-            for n in [0usize, 1, 2, 7, 64, 1000] {
+            for n in [0usize, 1, 2, 7, 64, 65, 1000] {
                 let mut par: Vec<u64> = (0..n as u64).collect();
-                rt.par_for_each_mut(&mut par, |i, x| *x = x.wrapping_mul(31) ^ i as u64);
+                for_each_on(threads, &mut par, |i, x| *x = x.wrapping_mul(31) ^ i as u64);
                 let seq: Vec<u64> = (0..n as u64).map(|x| x.wrapping_mul(31) ^ x).collect();
                 assert_eq!(par, seq, "threads={threads} n={n}");
             }
@@ -414,10 +300,9 @@ mod tests {
 
     #[test]
     fn for_each_mut_nested_inside_par_map_runs_inline() {
-        let rt = Runtime::new(4);
-        let out = rt.par_map_range(6, |i| {
+        let out = map_range_on(4, 6, |i| {
             let mut inner = vec![i; 8];
-            rt.par_for_each_mut(&mut inner, |j, x| *x += j);
+            for_each_on(4, &mut inner, |j, x| *x += j);
             inner.iter().sum::<usize>()
         });
         let expected: Vec<usize> = (0..6).map(|i| 8 * i + 28).collect();

@@ -7,11 +7,7 @@ use crate::graph::SimilarityGraph;
 /// Implementations in this crate are monotone and submodular, which is what
 /// gives the greedy algorithm its `(1 − 1/e)` guarantee; the property tests
 /// check both properties on random instances.
-///
-/// `Sync` is a supertrait so the greedy maximizer can evaluate marginal
-/// gains from several worker threads at once; objectives are read-only
-/// during maximization, so this costs implementors nothing.
-pub trait SubmodularFunction: Sync {
+pub trait SubmodularFunction {
     /// Number of elements in the ground set `V`.
     fn ground_size(&self) -> usize;
 

@@ -6,7 +6,6 @@
 //! verify against brute force.
 
 use crate::functions::SubmodularFunction;
-use bees_runtime::Runtime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -91,14 +90,10 @@ pub fn lazy_greedy_maximize(f: &dyn SubmodularFunction, budget: usize) -> Vec<us
     let n = f.ground_size();
     assert!(budget <= n, "budget {budget} exceeds ground set {n}");
     let mut selected: Vec<usize> = Vec::with_capacity(budget);
-    // Seed the heap with all first-round gains, computed in parallel (the
-    // heap's ordering does not depend on insertion order, so this is safe).
-    let gains = Runtime::current().par_map_range(n, |v| f.marginal_gain(&[], v));
-    let mut heap: BinaryHeap<LazyEntry> = gains
-        .into_iter()
-        .enumerate()
-        .map(|(v, gain)| LazyEntry {
-            gain,
+    // Seed the heap with all first-round gains.
+    let mut heap: BinaryHeap<LazyEntry> = (0..n)
+        .map(|v| LazyEntry {
+            gain: f.marginal_gain(&[], v),
             element: v,
             round: 0,
         })
