@@ -11,6 +11,7 @@
 
 use crate::args::ExpArgs;
 use crate::table::Table;
+use bees_core::schemes::EDR;
 use bees_core::BeesConfig;
 use bees_datasets::{Scene, SceneConfig, ViewJitter};
 use bees_features::orb::Orb;
@@ -73,8 +74,8 @@ impl AblationResult {
 pub fn run(args: &ExpArgs) -> AblationResult {
     let config = BeesConfig::default();
     let orb = Orb::new(config.orb);
-    let ssmm = Ssmm::new(config.ssmm);
-    let tw = config.tw.value(1.0);
+    let ssmm = Ssmm::default();
+    let tw = EDR.value(1.0);
     let scene_cfg = SceneConfig::default();
     let mut rows = Vec::new();
 

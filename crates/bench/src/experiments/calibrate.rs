@@ -1,6 +1,7 @@
 //! Threshold calibration: measures the similar/dissimilar Jaccard score
 //! distributions for both feature families on the current synthetic scenes
-//! and prints the constants `BeesConfig` should carry.
+//! and prints the constants the schemes should carry (`schemes::EDR` for
+//! BEES, `schemes::PCA_THRESHOLD` for SmartEye).
 //!
 //! This is the reproducible version of the hand-calibration recorded in
 //! `DESIGN.md` §5 — rerun it after changing scene parameters, the ORB
@@ -9,10 +10,11 @@
 use crate::args::ExpArgs;
 use crate::experiments::extract_groups;
 use crate::table::{f3, Table};
+use bees_core::schemes::{EDR, PCA_BASIS_SEED};
 use bees_core::BeesConfig;
 use bees_datasets::{kentucky_like, SceneConfig};
 use bees_features::orb::Orb;
-use bees_features::pca::PcaSift;
+use bees_features::pca::{PcaSift, PcaSiftConfig};
 use bees_features::similarity::{jaccard_similarity, SimilarityConfig};
 use bees_features::ImageFeatures;
 
@@ -79,8 +81,8 @@ impl CalibrationResult {
             "suggested EDR (ORB): T = {:.3} + {:.3} * Ebat   (config default: T = {:.3} + {:.3} * Ebat)",
             self.edr.0,
             self.edr.1,
-            BeesConfig::default().edr.intercept,
-            BeesConfig::default().edr.slope,
+            EDR.intercept,
+            EDR.slope,
         );
     }
 }
@@ -119,7 +121,7 @@ pub fn run(args: &ExpArgs) -> CalibrationResult {
     let groups = kentucky_like(args.seed, n_groups, SceneConfig::default());
 
     let orb = Orb::new(config.orb);
-    let pca = PcaSift::with_seeded_basis(config.pca_sift, config.pca_basis_seed);
+    let pca = PcaSift::with_seeded_basis(PcaSiftConfig::default(), PCA_BASIS_SEED);
     let orb_feats = extract_groups(&groups, &orb);
     let pca_feats = extract_groups(&groups, &pca);
 
@@ -139,6 +141,7 @@ pub fn run(args: &ExpArgs) -> CalibrationResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bees_core::schemes::PCA_THRESHOLD;
 
     #[test]
     fn measured_distributions_validate_config_defaults() {
@@ -150,10 +153,9 @@ mod tests {
         };
         let r = run(&args);
         let orb = &r.distributions[0];
-        // The config's EDR band must sit inside the measured gap.
-        let cfg = BeesConfig::default();
-        let t_low = cfg.edr.value(0.0);
-        let t_high = cfg.edr.value(1.0);
+        // The EDR band must sit inside the measured gap.
+        let t_low = EDR.value(0.0);
+        let t_high = EDR.value(1.0);
         assert!(
             t_low > orb.dissimilar_p90,
             "EDR floor {t_low} below dissimilar p90 {}",
@@ -166,7 +168,7 @@ mod tests {
         );
         // PCA threshold sits in PCA's gap.
         let pca = &r.distributions[1];
-        assert!(cfg.fixed_threshold_pca > pca.dissimilar_p90);
-        assert!(cfg.fixed_threshold_pca < pca.similar_p10);
+        assert!(PCA_THRESHOLD > pca.dissimilar_p90);
+        assert!(PCA_THRESHOLD < pca.similar_p10);
     }
 }

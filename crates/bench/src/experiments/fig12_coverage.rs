@@ -8,11 +8,11 @@
 
 use crate::args::ExpArgs;
 use crate::table::{pct, Table};
-use bees_core::schemes::{Bees, DirectUpload};
+use bees_core::schemes::{Bees, DirectUpload, CAMERA_QUALITY};
 use bees_core::sessions::{run_coverage, CoverageConfig, CoverageResult};
 use bees_core::BeesConfig;
 use bees_datasets::ParisConfig;
-use bees_energy::Battery;
+use bees_energy::{Battery, EnergyModel};
 use bees_net::BandwidthTrace;
 
 /// Full experiment result.
@@ -69,7 +69,7 @@ pub fn run(args: &ExpArgs) -> Fig12Result {
     // a first-class cost, not a rounding error next to the screen.
     let probe = bees_datasets::Scene::new(args.seed ^ 0xF112, scene)
         .render(&bees_datasets::ViewJitter::identity());
-    let camera_bytes = bees_image::codec::encoded_rgb_size(&probe, config.camera_quality)
+    let camera_bytes = bees_image::codec::encoded_rgb_size(&probe, CAMERA_QUALITY)
         .expect("valid camera quality") as f64;
     let upload_s = camera_bytes * 8.0 / 256_000.0;
     let interval_s = (group_size as f64 * upload_s * 1.35).max(10.0);
@@ -78,8 +78,9 @@ pub fn run(args: &ExpArgs) -> Fig12Result {
     // binding constraint (as in the paper).
     let per_phone = n_images / n_phones;
     let intervals_needed = (per_phone as f64 / group_size as f64).ceil();
-    let per_interval = interval_s * config.energy.idle_watts
-        + group_size as f64 * upload_s * config.energy.radio_tx_watts;
+    let energy = EnergyModel::default();
+    let per_interval =
+        interval_s * energy.idle_watts + group_size as f64 * upload_s * energy.radio_tx_watts;
     config.battery = Battery::from_joules(per_interval * intervals_needed / 3.0);
 
     let cov = CoverageConfig {

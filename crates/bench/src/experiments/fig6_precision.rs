@@ -9,10 +9,11 @@
 use crate::args::ExpArgs;
 use crate::experiments::{extract_queries, kentucky_index, top4_precision};
 use crate::table::{f3, Table};
+use bees_core::schemes::{EAC, PCA_BASIS_SEED};
 use bees_core::BeesConfig;
 use bees_datasets::{kentucky_like, SceneConfig};
 use bees_features::orb::Orb;
-use bees_features::pca::PcaSift;
+use bees_features::pca::{PcaSift, PcaSiftConfig};
 use bees_features::sift::Sift;
 use bees_features::FeatureExtractor;
 use bees_image::resize;
@@ -60,7 +61,7 @@ pub fn run(args: &ExpArgs) -> Fig6Result {
 
     let mut rows = Vec::new();
 
-    let sift = Sift::new(config.pca_sift.sift);
+    let sift = Sift::default();
     let p_sift = top4_precision(
         &kentucky_index(&groups, &config.similarity, &sift),
         &extract_queries(&groups, |g| sift.extract(g)),
@@ -71,7 +72,7 @@ pub fn run(args: &ExpArgs) -> Fig6Result {
         normalized: 1.0,
     });
 
-    let pca = PcaSift::with_seeded_basis(config.pca_sift, config.pca_basis_seed);
+    let pca = PcaSift::with_seeded_basis(PcaSiftConfig::default(), PCA_BASIS_SEED);
     let p_pca = top4_precision(
         &kentucky_index(&groups, &config.similarity, &pca),
         &extract_queries(&groups, |g| pca.extract(g)),
@@ -85,7 +86,7 @@ pub fn run(args: &ExpArgs) -> Fig6Result {
     let orb = Orb::new(config.orb);
     let orb_index = kentucky_index(&groups, &config.similarity, &orb);
     for ebat_pct in [100u32, 70, 40, 10] {
-        let c = config.eac.value(ebat_pct as f64 / 100.0);
+        let c = EAC.value(ebat_pct as f64 / 100.0);
         let queries = extract_queries(&groups, |g| {
             let compressed = resize::compress_bitmap(g, c).expect("valid proportion");
             orb.extract(&compressed)

@@ -8,11 +8,11 @@
 
 use crate::args::ExpArgs;
 use crate::table::{pct, Table};
-use bees_core::schemes::{Bees, DirectUpload, Mrc, SmartEye, UploadScheme};
+use bees_core::schemes::{Bees, DirectUpload, Mrc, SmartEye, UploadScheme, CAMERA_QUALITY};
 use bees_core::sessions::{run_lifetime_traced, LifetimeConfig, LifetimeResult};
 use bees_core::BeesConfig;
 use bees_datasets::SceneConfig;
-use bees_energy::Battery;
+use bees_energy::{Battery, EnergyModel};
 use bees_net::BandwidthTrace;
 use bees_telemetry::{JsonlSink, Telemetry};
 
@@ -83,13 +83,13 @@ pub fn run(args: &ExpArgs) -> Fig9Result {
     let scene = SceneConfig::default();
     let probe = bees_datasets::Scene::new(args.seed ^ 0xF1F9, scene)
         .render(&bees_datasets::ViewJitter::identity());
-    let camera_bytes = bees_image::codec::encoded_rgb_size(&probe, config.camera_quality)
+    let camera_bytes = bees_image::codec::encoded_rgb_size(&probe, CAMERA_QUALITY)
         .expect("valid camera quality") as f64;
     let group_upload_s = group_size as f64 * camera_bytes * 8.0 / 256_000.0;
     let interval_s = group_upload_s / 0.7;
     let intervals_direct = 12.0;
-    let per_interval =
-        interval_s * config.energy.idle_watts + group_upload_s * config.energy.radio_tx_watts;
+    let energy = EnergyModel::default();
+    let per_interval = interval_s * energy.idle_watts + group_upload_s * energy.radio_tx_watts;
     config.battery = Battery::from_joules(per_interval * intervals_direct);
 
     let lt = LifetimeConfig {

@@ -8,10 +8,11 @@
 
 use crate::args::ExpArgs;
 use crate::table::{kib, pct, Table};
+use bees_core::schemes::{CAMERA_QUALITY, PCA_BASIS_SEED};
 use bees_core::BeesConfig;
 use bees_datasets::{kentucky_like, ParisConfig, ParisLike, SceneConfig};
 use bees_features::orb::Orb;
-use bees_features::pca::PcaSift;
+use bees_features::pca::{PcaSift, PcaSiftConfig};
 use bees_features::sift::Sift;
 use bees_features::FeatureExtractor;
 use bees_image::RgbImage;
@@ -67,8 +68,8 @@ impl Table1Result {
 }
 
 fn measure(name: &str, images: &[RgbImage], config: &BeesConfig) -> SpaceRow {
-    let sift = Sift::new(config.pca_sift.sift);
-    let pca = PcaSift::with_seeded_basis(config.pca_sift, config.pca_basis_seed);
+    let sift = Sift::default();
+    let pca = PcaSift::with_seeded_basis(PcaSiftConfig::default(), PCA_BASIS_SEED);
     let orb = Orb::new(config.orb);
     let mut row = SpaceRow {
         imageset: name.to_string(),
@@ -81,8 +82,7 @@ fn measure(name: &str, images: &[RgbImage], config: &BeesConfig) -> SpaceRow {
     let sizes = bees_runtime::par_map(images, |img| {
         let gray = img.to_gray();
         [
-            bees_image::codec::encoded_rgb_size(img, config.camera_quality)
-                .expect("valid camera quality"),
+            bees_image::codec::encoded_rgb_size(img, CAMERA_QUALITY).expect("valid camera quality"),
             sift.extract(&gray).wire_size(),
             pca.extract(&gray).wire_size(),
             orb.extract(&gray).wire_size(),

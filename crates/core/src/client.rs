@@ -31,7 +31,7 @@ pub struct Client {
     /// Absolute virtual-time deadline of the device's current airtime
     /// grant; resumable transfers abandon (not retry) past it.
     grant_deadline_s: Option<f64>,
-    /// Transfers abandoned at a virtual-time deadline so far.
+    /// Transfers abandoned at the grant deadline so far.
     deadline_abandons: u64,
 }
 
@@ -63,11 +63,7 @@ impl Client {
             },
             other => other.clone(),
         };
-        let channel = Channel::new(trace)
-            .with_stall_limit(config.stall_limit_s)
-            .map_err(|e| CoreError::InvalidConfig {
-                detail: e.to_string(),
-            })?;
+        let channel = Channel::new(trace);
         let fault_seed = config.fault.seed ^ id.wrapping_mul(0x2545_F491_4F6C_DD1D);
         Ok(Client {
             id,
@@ -77,7 +73,7 @@ impl Client {
             channel: FaultyChannel::new(channel, config.fault.reseeded(fault_seed)),
             retry: config.retry,
             fault_seed,
-            energy: config.energy,
+            energy: EnergyModel::default(),
             telemetry: Telemetry::disabled(),
             grant_deadline_s: None,
             deadline_abandons: 0,
@@ -137,9 +133,8 @@ impl Client {
         self.channel.channel().rate_override_bps()
     }
 
-    /// Transfers abandoned at a virtual-time deadline (grant expiry or
-    /// [`RetryPolicy::transfer_deadline_s`]) so far — the zombie retries
-    /// that were *not* made.
+    /// Transfers abandoned at their airtime grant's deadline so far — the
+    /// zombie retries that were *not* made.
     pub fn deadline_abandons(&self) -> u64 {
         self.deadline_abandons
     }
@@ -325,15 +320,9 @@ impl Client {
         salvage: bool,
     ) -> Result<ResumableOutcome> {
         let start = self.clock.now();
-        // The transfer's virtual-time deadline: the earlier of the airtime
-        // grant's expiry and the policy's per-transfer cap, when either is
-        // set.
-        let deadline = match (self.grant_deadline_s, self.retry.transfer_deadline_s) {
-            (Some(g), Some(d)) => Some(g.min(start + d)),
-            (Some(g), None) => Some(g),
-            (None, Some(d)) => Some(start + d),
-            (None, None) => None,
-        };
+        // The transfer's virtual-time deadline: the airtime grant's expiry,
+        // when one is set.
+        let deadline = self.grant_deadline_s;
         if self.channel.faults().is_none() && deadline.is_none() {
             let duration = self.transmit(category, bytes)?;
             return Ok(ResumableOutcome::Complete(TransmitSummary {
@@ -424,10 +413,11 @@ impl Client {
             } else {
                 (outcome.delivered_bytes / chunk) * chunk
             };
-            // CRC-verify every delivered transport chunk (deterministic
-            // stand-in for `wire::verify_chunk` on the receiver): a corrupt
-            // chunk is detected, it and everything after it are
-            // re-requested, and it must never reach the decoder.
+            // The receiver checks every delivered transport chunk against
+            // its CRC trailer; which chunks arrived corrupt is drawn from
+            // the fault model. A corrupt chunk is detected, it and
+            // everything after it are re-requested, and it must never
+            // reach the decoder.
             let mut fault = outcome.fault;
             if self.channel.faults().corrupt_probability > 0.0 {
                 let base = (confirmed / chunk) as u64;
@@ -1006,27 +996,6 @@ mod tests {
     }
 
     #[test]
-    fn policy_transfer_deadline_works_without_a_grant() {
-        let mut cfg = config();
-        cfg.battery = bees_energy::Battery::from_joules(1e9);
-        cfg.fault = bees_net::FaultModel::new(2, 0.0, 1e-12, 1e9, 1.0).unwrap();
-        cfg.retry.attempt_timeout_s = Some(1.0);
-        cfg.retry.max_attempts = 200;
-        cfg.retry.transfer_deadline_s = Some(2.5);
-        let mut c = Client::try_new(0, &cfg).unwrap();
-        // Burn some clock first: the policy deadline is *relative* to the
-        // transfer start, unlike the absolute grant deadline.
-        c.idle(100.0).unwrap();
-        let err = c.transmit_resumable(EnergyCategory::ImageUpload, 10_000_000);
-        assert!(matches!(
-            err,
-            Err(CoreError::Net(NetError::RetriesExhausted { .. }))
-        ));
-        assert_eq!(c.deadline_abandons(), 1);
-        assert!(c.now() <= 102.5 + 1e-9, "clock at {}", c.now());
-    }
-
-    #[test]
     fn clearing_the_grant_deadline_restores_plain_behavior() {
         let cfg = config();
         let mut gated = Client::try_new(7, &cfg).unwrap();
@@ -1060,19 +1029,13 @@ mod tests {
     #[test]
     fn invalid_config_is_a_typed_error() {
         let mut cfg = config();
-        cfg.stall_limit_s = -1.0;
+        cfg.retry.max_attempts = 0;
         assert!(matches!(
             Client::try_new(0, &cfg),
             Err(CoreError::InvalidConfig { .. })
         ));
         let mut cfg2 = config();
-        cfg2.retry.max_attempts = 0;
-        assert!(matches!(
-            Client::try_new(0, &cfg2),
-            Err(CoreError::InvalidConfig { .. })
-        ));
-        let mut cfg3 = config();
-        cfg3.fault.drop_probability = 2.0;
-        assert!(Client::try_new(0, &cfg3).is_err());
+        cfg2.fault.drop_probability = 2.0;
+        assert!(Client::try_new(0, &cfg2).is_err());
     }
 }

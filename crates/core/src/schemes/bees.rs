@@ -24,7 +24,7 @@
 //! ORB, and both redundancy eliminations still apply.
 
 use crate::schemes::stages::{Batch, Delivery};
-use crate::schemes::{BatchCtx, SchemeKind, UploadScheme};
+use crate::schemes::{BatchCtx, SchemeKind, UploadScheme, CAMERA_QUALITY};
 use crate::{
     BatchReport, BeesConfig, Client, IngestRequest, PartialImage, Result, RetrievalQuery,
     UploadTier,
@@ -40,6 +40,22 @@ use bees_net::wire;
 use bees_submodular::{SimilarityGraph, Ssmm};
 use bees_telemetry::names;
 
+/// EAC (§III-A): the bitmap compression proportion `C = 0.4 − 0.4·Ebat`.
+pub const EAC: LinearScheme = LinearScheme::eac();
+/// EDR (§III-B1): the cross-batch similarity threshold `T = T0 + k·Ebat`,
+/// also SSMM's partition threshold `Tw`, which the paper gives the same
+/// form. `(T0, k) = (0.12, 0.03)` is calibrated from our measured score
+/// distribution (similar pairs score >= ~0.16, dissimilar <= ~0.11 on the
+/// synthetic Kentucky set; see `fig4_distribution`): T in [0.12, 0.15], so
+/// the floor still clears the dissimilar maximum.
+pub const EDR: LinearScheme = LinearScheme::edr(0.12, 0.03);
+/// EAU (§III-C): the resolution compression proportion `Cr = 0.8 − 0.8·Ebat`.
+pub const EAU: LinearScheme = LinearScheme::eau();
+/// Codec quality of AIU's progressive uploads: the paper's fixed 0.85
+/// quality-compression proportion (§III-C) through
+/// [`BeesConfig::quality_for_proportion`].
+const UPLOAD_QUALITY: u8 = 15;
+
 /// Resolution-compression proportion of the degraded (thumbnail) upload
 /// tried after the full-quality upload exhausts its retries: 75 % of the
 /// pixel information is discarded.
@@ -51,14 +67,7 @@ const THUMBNAIL_QUALITY: u8 = 20;
 /// The BEES scheme (or BEES-EA when adaptation is disabled).
 pub struct Bees {
     extractor: Orb,
-    eac: LinearScheme,
-    edr: LinearScheme,
-    tw: LinearScheme,
-    eau: LinearScheme,
-    ssmm: Ssmm,
     similarity: bees_features::similarity::SimilarityConfig,
-    upload_quality: u8,
-    camera_quality: u8,
     adaptive: bool,
     salvage_partials: bool,
     chunk_bytes: usize,
@@ -79,14 +88,7 @@ impl Bees {
     fn build(config: &BeesConfig, adaptive: bool) -> Self {
         Bees {
             extractor: Orb::new(config.orb),
-            eac: config.eac,
-            edr: config.edr,
-            tw: config.tw,
-            eau: config.eau,
-            ssmm: Ssmm::new(config.ssmm),
             similarity: config.similarity,
-            upload_quality: config.upload_quality(),
-            camera_quality: config.camera_quality,
             adaptive,
             salvage_partials: config.salvage_partials,
             chunk_bytes: config.retry.chunk_bytes,
@@ -107,7 +109,7 @@ impl Bees {
     fn stages(&self, b: &mut Batch<'_, '_>) -> Result<()> {
         let tier = b.ctx.tier();
         // ---- Stage 1: Approximate Feature Extraction --------------------
-        let eac = |client: &Client| self.eac.value(self.effective_ebat(client));
+        let eac = |client: &Client| EAC.value(self.effective_ebat(client));
         let features = b.extract(&self.extractor, Some(&eac))?;
 
         // ---- Stage 2: Cross-Batch Redundancy Detection -------------------
@@ -118,7 +120,7 @@ impl Bees {
         let redundant = b.query(
             features.iter().map(ImageFeatures::wire_size).sum(),
             features.iter().map(|f| RetrievalQuery::new().similar_to(f)),
-            |client| self.edr.value(self.effective_ebat(client)),
+            |client| EDR.value(self.effective_ebat(client)),
             tier == UploadTier::Defer,
             false,
         )?;
@@ -147,8 +149,8 @@ impl Bees {
                     &self.similarity,
                 )
             });
-            let tw = self.tw.value(self.effective_ebat(client));
-            let summary = self.ssmm.summarize(&graph, tw);
+            let tw = EDR.value(self.effective_ebat(client));
+            let summary = Ssmm::default().summarize(&graph, tw);
             b.report.skipped_in_batch = survivors.len() - summary.selected.len();
             summary
                 .selected
@@ -201,11 +203,11 @@ impl Bees {
         if !matches!(tier, UploadTier::Full | UploadTier::PartialScans) {
             return selected.iter().map(|_| None).collect();
         }
-        let cr = self.eau.value(self.effective_ebat(b.ctx.client));
-        let (batch, quality) = (b.ctx.batch, self.upload_quality);
+        let cr = EAU.value(self.effective_ebat(b.ctx.client));
+        let batch = b.ctx.batch;
         bees_runtime::par_map(selected, |&i| {
             let shrunk = resize::compress_resolution_rgb(&batch[i], cr).ok()?;
-            let full = progressive::encode_progressive_rgb(&shrunk, quality).ok()?;
+            let full = progressive::encode_progressive_rgb(&shrunk, UPLOAD_QUALITY).ok()?;
             Some((shrunk, full))
         })
     }
@@ -244,9 +246,9 @@ impl Bees {
         tier: UploadTier,
         guess: Option<Encoded>,
     ) -> Result<bool> {
-        let cr = self.eau.value(self.effective_ebat(b.ctx.client));
+        let cr = EAU.value(self.effective_ebat(b.ctx.client));
         let (shrunk, full) = shrink_encode(b, i, cr, guess, |shrunk| {
-            progressive::encode_progressive_rgb(shrunk, self.upload_quality)
+            progressive::encode_progressive_rgb(shrunk, UPLOAD_QUALITY)
         })?;
         // A PartialScans grant transmits only a prefix of the progressive
         // stream; whatever it delivers is ingested through the
@@ -355,7 +357,7 @@ impl Bees {
             // The catalog bills a later pull-down for the stored
             // camera-quality photo file; encoding happened at capture, so
             // sizing it costs no CPU here.
-            let file_bytes = codec::encoded_rgb_size(&b.ctx.batch[i], self.camera_quality)?;
+            let file_bytes = codec::encoded_rgb_size(&b.ctx.batch[i], CAMERA_QUALITY)?;
             b.ingest(
                 i,
                 IngestRequest::on_device(device, file_bytes).with_features(features.clone()),
@@ -444,6 +446,11 @@ mod tests {
             n_shapes: 10,
             texture_amp: 8.0,
         }
+    }
+
+    #[test]
+    fn upload_quality_is_the_papers_quality_proportion() {
+        assert_eq!(BeesConfig::quality_for_proportion(0.85), UPLOAD_QUALITY);
     }
 
     #[test]

@@ -30,16 +30,13 @@ use bees_features::ImageFeatures;
 /// # }
 /// ```
 #[derive(Debug, Clone, Copy)]
-pub struct DirectUpload {
-    camera_quality: u8,
-}
+pub struct DirectUpload;
 
 impl DirectUpload {
-    /// Creates the scheme with the configured stored-photo quality.
-    pub fn new(config: &crate::BeesConfig) -> Self {
-        DirectUpload {
-            camera_quality: config.camera_quality,
-        }
+    /// Creates the scheme. It reads nothing from the configuration; the
+    /// parameter keeps every scheme's constructor alike.
+    pub fn new(_config: &crate::BeesConfig) -> Self {
+        DirectUpload
     }
 }
 
@@ -54,7 +51,7 @@ impl UploadScheme for DirectUpload {
                 // Direct Upload carries no features; the server stores an
                 // empty feature set (it performs no deduplication for this
                 // scheme).
-                b.upload_verbatim(i, self.camera_quality, |request| {
+                b.upload_verbatim(i, |request| {
                     request.with_features(ImageFeatures::empty_binary())
                 })?;
                 // A battery that dies mid-batch still reports the delay of

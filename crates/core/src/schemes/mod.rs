@@ -26,17 +26,23 @@ mod photonet;
 mod smarteye;
 mod stages;
 
-pub use bees::Bees;
+pub use bees::{Bees, EAC, EAU, EDR};
 pub use direct::DirectUpload;
 pub use mrc::Mrc;
 pub use photonet::PhotoNetLike;
-pub use smarteye::SmartEye;
+pub use smarteye::{SmartEye, PCA_BASIS_SEED, PCA_THRESHOLD};
 
 use crate::{BatchReport, BeesConfig, Client, CoreError, Result, Server, UploadTier};
 use bees_image::RgbImage;
 use bees_telemetry::Telemetry;
 use std::fmt;
 use std::str::FromStr;
+
+/// Codec quality of the photo files stored on the phone: what Direct
+/// Upload, PhotoNet-like, SmartEye and MRC transmit verbatim, and what a
+/// deferred BEES image is billed at when it is pulled down later. The
+/// analogue of the paper's ~700 KB camera JPEGs.
+pub const CAMERA_QUALITY: u8 = 90;
 
 /// Identifies a scheme in reports and experiment output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -11,12 +11,13 @@ use crate::schemes::{BatchCtx, SchemeKind, UploadScheme};
 use crate::{BatchReport, BeesConfig, Result};
 use bees_features::orb::Orb;
 
+/// MRC's fixed ORB similarity threshold (no adaptation).
+const THRESHOLD: f64 = 0.12;
+
 /// The MRC scheme.
 #[derive(Debug)]
 pub struct Mrc {
     extractor: Orb,
-    threshold: f64,
-    camera_quality: u8,
 }
 
 impl Mrc {
@@ -24,8 +25,6 @@ impl Mrc {
     pub fn new(config: &BeesConfig) -> Self {
         Mrc {
             extractor: Orb::new(config.orb),
-            threshold: config.fixed_threshold,
-            camera_quality: config.camera_quality,
         }
     }
 }
@@ -37,7 +36,7 @@ impl UploadScheme for Mrc {
 
     fn upload(&self, ctx: &mut BatchCtx<'_>) -> Result<BatchReport> {
         Batch::run(self.kind(), ctx, |b| {
-            b.traditional(&self.extractor, self.threshold, true, self.camera_quality)
+            b.traditional(&self.extractor, THRESHOLD, true)
         })
     }
 }

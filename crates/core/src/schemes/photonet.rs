@@ -21,20 +21,20 @@ use bees_features::global::ColorHistogram;
 use bees_image::RgbImage;
 use bees_telemetry::names;
 
+/// Histogram-intersection threshold of the global-feature dedup:
+/// conservatively high, since histograms overlap badly across scenes,
+/// which is the paper's argument for local features.
+const THRESHOLD: f64 = 0.85;
+
 /// The PhotoNet-like scheme.
 #[derive(Debug, Clone, Copy)]
-pub struct PhotoNetLike {
-    threshold: f64,
-    camera_quality: u8,
-}
+pub struct PhotoNetLike;
 
 impl PhotoNetLike {
-    /// Builds the scheme from the system configuration.
-    pub fn new(config: &BeesConfig) -> Self {
-        PhotoNetLike {
-            threshold: config.histogram_threshold,
-            camera_quality: config.camera_quality,
-        }
+    /// Builds the scheme. It reads nothing from the configuration; the
+    /// parameter keeps every scheme's constructor alike.
+    pub fn new(_config: &BeesConfig) -> Self {
+        PhotoNetLike
     }
 }
 
@@ -73,7 +73,7 @@ impl UploadScheme for PhotoNetLike {
                 histograms
                     .iter()
                     .map(|h| RetrievalQuery::new().similar_to_histogram(h)),
-                |_| self.threshold,
+                |_| THRESHOLD,
                 false,
                 false,
             )?;
@@ -81,7 +81,7 @@ impl UploadScheme for PhotoNetLike {
             // 3. Upload the unique images verbatim.
             for (i, h) in histograms.into_iter().enumerate() {
                 if !redundant[i] {
-                    b.upload_verbatim(i, self.camera_quality, |request| request.with_histogram(h))?;
+                    b.upload_verbatim(i, |request| request.with_histogram(h))?;
                 }
             }
             Ok(())

@@ -8,24 +8,29 @@
 use crate::schemes::stages::Batch;
 use crate::schemes::{BatchCtx, SchemeKind, UploadScheme};
 use crate::{BatchReport, BeesConfig, PreloadBatch, Result, Server};
-use bees_features::pca::PcaSift;
+use bees_features::pca::{PcaSift, PcaSiftConfig};
 use bees_image::RgbImage;
+
+/// Seed of the deterministic orthonormal basis SmartEye's PCA-SIFT
+/// projects onto.
+pub const PCA_BASIS_SEED: u64 = 0xBEE5;
+/// SmartEye's fixed PCA-SIFT similarity threshold. Vector descriptors
+/// produce a different score distribution than binary ones, so it is
+/// calibrated apart from MRC's ORB threshold (see `calibrate`).
+pub const PCA_THRESHOLD: f64 = 0.15;
 
 /// The SmartEye scheme.
 pub struct SmartEye {
     extractor: PcaSift,
-    threshold: f64,
-    camera_quality: u8,
 }
 
 impl SmartEye {
-    /// Builds SmartEye from the system configuration (PCA-SIFT with the
-    /// configured deterministic basis).
-    pub fn new(config: &BeesConfig) -> Self {
+    /// Builds SmartEye (PCA-SIFT on the [`PCA_BASIS_SEED`] basis). Its
+    /// extractor reads nothing from the configuration; the parameter keeps
+    /// every scheme's constructor alike.
+    pub fn new(_config: &BeesConfig) -> Self {
         SmartEye {
-            extractor: PcaSift::with_seeded_basis(config.pca_sift, config.pca_basis_seed),
-            threshold: config.fixed_threshold_pca,
-            camera_quality: config.camera_quality,
+            extractor: PcaSift::with_seeded_basis(PcaSiftConfig::default(), PCA_BASIS_SEED),
         }
     }
 }
@@ -37,7 +42,7 @@ impl UploadScheme for SmartEye {
 
     fn upload(&self, ctx: &mut BatchCtx<'_>) -> Result<BatchReport> {
         Batch::run(self.kind(), ctx, |b| {
-            b.traditional(&self.extractor, self.threshold, false, self.camera_quality)
+            b.traditional(&self.extractor, PCA_THRESHOLD, false)
         })
     }
 

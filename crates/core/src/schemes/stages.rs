@@ -9,7 +9,7 @@
 //! [`Batch::deliver`], the one writer of the report's attempt and
 //! CRC-catch counters.
 
-use crate::schemes::{BatchCtx, SchemeKind};
+use crate::schemes::{BatchCtx, SchemeKind, CAMERA_QUALITY};
 use crate::{
     BatchReport, Client, CoreError, IngestRequest, Result, ResumableOutcome, RetrievalQuery,
     SalvageSummary,
@@ -235,16 +235,15 @@ impl<'c, 'a> Batch<'c, 'a> {
     }
 
     /// The verbatim upload of Fig. 1: sends image `i`'s stored photo file
-    /// (encoded at `camera_quality` at capture time, so no CPU is charged)
-    /// and ingests it in full, under the key `keyed` attaches. A transfer
-    /// that exhausts its retries defers the image.
+    /// (encoded at [`CAMERA_QUALITY`] at capture time, so no CPU is
+    /// charged) and ingests it in full, under the key `keyed` attaches. A
+    /// transfer that exhausts its retries defers the image.
     pub fn upload_verbatim(
         &mut self,
         i: usize,
-        camera_quality: u8,
         keyed: impl FnOnce(IngestRequest) -> IngestRequest,
     ) -> Result<()> {
-        let payload = codec::encoded_rgb_size(&self.ctx.batch[i], camera_quality)?;
+        let payload = codec::encoded_rgb_size(&self.ctx.batch[i], CAMERA_QUALITY)?;
         let bytes = wire::image_upload_bytes(payload);
         if let Delivery::Delivered = self.deliver(EnergyCategory::ImageUpload, bytes, false)? {
             self.report.uplink_bytes += bytes;
@@ -266,7 +265,6 @@ impl<'c, 'a> Batch<'c, 'a> {
         extractor: &dyn FeatureExtractor,
         threshold: f64,
         thumbnail_feedback: bool,
-        camera_quality: u8,
     ) -> Result<()> {
         let features = self.extract(extractor, None)?;
         let redundant = self.query(
@@ -278,7 +276,7 @@ impl<'c, 'a> Batch<'c, 'a> {
         )?;
         for (i, f) in features.into_iter().enumerate() {
             if !redundant[i] {
-                self.upload_verbatim(i, camera_quality, |request| request.with_features(f))?;
+                self.upload_verbatim(i, |request| request.with_features(f))?;
             }
         }
         Ok(())

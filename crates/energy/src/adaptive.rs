@@ -42,35 +42,20 @@ impl LinearScheme {
     ///
     /// # Panics
     ///
-    /// Panics if `min > max` or any parameter is not finite.
-    pub fn new(intercept: f64, slope: f64, min: f64, max: f64) -> Self {
-        let scheme = LinearScheme {
+    /// Panics if any parameter is not finite or `min > max` (in a `const`
+    /// initializer, that is a compile error).
+    pub const fn new(intercept: f64, slope: f64, min: f64, max: f64) -> Self {
+        assert!(
+            intercept.is_finite() && slope.is_finite() && min.is_finite() && max.is_finite(),
+            "scheme parameters must be finite"
+        );
+        assert!(min <= max, "min must not exceed max");
+        LinearScheme {
             intercept,
             slope,
             min,
             max,
-        };
-        if let Err(rule) = scheme.validate() {
-            panic!("{rule}");
         }
-        scheme
-    }
-
-    /// Checks the rules [`LinearScheme::new`] enforces, for a scheme built
-    /// from its public fields: every parameter finite and `min <= max`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the rule the scheme breaks.
-    pub fn validate(&self) -> Result<(), &'static str> {
-        let params = [self.intercept, self.slope, self.min, self.max];
-        if !params.iter().all(|p| p.is_finite()) {
-            return Err("scheme parameters must be finite");
-        }
-        if self.min > self.max {
-            return Err("min must not exceed max");
-        }
-        Ok(())
     }
 
     /// Control value for a battery fraction `ebat`, clamped into `[0, 1]`
@@ -79,19 +64,14 @@ impl LinearScheme {
     /// # Panics
     ///
     /// Panics if `min > max` or either is NaN, which
-    /// [`validate`](LinearScheme::validate) rejects.
+    /// [`new`](LinearScheme::new) rejects.
     pub fn value(&self, ebat: f64) -> f64 {
         let e = ebat.clamp(0.0, 1.0);
         (self.intercept + self.slope * e).clamp(self.min, self.max)
     }
 
-    /// A constant scheme (ignores `ebat`) — what BEES-EA effectively runs.
-    pub fn constant(value: f64) -> Self {
-        LinearScheme::new(value, 0.0, value, value)
-    }
-
     /// EAC: bitmap compression proportion `C = 0.4 − 0.4·Ebat` (§III-A).
-    pub fn eac() -> Self {
+    pub const fn eac() -> Self {
         LinearScheme::new(0.4, -0.4, 0.0, 0.9)
     }
 
@@ -99,13 +79,13 @@ impl LinearScheme {
     /// constants for its OpenCV-ORB score distribution are
     /// `t0 = 0.013, k = 0.006`; ours are re-derived from our measured
     /// distribution the same way (see `fig4_distribution`).
-    pub fn edr(t0: f64, k: f64) -> Self {
+    pub const fn edr(t0: f64, k: f64) -> Self {
         LinearScheme::new(t0, k, 0.0, 1.0)
     }
 
     /// EAU: resolution compression proportion `Cr = 0.8 − 0.8·Ebat`
     /// (§III-C).
-    pub fn eau() -> Self {
+    pub const fn eau() -> Self {
         LinearScheme::new(0.8, -0.8, 0.0, 0.9)
     }
 }
@@ -149,13 +129,6 @@ mod tests {
         // Out-of-range ebat clamps too.
         assert_eq!(s.value(5.0), 0.9);
         assert_eq!(s.value(-1.0), 0.1);
-    }
-
-    #[test]
-    fn constant_scheme_ignores_ebat() {
-        let s = LinearScheme::constant(0.42);
-        assert_eq!(s.value(0.0), 0.42);
-        assert_eq!(s.value(1.0), 0.42);
     }
 
     #[test]

@@ -17,11 +17,12 @@
 //! `rustc` targets baseline `x86-64` by default, which predates the
 //! `POPCNT` instruction, so `u64::count_ones()` compiles to a ~15-op
 //! bit-twiddling sequence per word. The scan therefore comes in three
-//! tiers selected once at runtime via `is_x86_feature_detected!`: a
-//! portable fallback, a `#[target_feature(enable = "popcnt")]` scalar
-//! variant with explicit `_popcnt64` intrinsics, and — where the CPU has
-//! AVX-512VPOPCNTDQ — a `VPOPCNTQ` variant that counts eight words (two
-//! whole descriptors) per instruction. Every tier returns exactly the same
+//! tiers selected once at runtime via `is_x86_feature_detected!`. The two
+//! scalar tiers share one `#[inline(always)]` body: its portable build, and
+//! a `#[target_feature(enable = "popcnt")]` shell that inlines it so
+//! `count_ones()` compiles to one `POPCNT` per word. Where the CPU has
+//! AVX-512VPOPCNTDQ, a `VPOPCNTQ` variant counts eight words (two whole
+//! descriptors) per instruction. Every tier returns exactly the same
 //! answer, so the dispatch moves throughput, never results.
 //!
 //! The scalar tiers early-exit the word loop of each candidate once the
@@ -162,12 +163,12 @@ impl DescriptorBlock {
                     // SAFETY: POPCNT support was verified at runtime.
                     unsafe { nearest_popcnt(&self.words, query, cap) }
                 } else {
-                    nearest_generic(&self.words, query, cap)
+                    nearest(&self.words, query, cap)
                 }
             }
             #[cfg(not(target_arch = "x86_64"))]
             {
-                nearest_generic(&self.words, query, cap)
+                nearest(&self.words, query, cap)
             }
         };
         (best.0 != usize::MAX).then_some(best)
@@ -191,9 +192,11 @@ fn vpopcnt_available() -> bool {
         && std::arch::is_x86_feature_detected!("avx512vpopcntdq")
 }
 
-/// Portable pruned nearest-neighbor kernel; returns
-/// `(usize::MAX, u32::MAX)` when nothing lies within `cap`.
-fn nearest_generic(words: &[u64], q: [u64; 4], cap: u32) -> (usize, u32) {
+/// The pruned nearest-neighbor scan of the scalar tiers; returns
+/// `(usize::MAX, u32::MAX)` when nothing lies within `cap`. Always inlined,
+/// so each tier compiles it with its own target features.
+#[inline(always)]
+fn nearest(words: &[u64], q: [u64; 4], cap: u32) -> (usize, u32) {
     let mut best = (usize::MAX, u32::MAX);
     let mut bound = cap;
     for (i, w) in words.chunks_exact(WORDS_PER_DESCRIPTOR).enumerate() {
@@ -212,8 +215,7 @@ fn nearest_generic(words: &[u64], q: [u64; 4], cap: u32) -> (usize, u32) {
     best
 }
 
-/// Hardware-popcount pruned nearest-neighbor kernel (same algorithm as
-/// [`nearest_generic`]).
+/// [`nearest`] compiled with `POPCNT` enabled.
 ///
 /// # Safety
 ///
@@ -221,23 +223,7 @@ fn nearest_generic(words: &[u64], q: [u64; 4], cap: u32) -> (usize, u32) {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "popcnt")]
 unsafe fn nearest_popcnt(words: &[u64], q: [u64; 4], cap: u32) -> (usize, u32) {
-    use std::arch::x86_64::_popcnt64;
-    let mut best = (usize::MAX, u32::MAX);
-    let mut bound = cap;
-    for (i, w) in words.chunks_exact(WORDS_PER_DESCRIPTOR).enumerate() {
-        let d01 = (_popcnt64((q[0] ^ w[0]) as i64) + _popcnt64((q[1] ^ w[1]) as i64)) as u32;
-        if d01 > bound {
-            continue;
-        }
-        let d = d01 + (_popcnt64((q[2] ^ w[2]) as i64) + _popcnt64((q[3] ^ w[3]) as i64)) as u32;
-        // `d <= bound` keeps the result inside `cap`; `d < best.1` keeps
-        // ties broken toward the lower index.
-        if d <= bound && d < best.1 {
-            best = (i, d);
-            bound = d;
-        }
-    }
-    best
+    nearest(words, q, cap)
 }
 
 /// AVX-512 vector-popcount nearest-neighbor kernel: full scan (no
@@ -366,7 +352,7 @@ mod tests {
     fn every_nearest_tier_matches_the_first_argmin_reference() {
         type Kernel = fn(&[u64], [u64; 4], u32) -> (usize, u32);
         #[allow(unused_mut)] // only x86-64 adds tiers
-        let mut tiers: Vec<(&str, Kernel)> = vec![("generic", nearest_generic)];
+        let mut tiers: Vec<(&str, Kernel)> = vec![("generic", nearest)];
         #[cfg(target_arch = "x86_64")]
         {
             if popcnt_available() {

@@ -61,23 +61,6 @@ impl ColorHistogram {
             .sum()
     }
 
-    /// Chi-squared distance (0 for identical distributions; larger is more
-    /// different). Offered for callers that prefer a distance.
-    pub fn chi_squared(&self, other: &ColorHistogram) -> f64 {
-        self.cells
-            .iter()
-            .zip(&other.cells)
-            .map(|(&a, &b)| {
-                let s = a + b;
-                if s > 0.0 {
-                    ((a - b) * (a - b) / s) as f64
-                } else {
-                    0.0
-                }
-            })
-            .sum()
-    }
-
     /// Wire size in bytes (PhotoNet uploads these instead of images).
     pub const WIRE_SIZE: usize = HISTOGRAM_CELLS * 4;
 
@@ -113,14 +96,6 @@ mod tests {
         assert!((a.intersection(&a) - 1.0).abs() < 1e-5);
         assert!((a.intersection(&b) - b.intersection(&a)).abs() < 1e-9);
         assert!(a.intersection(&b) < a.intersection(&a));
-    }
-
-    #[test]
-    fn chi_squared_zero_iff_identical() {
-        let a = ColorHistogram::from_image(&gradient());
-        assert!(a.chi_squared(&a) < 1e-9);
-        let shifted = RgbImage::from_fn(32, 32, |x, y| Rgb::new((y * 8) as u8, (x * 8) as u8, 10));
-        assert!(a.chi_squared(&ColorHistogram::from_image(&shifted)) > 0.01);
     }
 
     #[test]

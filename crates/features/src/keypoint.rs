@@ -43,13 +43,6 @@ impl Keypoint {
         }
     }
 
-    /// Euclidean distance to another keypoint in original-image pixels.
-    pub fn distance_to(&self, other: &Keypoint) -> f32 {
-        let dx = self.x - other.x;
-        let dy = self.y - other.y;
-        (dx * dx + dy * dy).sqrt()
-    }
-
     /// Serialized size in bytes when uploading keypoint geometry alongside
     /// descriptors (x, y as f32 plus angle as a quantized byte and the
     /// octave byte).
@@ -65,14 +58,6 @@ impl Default for Keypoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn distance_is_euclidean() {
-        let a = Keypoint::new(0.0, 0.0);
-        let b = Keypoint::new(3.0, 4.0);
-        assert!((a.distance_to(&b) - 5.0).abs() < 1e-6);
-        assert!((b.distance_to(&a) - 5.0).abs() < 1e-6);
-    }
 
     #[test]
     fn default_matches_new_origin() {

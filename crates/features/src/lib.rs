@@ -18,8 +18,8 @@
 //! * [`orb`] — the assembled ORB extractor,
 //! * [`sift`] — a difference-of-Gaussians SIFT with 128-d gradient-histogram
 //!   descriptors,
-//! * [`pca`] — PCA-SIFT: gradient patches projected to 36 dimensions with a
-//!   from-scratch Jacobi eigensolver ([`math`]),
+//! * [`pca`] — PCA-SIFT: gradient patches projected to 36 dimensions on a
+//!   seeded orthonormal basis (no training pass, no eigensolver),
 //! * [`matcher`] — brute-force Hamming / L2 matching with cross-checking,
 //! * [`block`] — flat SoA descriptor storage ([`DescriptorBlock`]), the one
 //!   format of every binary descriptor set, scanned by the batched popcount
@@ -50,7 +50,6 @@ pub mod global;
 pub mod harris;
 pub mod keypoint;
 pub mod matcher;
-pub mod math;
 pub mod orb;
 pub mod orientation;
 pub mod pca;

@@ -7,16 +7,16 @@
 //! The paper also notes PCA-SIFT "increases the time of computing features",
 //! which the energy model reflects.
 //!
-//! The basis comes from an eigendecomposition of the gradient-patch
-//! covariance ([`math::power_iteration_topk`]); it can be trained on any
-//! image sample ([`PcaSift::train`]) or constructed as a deterministic
-//! random orthonormal projection ([`PcaSift::with_seeded_basis`]) when a
-//! training pass is not worth its cost.
+//! The projection is a deterministic random orthonormal basis
+//! ([`PcaSift::with_seeded_basis`]): Gram–Schmidt over seeded Gaussian
+//! vectors, a Johnson–Lindenstrauss-style projection that approximately
+//! preserves patch distances. There is no training pass and no
+//! eigensolver; PCA-SIFT is a comparator here, and a seeded basis keeps
+//! its descriptor size and cost while every run stays reproducible.
 
 use crate::descriptor::{Descriptors, ImageFeatures, VectorDescriptor};
 use crate::extractor::{ExtractionStats, ExtractorKind, FeatureExtractor};
 use crate::keypoint::Keypoint;
-use crate::math::{self, Matrix};
 use crate::sift::{ScaleSpacePoint, Sift, SiftConfig};
 use bees_image::{GrayF32, GrayImage};
 use bees_rng::ChaCha8Rng;
@@ -47,40 +47,14 @@ impl Default for PcaSiftConfig {
     }
 }
 
-/// A trained (or seeded) PCA projection: `out_dim` orthonormal rows of
-/// length [`RAW_DIM`].
+/// A seeded PCA projection: `out_dim` orthonormal rows of length
+/// [`RAW_DIM`].
 #[derive(Debug, Clone)]
 pub struct PcaBasis {
     rows: Vec<Vec<f32>>,
-    means: Vec<f32>,
 }
 
 impl PcaBasis {
-    /// Trains a basis from raw gradient-patch samples.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `samples` is empty or `out_dim > RAW_DIM`.
-    pub fn train(samples: &[Vec<f64>], out_dim: usize) -> Self {
-        assert!(
-            !samples.is_empty(),
-            "cannot train PCA on an empty sample set"
-        );
-        assert!(
-            out_dim <= RAW_DIM,
-            "cannot keep more components than the raw dimension"
-        );
-        let (cov, means) = math::covariance(samples);
-        let eig = math::power_iteration_topk(&cov, out_dim, 60);
-        let rows = (0..out_dim)
-            .map(|i| eig.vectors.row(i).iter().map(|&v| v as f32).collect())
-            .collect();
-        PcaBasis {
-            rows,
-            means: means.into_iter().map(|m| m as f32).collect(),
-        }
-    }
-
     /// Builds a deterministic random orthonormal basis (Gram–Schmidt over
     /// seeded Gaussian vectors). A Johnson–Lindenstrauss-style projection:
     /// distances are approximately preserved without a training pass.
@@ -115,15 +89,7 @@ impl PcaBasis {
                 rows.push(v);
             }
         }
-        PcaBasis {
-            rows,
-            means: vec![0.0; RAW_DIM],
-        }
-    }
-
-    /// Output dimensionality.
-    pub fn out_dim(&self) -> usize {
-        self.rows.len()
+        PcaBasis { rows }
     }
 
     /// Projects a raw gradient vector onto the basis.
@@ -135,24 +101,8 @@ impl PcaBasis {
         assert_eq!(raw.len(), RAW_DIM, "raw vector has wrong dimensionality");
         self.rows
             .iter()
-            .map(|row| {
-                row.iter()
-                    .zip(raw.iter().zip(&self.means))
-                    .map(|(w, (x, m))| w * (x - m))
-                    .sum()
-            })
+            .map(|row| row.iter().zip(raw).map(|(w, x)| w * x).sum())
             .collect()
-    }
-
-    /// Returns the basis as a matrix (rows are components); for tests.
-    pub fn to_matrix(&self) -> Matrix {
-        let mut m = Matrix::zeros(self.rows.len(), RAW_DIM);
-        for (i, row) in self.rows.iter().enumerate() {
-            for (j, &v) in row.iter().enumerate() {
-                m.set(i, j, v as f64);
-            }
-        }
-        m
     }
 }
 
@@ -182,52 +132,17 @@ pub struct PcaSift {
 }
 
 impl PcaSift {
-    /// Creates an extractor with an explicit basis.
+    /// Creates an extractor with a deterministic seeded orthonormal basis.
     ///
     /// # Panics
     ///
-    /// Panics if the basis dimensionality differs from `config.out_dim`.
-    pub fn with_basis(config: PcaSiftConfig, basis: PcaBasis) -> Self {
-        assert_eq!(
-            basis.out_dim(),
-            config.out_dim,
-            "basis does not match configured out_dim"
-        );
+    /// Panics if `config.out_dim` exceeds [`RAW_DIM`].
+    pub fn with_seeded_basis(config: PcaSiftConfig, seed: u64) -> Self {
         PcaSift {
             sift: Sift::new(config.sift),
             config,
-            basis,
+            basis: PcaBasis::seeded(seed, config.out_dim),
         }
-    }
-
-    /// Creates an extractor with a deterministic seeded orthonormal basis.
-    pub fn with_seeded_basis(config: PcaSiftConfig, seed: u64) -> Self {
-        let basis = PcaBasis::seeded(seed, config.out_dim);
-        Self::with_basis(config, basis)
-    }
-
-    /// Trains a PCA basis from gradient patches of the given images and
-    /// returns an extractor using it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no patches can be collected from `images`.
-    pub fn train(config: PcaSiftConfig, images: &[GrayImage]) -> Self {
-        let sift = Sift::new(config.sift);
-        let mut samples = Vec::new();
-        for img in images {
-            if img.width() < 32 || img.height() < 32 {
-                continue;
-            }
-            let space = sift.scale_space(img);
-            for p in sift.detect(&space) {
-                let raw = gradient_patch(&space.octaves[p.octave][p.layer], p.x, p.y, p.angle);
-                samples.push(raw.into_iter().map(|v| v as f64).collect());
-            }
-        }
-        assert!(!samples.is_empty(), "training images produced no patches");
-        let basis = PcaBasis::train(&samples, config.out_dim);
-        Self::with_basis(config, basis)
     }
 
     /// The configuration in use.
@@ -324,11 +239,15 @@ mod tests {
     #[test]
     fn seeded_basis_is_orthonormal() {
         let basis = PcaBasis::seeded(42, 36);
-        assert_eq!(basis.out_dim(), 36);
-        let m = basis.to_matrix();
+        assert_eq!(basis.rows.len(), 36);
+        let rows = &basis.rows;
         for i in 0..36 {
             for j in i..36 {
-                let dot: f64 = m.row(i).iter().zip(m.row(j)).map(|(a, b)| a * b).sum();
+                let dot: f64 = rows[i]
+                    .iter()
+                    .zip(&rows[j])
+                    .map(|(&a, &b)| f64::from(a) * f64::from(b))
+                    .sum();
                 let expected = if i == j { 1.0 } else { 0.0 };
                 assert!((dot - expected).abs() < 1e-4, "({i},{j}) dot {dot}");
             }
@@ -362,14 +281,6 @@ mod tests {
         let per_kp_sift = fs.descriptors.byte_size() as f64 / fs.len() as f64;
         // 36-d vs 128-d: ~28 % (Table I reports 25 %).
         assert!((per_kp_pca / per_kp_sift - 36.0 / 128.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn training_on_scene_produces_working_extractor() {
-        let imgs = vec![scene()];
-        let pca = PcaSift::train(PcaSiftConfig::default(), &imgs);
-        let f = pca.extract(&scene());
-        assert!(!f.is_empty());
     }
 
     #[test]

@@ -119,13 +119,12 @@ impl DecodedImage {
 pub fn encode_progressive_gray(img: &GrayImage, quality: u8) -> Result<Vec<u8>> {
     let table = quant::luminance_table(quality)?;
     let zigzags = plane_zigzags(&PlaneView::from_gray(img), &table);
-    let scans = encode_scans(&[&zigzags]);
-    Ok(assemble(
+    Ok(encode_scans(
         MAGIC_PROGRESSIVE_GRAY,
         img.width(),
         img.height(),
         quality,
-        &scans,
+        &[&zigzags],
     ))
 }
 
@@ -146,13 +145,12 @@ pub fn encode_progressive_rgb(img: &RgbImage, quality: u8) -> Result<Vec<u8>> {
     let y_zz = plane_zigzags(&y_plane, &lum);
     let cb_zz = plane_zigzags(&cb_plane, &chrom);
     let cr_zz = plane_zigzags(&cr_plane, &chrom);
-    let scans = encode_scans(&[&y_zz, &cb_zz, &cr_zz]);
-    Ok(assemble(
+    Ok(encode_scans(
         MAGIC_PROGRESSIVE_COLOR,
         img.width(),
         img.height(),
         quality,
-        &scans,
+        &[&y_zz, &cb_zz, &cr_zz],
     ))
 }
 
@@ -281,46 +279,50 @@ fn checked_blocks(width: u32, height: u32) -> Result<usize> {
         .ok_or(OVERFLOW)
 }
 
-/// Serializes the per-scan byte segments behind the header + directory.
-fn assemble(magic: u8, width: u32, height: u32, quality: u8, scans: &[Vec<u8>]) -> Vec<u8> {
-    let body: usize = scans.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(HEADER_LEN + 1 + 4 * scans.len() + body);
+/// Writes the header, the scan directory and each [`SCAN_BANDS`] band
+/// across every plane (in plane order) as its own byte-aligned segment, all
+/// in one vector. It starts with room for a byte per coefficient, as
+/// `baseline_writer`'s does per sample; the directory is written zeroed and
+/// patched once every scan's length is known.
+fn encode_scans(
+    magic: u8,
+    width: u32,
+    height: u32,
+    quality: u8,
+    planes: &[&[[i32; 64]]],
+) -> Vec<u8> {
+    let coefficients: usize = planes.iter().map(|plane| 64 * plane.len()).sum();
+    let dir_at = HEADER_LEN + 1;
+    let body_at = dir_at + 4 * SCAN_BANDS.len();
+    let mut out = Vec::with_capacity(body_at + coefficients);
     write_header(&mut out, magic, width, height, quality);
-    out.push(scans.len() as u8);
-    for scan in scans {
-        let len = u32::try_from(scan.len()).expect("scan segments are far below 4 GiB");
-        out.extend_from_slice(&len.to_le_bytes());
-    }
-    for scan in scans {
-        out.extend_from_slice(scan);
-    }
-    out
-}
-
-/// Encodes each [`SCAN_BANDS`] band across every plane (in plane order)
-/// into its own byte-aligned segment.
-fn encode_scans(planes: &[&[[i32; 64]]]) -> Vec<Vec<u8>> {
-    SCAN_BANDS
-        .iter()
-        .map(|&(lo, hi)| {
-            let mut writer = BitWriter::new();
-            for plane in planes {
-                if lo == 0 {
-                    // DC scan: the differential predictor resets per plane
-                    // per scan, keeping every scan self-contained.
-                    let mut prev_dc = 0i32;
-                    for zz in *plane {
-                        entropy::encode_dc(&mut writer, zz[0], &mut prev_dc);
-                    }
-                } else {
-                    for zz in *plane {
-                        entropy::encode_band(&mut writer, zz, lo, hi);
-                    }
+    out.push(SCAN_BANDS.len() as u8);
+    out.resize(body_at, 0);
+    for (s, &(lo, hi)) in SCAN_BANDS.iter().enumerate() {
+        let start = out.len();
+        // Each scan starts on a byte boundary: `into_bytes` pads the one
+        // before it.
+        let mut writer = BitWriter::with_prefix(out);
+        for plane in planes {
+            if lo == 0 {
+                // DC scan: the differential predictor resets per plane
+                // per scan, keeping every scan self-contained.
+                let mut prev_dc = 0i32;
+                for zz in *plane {
+                    entropy::encode_dc(&mut writer, zz[0], &mut prev_dc);
+                }
+            } else {
+                for zz in *plane {
+                    entropy::encode_band(&mut writer, zz, lo, hi);
                 }
             }
-            writer.into_bytes()
-        })
-        .collect()
+        }
+        out = writer.into_bytes();
+        let len = u32::try_from(out.len() - start).expect("scan segments are far below 4 GiB");
+        out[dir_at + 4 * s..dir_at + 4 * (s + 1)].copy_from_slice(&len.to_le_bytes());
+    }
+    out.shrink_to_fit();
+    out
 }
 
 /// Applies the first `lens.len()` scans from `body` (the bytes after the

@@ -115,16 +115,6 @@ impl GrayImage {
         self.data[y as usize * self.width as usize + x as usize]
     }
 
-    /// Pixel value at `(x, y)`, or `None` when out of bounds.
-    #[inline]
-    pub fn try_get(&self, x: u32, y: u32) -> Option<u8> {
-        if x < self.width && y < self.height {
-            Some(self.data[y as usize * self.width as usize + x as usize])
-        } else {
-            None
-        }
-    }
-
     /// Pixel value with coordinates clamped to the image border.
     #[inline]
     pub fn get_clamped(&self, x: i64, y: i64) -> u8 {
@@ -150,12 +140,6 @@ impl GrayImage {
         &self.data
     }
 
-    /// Mutable view of the row-major pixel buffer.
-    #[inline]
-    pub fn pixels_mut(&mut self) -> &mut [u8] {
-        &mut self.data
-    }
-
     /// One row of pixels.
     ///
     /// # Panics
@@ -171,30 +155,6 @@ impl GrayImage {
     /// Consumes the image and returns the underlying pixel buffer.
     pub fn into_raw(self) -> Vec<u8> {
         self.data
-    }
-
-    /// Copies a rectangular region. The rectangle is clamped to the image.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ImageError::InvalidDimensions`] when the clamped rectangle is
-    /// empty (origin outside the image or zero size).
-    pub fn crop(&self, x0: u32, y0: u32, w: u32, h: u32) -> Result<GrayImage> {
-        if x0 >= self.width || y0 >= self.height || w == 0 || h == 0 {
-            return Err(ImageError::InvalidDimensions {
-                width: w,
-                height: h,
-            });
-        }
-        let w = w.min(self.width - x0);
-        let h = h.min(self.height - y0);
-        let mut out = GrayImage::new(w, h)?;
-        for y in 0..h {
-            for x in 0..w {
-                out.set(x, y, self.get(x0 + x, y0 + y));
-            }
-        }
-        Ok(out)
     }
 
     /// Mean pixel intensity in `[0, 255]`.
@@ -339,8 +299,6 @@ mod tests {
         let mut img = GrayImage::new(5, 4).unwrap();
         img.set(2, 3, 77);
         assert_eq!(img.get(2, 3), 77);
-        assert_eq!(img.try_get(5, 0), None);
-        assert_eq!(img.try_get(2, 3), Some(77));
     }
 
     #[test]
@@ -348,16 +306,6 @@ mod tests {
         let img = GrayImage::from_fn(3, 3, |x, y| (x + 3 * y) as u8);
         assert_eq!(img.get_clamped(-5, -5), img.get(0, 0));
         assert_eq!(img.get_clamped(10, 10), img.get(2, 2));
-    }
-
-    #[test]
-    fn crop_clamps_to_bounds() {
-        let img = GrayImage::from_fn(6, 6, |x, y| (x * 10 + y) as u8);
-        let c = img.crop(4, 4, 5, 5).unwrap();
-        assert_eq!(c.dimensions(), (2, 2));
-        assert_eq!(c.get(0, 0), img.get(4, 4));
-        assert!(img.crop(6, 0, 1, 1).is_err());
-        assert!(img.crop(0, 0, 0, 1).is_err());
     }
 
     #[test]

@@ -115,41 +115,6 @@ pub fn resize_bilinear_rgb(src: &RgbImage, width: u32, height: u32) -> Result<Rg
     Ok(out)
 }
 
-/// Downsamples by an exact integer factor using a box filter (pixel
-/// averaging). Used by the pyramid construction where the factor is known.
-///
-/// # Errors
-///
-/// Returns [`ImageError::InvalidParameter`] if `factor == 0` and
-/// [`ImageError::InvalidDimensions`] when the result would be empty.
-pub fn downsample_box(src: &GrayImage, factor: u32) -> Result<GrayImage> {
-    if factor == 0 {
-        return Err(ImageError::InvalidParameter {
-            name: "factor",
-            value: 0.0,
-        });
-    }
-    let width = src.width() / factor;
-    let height = src.height() / factor;
-    if width == 0 || height == 0 {
-        return Err(ImageError::InvalidDimensions { width, height });
-    }
-    let mut out = GrayImage::new(width, height)?;
-    let area = factor * factor;
-    for y in 0..height {
-        for x in 0..width {
-            let mut sum = 0u32;
-            for dy in 0..factor {
-                for dx in 0..factor {
-                    sum += src.get(x * factor + dx, y * factor + dy) as u32;
-                }
-            }
-            out.set(x, y, ((sum + area / 2) / area) as u8);
-        }
-    }
-    Ok(out)
-}
-
 /// Returns the target dimensions for a given compression proportion `c`
 /// applied to `(width, height)`: each side shrinks by the factor `1 - c`,
 /// with a floor of one pixel.
@@ -259,22 +224,6 @@ mod tests {
             .iter()
             .fold((255u8, 0u8), |(a, b), &p| (a.min(p), b.max(p)));
         assert!(big.pixels().iter().all(|&p| p >= mn && p <= mx));
-    }
-
-    #[test]
-    fn box_downsample_averages() {
-        let img = GrayImage::from_fn(4, 4, |x, _| if x < 2 { 0 } else { 200 });
-        let half = downsample_box(&img, 2).unwrap();
-        assert_eq!(half.dimensions(), (2, 2));
-        assert_eq!(half.get(0, 0), 0);
-        assert_eq!(half.get(1, 0), 200);
-    }
-
-    #[test]
-    fn box_downsample_rejects_bad_factor() {
-        let img = GrayImage::from_fn(4, 4, |_, _| 0);
-        assert!(downsample_box(&img, 0).is_err());
-        assert!(downsample_box(&img, 5).is_err());
     }
 
     #[test]

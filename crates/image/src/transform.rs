@@ -1,9 +1,8 @@
-//! Lossless geometric transforms: quarter-turn rotations and flips.
+//! Lossless geometric transforms: quarter-turn rotations and a mirror.
 //!
-//! Used by tests to exercise ORB's steered-BRIEF rotation invariance and
-//! available to dataset builders for view augmentation.
+//! Used by tests to exercise ORB's steered-BRIEF rotation invariance.
 
-use crate::{GrayImage, RgbImage};
+use crate::GrayImage;
 
 /// Rotates 90° clockwise (width and height swap).
 pub fn rotate90(src: &GrayImage) -> GrayImage {
@@ -30,56 +29,9 @@ pub fn flip_horizontal(src: &GrayImage) -> GrayImage {
     GrayImage::from_fn(w, h, |x, y| src.get(w - 1 - x, y))
 }
 
-/// Mirrors vertically (top-bottom).
-pub fn flip_vertical(src: &GrayImage) -> GrayImage {
-    let (w, h) = src.dimensions();
-    GrayImage::from_fn(w, h, |x, y| src.get(x, h - 1 - y))
-}
-
-/// Rotates an RGB image 90° clockwise.
-pub fn rotate90_rgb(src: &RgbImage) -> RgbImage {
-    let h = src.height();
-    RgbImage::from_fn(src.height(), src.width(), |x, y| src.get(y, h - 1 - x))
-}
-
-/// Mirrors an RGB image horizontally.
-pub fn flip_horizontal_rgb(src: &RgbImage) -> RgbImage {
-    let w = src.width();
-    RgbImage::from_fn(src.width(), src.height(), |x, y| src.get(w - 1 - x, y))
-}
-
-/// Convenience: the identity transform (useful in transform tables).
-pub fn identity(src: &GrayImage) -> GrayImage {
-    src.clone()
-}
-
-/// A quarter-turn amount for [`rotate`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum QuarterTurn {
-    /// No rotation.
-    R0,
-    /// 90° clockwise.
-    R90,
-    /// 180°.
-    R180,
-    /// 270° clockwise.
-    R270,
-}
-
-/// Rotates by a quarter-turn amount.
-pub fn rotate(src: &GrayImage, turn: QuarterTurn) -> GrayImage {
-    match turn {
-        QuarterTurn::R0 => identity(src),
-        QuarterTurn::R90 => rotate90(src),
-        QuarterTurn::R180 => rotate180(src),
-        QuarterTurn::R270 => rotate270(src),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Rgb;
 
     fn sample() -> GrayImage {
         GrayImage::from_fn(5, 3, |x, y| (x * 10 + y) as u8)
@@ -119,29 +71,5 @@ mod tests {
     fn flips_are_involutions() {
         let img = sample();
         assert_eq!(flip_horizontal(&flip_horizontal(&img)), img);
-        assert_eq!(flip_vertical(&flip_vertical(&img)), img);
-    }
-
-    #[test]
-    fn flip_h_then_v_is_rotate180() {
-        let img = sample();
-        assert_eq!(flip_vertical(&flip_horizontal(&img)), rotate180(&img));
-    }
-
-    #[test]
-    fn rgb_transforms_match_gray_on_luma() {
-        let rgb = RgbImage::from_fn(4, 6, |x, y| Rgb::new((x * 20) as u8, (y * 20) as u8, 7));
-        let gray = rgb.to_gray();
-        assert_eq!(rotate90_rgb(&rgb).to_gray(), rotate90(&gray));
-        assert_eq!(flip_horizontal_rgb(&rgb).to_gray(), flip_horizontal(&gray));
-    }
-
-    #[test]
-    fn rotate_dispatch_matches_direct_calls() {
-        let img = sample();
-        assert_eq!(rotate(&img, QuarterTurn::R0), img);
-        assert_eq!(rotate(&img, QuarterTurn::R90), rotate90(&img));
-        assert_eq!(rotate(&img, QuarterTurn::R180), rotate180(&img));
-        assert_eq!(rotate(&img, QuarterTurn::R270), rotate270(&img));
     }
 }

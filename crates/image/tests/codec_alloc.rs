@@ -8,8 +8,9 @@
 //! - `encode_rgb`: three planes and one output vector that starts with the
 //!   header, sized for a byte per sample and shrunk to the stream once
 //!   written;
-//! - `encode_progressive_rgb`: three planes, each plane's zigzag blocks,
-//!   one doubling byte vector per scan and the assembled output;
+//! - `encode_progressive_rgb`: three planes, each plane's zigzag blocks
+//!   and one output vector that holds the header, the scan directory and
+//!   every scan, sized for a byte per coefficient and shrunk once written;
 //! - `recompress`: two decodes, two luma images, one encode and one
 //!   sequential SSIM.
 //!
@@ -43,12 +44,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Warmed-call budgets. `ENCODE_BUDGET` and `RECOMPRESS_BUDGET` are the
-/// measured counts at every `BEES_THREADS` width; a per-block or per-chunk
-/// allocation would add hundreds.
+/// Warmed-call budgets. `ENCODE_BUDGET`, `PROGRESSIVE_BUDGET` and
+/// `RECOMPRESS_BUDGET` are the measured counts at every `BEES_THREADS`
+/// width; a per-block or per-chunk allocation would add hundreds, and a
+/// byte vector per scan grown from empty dozens.
 const DECODE_BUDGET: usize = 8;
 const ENCODE_BUDGET: usize = 5;
-const PROGRESSIVE_BUDGET: usize = 72;
+const PROGRESSIVE_BUDGET: usize = 8;
 const RECOMPRESS_BUDGET: usize = 36;
 
 /// The fewest allocations over three warmed calls. The counter is

@@ -4,8 +4,9 @@
 //! reference convolution (clamped taps, one `f32` accumulator per pixel,
 //! taps in ascending order) across sizes narrower and shorter than the
 //! kernel radius, and the 8×8 DCT pair against per-output reference loops.
-//! `ssim` and the colour codec round trip are pinned to constants, so any
-//! change to their arithmetic order shows up here.
+//! `ssim`, the colour codec round trip and the progressive colour
+//! encoder's bytes are pinned to constants, so any change to their
+//! arithmetic order or layout shows up here.
 //!
 //! Inputs come from integer arithmetic only (no seeded generator, no
 //! `sin`), so the pins depend on nothing but the kernels. Run at several
@@ -263,4 +264,24 @@ fn ssim_is_pinned_for_three_image_pairs() {
     );
     assert_eq!(fnv1a(pixels), 0xa237_c593_818a_6533, "decoded pixels");
     assert_eq!(fnv1a(c.to_gray().into_raw()), 0x72a8_d5b1_be53_152c, "luma");
+}
+
+#[test]
+fn progressive_bytes_are_pinned() {
+    // Odd sides clip the last chroma neighbourhoods and partial blocks; q15
+    // is BEES's upload quality, q85 a camera-grade one.
+    let img = rgb_scene(97, 71, 15);
+    for (quality, len, want) in [
+        (15u8, 885usize, 0x3592_ee07_29c6_8f6f_u64),
+        (85, 4986, 0xe2b0_044a_b937_44a3),
+    ] {
+        let bytes = codec::progressive::encode_progressive_rgb(&img, quality).unwrap();
+        let got = fnv1a(bytes.iter().copied());
+        assert_eq!(
+            (bytes.len(), got),
+            (len, want),
+            "q{quality}: {} bytes, fnv {got:#018x}",
+            bytes.len()
+        );
+    }
 }

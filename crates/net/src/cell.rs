@@ -58,11 +58,6 @@ impl SharedCell {
         self.epoch_s
     }
 
-    /// The cell's capacity trace before fault modes are applied.
-    pub fn capacity_trace(&self) -> &BandwidthTrace {
-        &self.capacity
-    }
-
     /// The outage fault model (cell fully dark inside its windows).
     pub fn outage(&self) -> &FaultModel {
         &self.outage

@@ -224,43 +224,6 @@ impl Channel {
             completed: false,
         }
     }
-
-    /// Mean goodput in bits per second over `[start_s, start_s + span_s)`,
-    /// sampled per trace segment. Useful for reporting.
-    pub fn mean_bps(&self, start_s: f64, span_s: f64) -> f64 {
-        if span_s <= 0.0 {
-            return 0.0;
-        }
-        let mut t = start_s;
-        let end = start_s + span_s;
-        // Far from the origin `start_s + span_s` rounds to a representable
-        // value whose distance from `start_s` can differ from `span_s` by
-        // up to an ULP — averaging over the *effective* width keeps the
-        // mean inside the trace's range. A span below the local resolution
-        // degenerates to a point sample.
-        let width = end - start_s;
-        if width <= 0.0 {
-            return self.rate_bps_at(start_s);
-        }
-        let mut bit_total = 0.0;
-        while t < end {
-            let mut seg_end = self.trace.segment_end(t).min(end);
-            if seg_end <= t {
-                seg_end = next_after(t).min(end);
-                if seg_end <= t {
-                    // `end` is within one representable step of `t`: the
-                    // remaining sliver has zero measurable width. Account
-                    // for it at the current rate and stop, rather than
-                    // looping on a boundary that cannot advance.
-                    bit_total += self.rate_bps_at(t) * (end - t);
-                    break;
-                }
-            }
-            bit_total += self.rate_bps_at(t) * (seg_end - t);
-            t = seg_end;
-        }
-        bit_total / width
-    }
 }
 
 /// Partial-progress result of [`Channel::transfer_progress`].
@@ -352,13 +315,6 @@ mod tests {
         // 700 KB over 0-512 Kbps (mean 256 Kbps): roughly 22 s.
         let d = ch.transfer_duration(0.0, 700_000).unwrap();
         assert!(d > 8.0 && d < 120.0, "got {d}");
-    }
-
-    #[test]
-    fn mean_bps_of_schedule() {
-        let tr = BandwidthTrace::schedule(vec![(1.0, 100.0), (1.0, 300.0)]).unwrap();
-        let ch = Channel::new(tr);
-        assert!((ch.mean_bps(0.0, 2.0) - 200.0).abs() < 1e-9);
     }
 
     #[test]
@@ -484,7 +440,6 @@ mod tests {
         let p = ch.transfer_progress(0.0, 10_000, 4.0);
         assert!(!p.completed);
         assert_eq!(p.delivered_bytes, 4_000);
-        assert!((ch.mean_bps(0.0, 2.0) - 8_000.0).abs() < 1e-9);
         // Clearing restores the trace.
         ch.set_rate_override(None).unwrap();
         assert_eq!(ch.rate_override_bps(), None);
@@ -520,37 +475,5 @@ mod tests {
             ));
         }
         assert_eq!(ch.rate_override_bps(), None, "rejected rates don't stick");
-    }
-
-    #[test]
-    fn mean_bps_terminates_at_large_offsets() {
-        // Regression: far from the origin, floating-point cycle arithmetic
-        // can round `segment_end(t)` onto `t` while the window end sits
-        // within one representable step — the old stepping could then spin
-        // without advancing. Sweep windows at increasingly extreme offsets
-        // with tight spans and check the loop both terminates and stays
-        // within the trace's range.
-        let traces = [
-            BandwidthTrace::disaster_wifi(17),
-            BandwidthTrace::schedule(vec![
-                (0.3, 120_000.0),
-                (0.777_777_777_777, 40_000.0),
-                (1.123_456_789, 0.0),
-            ])
-            .unwrap(),
-        ];
-        for trace in traces {
-            let ch = Channel::new(trace);
-            for exp in 6..=15 {
-                let start = 10f64.powi(exp);
-                for span in [1e-9, 1e-3, 0.5, 3.7] {
-                    let m = ch.mean_bps(start, span);
-                    assert!(
-                        m.is_finite() && (0.0..=512_000.0).contains(&m),
-                        "mean {m} at 1e{exp}"
-                    );
-                }
-            }
-        }
     }
 }

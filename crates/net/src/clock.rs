@@ -44,21 +44,6 @@ impl SimClock {
         );
         self.now_s += dt;
     }
-
-    /// Advances the clock to an absolute time, which must not be in the
-    /// past.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t < now()`.
-    pub fn advance_to(&mut self, t: f64) {
-        assert!(
-            t >= self.now_s,
-            "cannot rewind the clock from {} to {t}",
-            self.now_s
-        );
-        self.now_s = t;
-    }
 }
 
 #[cfg(test)]
@@ -71,21 +56,6 @@ mod tests {
         c.advance(2.0);
         c.advance(3.5);
         assert_eq!(c.now(), 5.5);
-    }
-
-    #[test]
-    fn advance_to_jumps_forward() {
-        let mut c = SimClock::new();
-        c.advance_to(10.0);
-        assert_eq!(c.now(), 10.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "rewind")]
-    fn rewinding_panics() {
-        let mut c = SimClock::new();
-        c.advance(5.0);
-        c.advance_to(1.0);
     }
 
     #[test]

@@ -44,12 +44,6 @@ pub struct RetryPolicy {
     /// Wall-clock bound on a single attempt, in simulated seconds; `None`
     /// leaves only the channel's stall limit.
     pub attempt_timeout_s: Option<f64>,
-    /// Virtual-time bound on a whole resumable transfer (all attempts and
-    /// backoff waits), in simulated seconds from its first attempt. Once
-    /// the deadline passes, the transfer is abandoned instead of retried —
-    /// the guard against zombie retries from a device whose airtime grant
-    /// expired. `None` leaves only the per-attempt budget, the default.
-    pub transfer_deadline_s: Option<f64>,
     /// Resume granularity: bytes delivered past the last whole chunk are
     /// retransmitted on the next attempt (torn-chunk discard).
     pub chunk_bytes: usize,
@@ -64,7 +58,6 @@ impl Default for RetryPolicy {
             max_backoff_s: 30.0,
             jitter: 0.25,
             attempt_timeout_s: Some(90.0),
-            transfer_deadline_s: None,
             chunk_bytes: 16 * 1024,
         }
     }
@@ -112,14 +105,6 @@ impl RetryPolicy {
                 return Err(NetError::InvalidParameter {
                     name: "attempt_timeout_s",
                     value: t,
-                });
-            }
-        }
-        if let Some(d) = self.transfer_deadline_s {
-            if !d.is_finite() || d <= 0.0 {
-                return Err(NetError::InvalidParameter {
-                    name: "transfer_deadline_s",
-                    value: d,
                 });
             }
         }
@@ -259,35 +244,6 @@ mod tests {
         }
         .validate()
         .is_ok());
-    }
-
-    #[test]
-    fn transfer_deadline_bounds_are_enforced() {
-        let ok = RetryPolicy::default();
-        assert_eq!(ok.transfer_deadline_s, None, "default has no deadline");
-        assert!(RetryPolicy {
-            transfer_deadline_s: Some(120.0),
-            ..ok
-        }
-        .validate()
-        .is_ok());
-        for bad in [0.0, -3.0, f64::NAN, f64::INFINITY] {
-            let err = RetryPolicy {
-                transfer_deadline_s: Some(bad),
-                ..ok
-            }
-            .validate();
-            assert!(
-                matches!(
-                    err,
-                    Err(NetError::InvalidParameter {
-                        name: "transfer_deadline_s",
-                        ..
-                    })
-                ),
-                "deadline {bad} must be rejected"
-            );
-        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Wire-size accounting and chunk-integrity framing for protocol messages.
+//! Wire-size accounting for protocol messages.
 //!
 //! The client/server protocol exchanges more than raw payloads: feature
 //! queries carry headers, the server answers with per-image verdicts, and
@@ -6,13 +6,15 @@
 //! (the paper notes "MRC consumes a little more bandwidth overhead than
 //! SmartEye due to requiring thumbnail feedback").
 //!
-//! Resumable image uploads additionally frame their payload into transport
-//! chunks, each closed by a CRC-32 trailer ([`frame_chunks`]), so a
-//! bit-flipped chunk is *detected* at the receiver and re-requested instead
-//! of silently decoded ([`verify_chunk`]). [`salvaged_payload_bytes`] maps
-//! the whole chunks a cut transfer banked back to the decodable payload
-//! prefix they carry — the quantity the progressive codec's partial decoder
-//! consumes.
+//! Resumable image uploads frame their payload into transport chunks, each
+//! closed by a CRC-32 trailer, so a bit-flipped chunk is detected at the
+//! receiver and re-requested instead of silently decoded. The simulation
+//! accounts only the trailer's size ([`framed_upload_bytes`]); which chunks
+//! arrive corrupted is drawn by
+//! [`FaultModel::chunk_corrupted`](crate::FaultModel::chunk_corrupted), so no
+//! checksum is ever computed. [`salvaged_payload_bytes`] maps the whole
+//! chunks a cut transfer banked back to the decodable payload prefix they
+//! carry — the quantity the progressive codec's partial decoder consumes.
 
 /// Fixed per-message protocol header (ids, lengths, checksums).
 pub const HEADER_BYTES: usize = 32;
@@ -52,69 +54,11 @@ pub fn image_upload_bytes(image_bytes: usize) -> usize {
     HEADER_BYTES + image_bytes
 }
 
-const CRC_TABLE: [u32; 256] = build_crc_table();
-
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0usize;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-/// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) of `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
-}
-
 /// Payload capacity of one transport chunk of `chunk_bytes` total, after
 /// the CRC trailer is subtracted (at least 1, so framing always makes
 /// progress).
 pub fn chunk_payload_bytes(chunk_bytes: usize) -> usize {
     chunk_bytes.saturating_sub(CHUNK_CRC_BYTES).max(1)
-}
-
-/// Splits `payload` into transport chunks of at most `chunk_bytes` bytes,
-/// each carrying up to [`chunk_payload_bytes`] of payload followed by its
-/// CRC-32 trailer (little-endian).
-pub fn frame_chunks(payload: &[u8], chunk_bytes: usize) -> Vec<Vec<u8>> {
-    payload
-        .chunks(chunk_payload_bytes(chunk_bytes))
-        .map(|chunk| {
-            let mut framed = Vec::with_capacity(chunk.len() + CHUNK_CRC_BYTES);
-            framed.extend_from_slice(chunk);
-            framed.extend_from_slice(&crc32(chunk).to_le_bytes());
-            framed
-        })
-        .collect()
-}
-
-/// Verifies one framed chunk, returning its payload when the CRC trailer
-/// matches and `None` when the chunk arrived corrupted (or too short to
-/// carry a trailer). A corrupted chunk must never reach the decoder.
-pub fn verify_chunk(framed: &[u8]) -> Option<&[u8]> {
-    if framed.len() < CHUNK_CRC_BYTES {
-        return None;
-    }
-    let (payload, trailer) = framed.split_at(framed.len() - CHUNK_CRC_BYTES);
-    let expected = u32::from_le_bytes(trailer.try_into().expect("trailer is 4 bytes"));
-    (crc32(payload) == expected).then_some(payload)
 }
 
 /// Uplink size of a CRC-framed image upload: the message header, the
@@ -155,46 +99,6 @@ mod tests {
     fn empty_thumbnail_feedback_is_free() {
         assert_eq!(thumbnail_feedback_bytes(0), 0);
         assert!(thumbnail_feedback_bytes(2) > 2 * THUMBNAIL_BYTES);
-    }
-
-    #[test]
-    fn crc32_matches_the_ieee_check_value() {
-        // The standard check vector for CRC-32/IEEE.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
-    fn framed_chunks_verify_and_reassemble() {
-        let payload: Vec<u8> = (0..10_000u32).map(|i| (i * 7 % 251) as u8).collect();
-        let chunks = frame_chunks(&payload, 1024);
-        assert_eq!(chunks.len(), payload.len().div_ceil(1020));
-        let mut back = Vec::new();
-        for chunk in &chunks {
-            assert!(chunk.len() <= 1024);
-            back.extend_from_slice(verify_chunk(chunk).expect("clean chunk verifies"));
-        }
-        assert_eq!(back, payload);
-    }
-
-    #[test]
-    fn bit_flips_are_always_detected() {
-        let payload: Vec<u8> = (0..500u32).map(|i| (i % 256) as u8).collect();
-        for chunk in frame_chunks(&payload, 128) {
-            // Flip every single bit in turn — payload and trailer alike —
-            // and demand detection each time.
-            for byte in 0..chunk.len() {
-                for bit in 0..8 {
-                    let mut corrupt = chunk.clone();
-                    corrupt[byte] ^= 1 << bit;
-                    assert!(
-                        verify_chunk(&corrupt).is_none(),
-                        "flip at byte {byte} bit {bit} went undetected"
-                    );
-                }
-            }
-            assert!(verify_chunk(&chunk).is_some());
-        }
     }
 
     #[test]

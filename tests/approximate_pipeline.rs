@@ -61,7 +61,7 @@ fn edr_threshold_still_separates_at_every_battery_level() {
     // similar score populations.
     let orb = Orb::default();
     let cfg = SimilarityConfig::default();
-    let edr = bees::core::BeesConfig::default().edr;
+    let edr = bees::core::schemes::EDR;
     let (a1, a2) = scene_pair(20);
     let (b1, _) = scene_pair(21);
     let similar = jaccard_similarity(&orb.extract(&a1), &orb.extract(&a2), &cfg);
@@ -100,7 +100,7 @@ fn ssmm_budget_shrinks_with_battery() {
         jaccard_similarity(&features[i], &features[j], &cfg)
     });
     let ssmm = Ssmm::new(SsmmConfig::default());
-    let tw = bees::core::BeesConfig::default().tw;
+    let tw = bees::core::schemes::EDR;
     let low = ssmm.summarize(&graph, tw.value(0.0));
     let high = ssmm.summarize(&graph, tw.value(1.0));
     assert!(low.budget <= high.budget);
@@ -172,7 +172,7 @@ fn server_side_extraction_matches_client_side() {
     let result = server.answer(&RetrievalQuery::new().similar_to(&query).top_k(1));
     let hit = result.hits.first().expect("indexed image");
     assert!(
-        hit.score > config.edr.value(1.0),
+        hit.score > bees::core::schemes::EDR.value(1.0),
         "similarity {}",
         hit.score
     );

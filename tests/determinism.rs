@@ -211,7 +211,7 @@ fn config_is_cloneable_and_debuggable() {
     let cloned = config.clone();
     let dbg = format!("{cloned:?}");
     assert!(dbg.contains("BeesConfig"));
-    assert!(dbg.contains("edr"));
+    assert!(dbg.contains("server_shards"));
 }
 
 #[test]
@@ -764,7 +764,7 @@ fn battery_crossing_a_dimension_boundary_is_pinned() {
     // inside extraction, dropping what was not replayed. Each run is pinned
     // by the digests of its report's `Debug` text, its JSONL trace and its
     // store layout, at 1, 2 and 8 workers.
-    use bees::core::schemes::{make_scheme, SchemeKind};
+    use bees::core::schemes::{make_scheme, SchemeKind, EAC, EAU};
     use bees::energy::{Battery, EnergyCategory, LinearScheme};
     use bees::image::resize::compressed_dimensions;
     use bees::telemetry::{JsonlSink, SharedBuf, Telemetry};
@@ -823,8 +823,8 @@ fn battery_crossing_a_dimension_boundary_is_pinned() {
             );
             if kind == SchemeKind::Bees && !report.exhausted {
                 let end = client.ebat();
-                assert_ne!(dims(&config.eac, start), dims(&config.eac, end), "c");
-                assert_ne!(dims(&config.eau, start), dims(&config.eau, end), "Cr");
+                assert_ne!(dims(&EAC, start), dims(&EAC, end), "c");
+                assert_ne!(dims(&EAU, start), dims(&EAU, end), "Cr");
             }
             let got = [
                 digest(&format!("{report:?}")),
