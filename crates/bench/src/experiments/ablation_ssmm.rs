@@ -74,7 +74,7 @@ impl AblationResult {
 pub fn run(args: &ExpArgs) -> AblationResult {
     let config = BeesConfig::default();
     let orb = Orb::new(config.orb);
-    let ssmm = Ssmm::default();
+    let ssmm = Ssmm;
     let tw = EDR.value(1.0);
     let scene_cfg = SceneConfig::default();
     let mut rows = Vec::new();

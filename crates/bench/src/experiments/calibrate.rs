@@ -14,7 +14,7 @@ use bees_core::schemes::{EDR, PCA_BASIS_SEED};
 use bees_core::BeesConfig;
 use bees_datasets::{kentucky_like, SceneConfig};
 use bees_features::orb::Orb;
-use bees_features::pca::{PcaSift, PcaSiftConfig};
+use bees_features::pca::PcaSift;
 use bees_features::similarity::{jaccard_similarity, SimilarityConfig};
 use bees_features::ImageFeatures;
 
@@ -121,7 +121,7 @@ pub fn run(args: &ExpArgs) -> CalibrationResult {
     let groups = kentucky_like(args.seed, n_groups, SceneConfig::default());
 
     let orb = Orb::new(config.orb);
-    let pca = PcaSift::with_seeded_basis(PcaSiftConfig::default(), PCA_BASIS_SEED);
+    let pca = PcaSift::with_seeded_basis(PCA_BASIS_SEED);
     let orb_feats = extract_groups(&groups, &orb);
     let pca_feats = extract_groups(&groups, &pca);
 

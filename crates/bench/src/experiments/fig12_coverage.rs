@@ -12,7 +12,7 @@ use bees_core::schemes::{Bees, DirectUpload, CAMERA_QUALITY};
 use bees_core::sessions::{run_coverage, CoverageConfig, CoverageResult};
 use bees_core::BeesConfig;
 use bees_datasets::ParisConfig;
-use bees_energy::{Battery, EnergyModel};
+use bees_energy::{model, Battery};
 use bees_net::BandwidthTrace;
 
 /// Full experiment result.
@@ -78,9 +78,8 @@ pub fn run(args: &ExpArgs) -> Fig12Result {
     // binding constraint (as in the paper).
     let per_phone = n_images / n_phones;
     let intervals_needed = (per_phone as f64 / group_size as f64).ceil();
-    let energy = EnergyModel::default();
     let per_interval =
-        interval_s * energy.idle_watts + group_size as f64 * upload_s * energy.radio_tx_watts;
+        interval_s * model::IDLE_WATTS + group_size as f64 * upload_s * model::RADIO_TX_WATTS;
     config.battery = Battery::from_joules(per_interval * intervals_needed / 3.0);
 
     let cov = CoverageConfig {

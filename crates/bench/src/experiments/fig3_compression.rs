@@ -11,7 +11,7 @@ use crate::experiments::{extract_queries, kentucky_index, top4_precision};
 use crate::table::{f3, Table};
 use bees_core::BeesConfig;
 use bees_datasets::{kentucky_like, SceneConfig};
-use bees_energy::EnergyModel;
+use bees_energy::model;
 use bees_features::orb::Orb;
 use bees_features::FeatureExtractor;
 use bees_image::resize;
@@ -64,7 +64,6 @@ pub fn run(args: &ExpArgs) -> Fig3Result {
     let n_groups = args.scaled(40, 4);
     let groups = kentucky_like(args.seed, n_groups, SceneConfig::default());
     let orb = Orb::new(config.orb);
-    let model = EnergyModel::default();
     let proportions: Vec<f64> = (0..10)
         .map(|i| i as f64 * 0.1)
         .filter(|&c| c < 0.95)
@@ -80,7 +79,7 @@ pub fn run(args: &ExpArgs) -> Fig3Result {
         });
         let mut energy = 0.0;
         for (_, stats) in &extracted {
-            energy += model.extraction_energy(orb.kind(), stats);
+            energy += model::extraction_energy(orb.kind(), stats);
         }
         let queries: Vec<_> = extracted.into_iter().map(|(f, _)| f).collect();
         precisions.push(top4_precision(&index, &queries));

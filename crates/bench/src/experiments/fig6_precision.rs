@@ -13,7 +13,7 @@ use bees_core::schemes::{EAC, PCA_BASIS_SEED};
 use bees_core::BeesConfig;
 use bees_datasets::{kentucky_like, SceneConfig};
 use bees_features::orb::Orb;
-use bees_features::pca::{PcaSift, PcaSiftConfig};
+use bees_features::pca::PcaSift;
 use bees_features::sift::Sift;
 use bees_features::FeatureExtractor;
 use bees_image::resize;
@@ -61,7 +61,7 @@ pub fn run(args: &ExpArgs) -> Fig6Result {
 
     let mut rows = Vec::new();
 
-    let sift = Sift::default();
+    let sift = Sift;
     let p_sift = top4_precision(
         &kentucky_index(&groups, &config.similarity, &sift),
         &extract_queries(&groups, |g| sift.extract(g)),
@@ -72,7 +72,7 @@ pub fn run(args: &ExpArgs) -> Fig6Result {
         normalized: 1.0,
     });
 
-    let pca = PcaSift::with_seeded_basis(PcaSiftConfig::default(), PCA_BASIS_SEED);
+    let pca = PcaSift::with_seeded_basis(PCA_BASIS_SEED);
     let p_pca = top4_precision(
         &kentucky_index(&groups, &config.similarity, &pca),
         &extract_queries(&groups, |g| pca.extract(g)),

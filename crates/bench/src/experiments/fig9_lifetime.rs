@@ -12,7 +12,7 @@ use bees_core::schemes::{Bees, DirectUpload, Mrc, SmartEye, UploadScheme, CAMERA
 use bees_core::sessions::{run_lifetime_traced, LifetimeConfig, LifetimeResult};
 use bees_core::BeesConfig;
 use bees_datasets::SceneConfig;
-use bees_energy::{Battery, EnergyModel};
+use bees_energy::{model, Battery};
 use bees_net::BandwidthTrace;
 use bees_telemetry::{JsonlSink, Telemetry};
 
@@ -88,8 +88,7 @@ pub fn run(args: &ExpArgs) -> Fig9Result {
     let group_upload_s = group_size as f64 * camera_bytes * 8.0 / 256_000.0;
     let interval_s = group_upload_s / 0.7;
     let intervals_direct = 12.0;
-    let energy = EnergyModel::default();
-    let per_interval = interval_s * energy.idle_watts + group_upload_s * energy.radio_tx_watts;
+    let per_interval = interval_s * model::IDLE_WATTS + group_upload_s * model::RADIO_TX_WATTS;
     config.battery = Battery::from_joules(per_interval * intervals_direct);
 
     let lt = LifetimeConfig {

@@ -12,7 +12,7 @@ use bees_core::schemes::{CAMERA_QUALITY, PCA_BASIS_SEED};
 use bees_core::BeesConfig;
 use bees_datasets::{kentucky_like, ParisConfig, ParisLike, SceneConfig};
 use bees_features::orb::Orb;
-use bees_features::pca::{PcaSift, PcaSiftConfig};
+use bees_features::pca::PcaSift;
 use bees_features::sift::Sift;
 use bees_features::FeatureExtractor;
 use bees_image::RgbImage;
@@ -68,8 +68,8 @@ impl Table1Result {
 }
 
 fn measure(name: &str, images: &[RgbImage], config: &BeesConfig) -> SpaceRow {
-    let sift = Sift::default();
-    let pca = PcaSift::with_seeded_basis(PcaSiftConfig::default(), PCA_BASIS_SEED);
+    let sift = Sift;
+    let pca = PcaSift::with_seeded_basis(PCA_BASIS_SEED);
     let orb = Orb::new(config.orb);
     let mut row = SpaceRow {
         imageset: name.to_string(),

@@ -3,11 +3,15 @@
 use crate::config::BeesConfig;
 use crate::error::CoreError;
 use crate::Result;
-use bees_energy::{Battery, EnergyCategory, EnergyLedger, EnergyModel};
+use bees_energy::{model, Battery, EnergyCategory, EnergyLedger};
 use bees_net::{
     BandwidthTrace, Channel, FaultKind, FaultyChannel, NetError, RetryPolicy, SimClock,
 };
 use bees_telemetry::{names, Telemetry};
+
+/// Wall-clock bound on a single resumable-transfer attempt, in simulated
+/// seconds; an airtime grant's deadline clips it further.
+const ATTEMPT_TIMEOUT_S: f64 = 90.0;
 
 /// A simulated smartphone.
 ///
@@ -26,7 +30,6 @@ pub struct Client {
     channel: FaultyChannel,
     retry: RetryPolicy,
     fault_seed: u64,
-    energy: EnergyModel,
     telemetry: Telemetry,
     /// Absolute virtual-time deadline of the device's current airtime
     /// grant; resumable transfers abandon (not retry) past it.
@@ -73,7 +76,6 @@ impl Client {
             channel: FaultyChannel::new(channel, config.fault.reseeded(fault_seed)),
             retry: config.retry,
             fault_seed,
-            energy: EnergyModel::default(),
             telemetry: Telemetry::disabled(),
             grant_deadline_s: None,
             deadline_abandons: 0,
@@ -164,17 +166,12 @@ impl Client {
         self.clock.now()
     }
 
-    /// The energy model in force.
-    pub fn energy_model(&self) -> &EnergyModel {
-        &self.energy
-    }
-
     /// Drains the baseline (screen/system) power for `seconds` of elapsed
     /// activity — the screen stays bright while computing or transferring,
-    /// so every wall-clock second costs `idle_watts` on top of the
-    /// activity-specific energy.
+    /// so every wall-clock second costs [`model::IDLE_WATTS`] on top of
+    /// the activity-specific energy.
     fn drain_baseline(&mut self, seconds: f64) -> bool {
-        let joules = self.energy.idle_energy(seconds);
+        let joules = model::idle_energy(seconds);
         let drained = self.battery.drain(joules);
         self.ledger.record(EnergyCategory::Idle, drained);
         drained >= joules
@@ -190,7 +187,7 @@ impl Client {
     pub fn spend_cpu(&mut self, category: EnergyCategory, joules: f64) -> Result<f64> {
         let drained = self.battery.drain(joules);
         self.ledger.record(category, drained);
-        let seconds = self.energy.cpu_seconds(joules);
+        let seconds = model::cpu_seconds(joules);
         self.clock.advance(seconds);
         let baseline_ok = self.drain_baseline(seconds);
         if drained < joules || !baseline_ok {
@@ -211,7 +208,7 @@ impl Client {
     pub fn transmit(&mut self, category: EnergyCategory, bytes: usize) -> Result<f64> {
         let start = self.clock.now();
         let duration = self.channel.channel().transfer_duration(start, bytes)?;
-        let joules = self.energy.radio_tx_energy(duration);
+        let joules = model::radio_tx_energy(duration);
         let drained = self.battery.drain(joules);
         self.ledger.record(category, drained);
         self.clock.advance(duration);
@@ -239,7 +236,7 @@ impl Client {
     pub fn receive(&mut self, bytes: usize) -> Result<f64> {
         let start = self.clock.now();
         let duration = self.channel.channel().transfer_duration(start, bytes)?;
-        let joules = self.energy.radio_rx_energy(duration);
+        let joules = model::radio_rx_energy(duration);
         let drained = self.battery.drain(joules);
         self.ledger.record(EnergyCategory::Download, drained);
         self.clock.advance(duration);
@@ -399,14 +396,8 @@ impl Client {
             let now = loop_now;
             // Clamp the attempt so it cannot run past the deadline (we
             // know `now < deadline` here, so the clamp stays positive).
-            let timeout = match deadline {
-                Some(d) => Some(match self.retry.attempt_timeout_s {
-                    Some(t) => t.min(d - now),
-                    None => d - now,
-                }),
-                None => self.retry.attempt_timeout_s,
-            };
-            let outcome = self.channel.transfer(now, bytes - confirmed, timeout);
+            let timeout = deadline.map_or(ATTEMPT_TIMEOUT_S, |d| ATTEMPT_TIMEOUT_S.min(d - now));
+            let outcome = self.channel.transfer(now, bytes - confirmed, Some(timeout));
             let attempt_key = self.channel.attempts().saturating_sub(1);
             let mut kept = if outcome.completed() {
                 outcome.delivered_bytes
@@ -439,7 +430,7 @@ impl Client {
                     }
                 }
             }
-            let joules = self.energy.radio_tx_energy(outcome.elapsed_s);
+            let joules = model::radio_tx_energy(outcome.elapsed_s);
             let useful_j = if outcome.delivered_bytes > 0 {
                 joules * (kept as f64 / outcome.delivered_bytes as f64)
             } else {
@@ -495,7 +486,7 @@ impl Client {
                     elapsed_s: self.clock.now() - start,
                 }));
             }
-            let mut wait = self.retry.backoff_s(attempts - 1, self.fault_seed);
+            let mut wait = RetryPolicy::backoff_s(attempts - 1, self.fault_seed);
             if let Some(d) = deadline {
                 // Never sleep past the deadline: the next loop iteration
                 // abandons the transfer the moment the clock reaches it.
@@ -513,7 +504,7 @@ impl Client {
     ///
     /// Returns [`CoreError::BatteryExhausted`] if the battery empties.
     pub fn idle(&mut self, seconds: f64) -> Result<()> {
-        let joules = self.energy.idle_energy(seconds);
+        let joules = model::idle_energy(seconds);
         let drained = self.battery.drain(joules);
         self.ledger.record(EnergyCategory::Idle, drained);
         self.clock.advance(seconds);
@@ -611,6 +602,18 @@ mod tests {
         }
     }
 
+    /// A 2,880 bps link behind a fault model that never fires but keeps
+    /// the resumable path on: each 90 s attempt times out having delivered
+    /// 32,400 bytes, of which one 16,384-byte chunk is banked.
+    fn slow_link() -> BeesConfig {
+        BeesConfig {
+            trace: BandwidthTrace::constant(2_880.0).unwrap(),
+            battery: bees_energy::Battery::from_joules(1e9),
+            fault: bees_net::FaultModel::new(2, 0.0, 1e-12, 1e9, 1.0).unwrap(),
+            ..BeesConfig::default()
+        }
+    }
+
     #[test]
     fn spend_cpu_drains_and_advances() {
         let mut c = Client::try_new(1, &config()).unwrap();
@@ -632,7 +635,7 @@ mod tests {
 
     #[test]
     fn screen_keeps_draining_during_activity() {
-        // The battery pays idle_watts for every wall-clock second, whether
+        // The battery pays IDLE_WATTS for every wall-clock second, whether
         // the phone is transferring, computing, or waiting: slow uploads
         // cost screen time too (the effect Fig. 9/12 depend on).
         let mut c = Client::try_new(1, &config()).unwrap();
@@ -813,19 +816,13 @@ mod tests {
 
     #[test]
     fn resumable_banks_whole_chunks_across_attempts() {
-        let mut cfg = config();
-        cfg.battery = bees_energy::Battery::from_joules(1e9);
-        // Constant 256 Kbps with a 1 s timeout: each attempt delivers
-        // exactly 32 000 bytes, of which 16 384 (one chunk) is banked.
-        cfg.fault = bees_net::FaultModel::new(2, 0.0, 1e-12, 1e9, 1.0).unwrap();
-        cfg.retry.attempt_timeout_s = Some(1.0);
-        let mut c = Client::try_new(0, &cfg).unwrap();
+        let mut c = Client::try_new(0, &slow_link()).unwrap();
         let s = c
             .transmit_resumable(EnergyCategory::ImageUpload, 60_000)
             .unwrap();
-        // Attempts 1 and 2 each time out after delivering 32 000 bytes and
+        // Attempts 1 and 2 each time out after delivering 32 400 bytes and
         // bank one 16 384-byte chunk apiece; the remaining 27 232 bytes
-        // (0.85 s) complete within the third attempt's timeout.
+        // (75.6 s) complete within the third attempt's timeout.
         assert_eq!(s.attempts, 3);
         assert_eq!(s.delivered_bytes, 60_000);
         assert!(s.wasted_joules > 0.0);
@@ -834,14 +831,10 @@ mod tests {
 
     #[test]
     fn salvageable_banks_a_prefix_and_reclassifies_its_energy() {
-        let mut cfg = config();
-        cfg.battery = bees_energy::Battery::from_joules(1e9);
-        // Constant 256 Kbps with a 1 s timeout: each attempt delivers
-        // 32 000 bytes and banks one 16 384-byte chunk. A 2-attempt budget
+        // Each attempt banks one 16 384-byte chunk. A 2-attempt budget
         // cannot finish 60 000 bytes, so the transfer is cut with two
         // chunks banked.
-        cfg.fault = bees_net::FaultModel::new(2, 0.0, 1e-12, 1e9, 1.0).unwrap();
-        cfg.retry.attempt_timeout_s = Some(1.0);
+        let mut cfg = slow_link();
         cfg.retry.max_attempts = 2;
         let mut c = Client::try_new(0, &cfg).unwrap();
         let out = c
@@ -870,10 +863,7 @@ mod tests {
     fn salvage_off_wastes_what_salvage_on_redeems() {
         // The A/B the fault_resilience bench reports: at identical seeds,
         // disabling salvage strictly grows the wasted bucket.
-        let mut cfg = config();
-        cfg.battery = bees_energy::Battery::from_joules(1e9);
-        cfg.fault = bees_net::FaultModel::new(2, 0.0, 1e-12, 1e9, 1.0).unwrap();
-        cfg.retry.attempt_timeout_s = Some(1.0);
+        let mut cfg = slow_link();
         cfg.retry.max_attempts = 2;
         let mut on = Client::try_new(0, &cfg).unwrap();
         let mut off = Client::try_new(0, &cfg).unwrap();
@@ -930,16 +920,13 @@ mod tests {
 
     #[test]
     fn grant_deadline_abandons_instead_of_retrying() {
-        let mut cfg = config();
-        cfg.battery = bees_energy::Battery::from_joules(1e9);
-        // Every attempt times out after 1 s having delivered 32 000 bytes;
+        // Every attempt times out after 90 s having delivered 32 400 bytes;
         // without a deadline the 200-attempt budget would grind on.
-        cfg.fault = bees_net::FaultModel::new(2, 0.0, 1e-12, 1e9, 1.0).unwrap();
-        cfg.retry.attempt_timeout_s = Some(1.0);
+        let mut cfg = slow_link();
         cfg.retry.max_attempts = 200;
         let mut c = Client::try_new(0, &cfg).unwrap();
-        c.set_grant_deadline(Some(2.5));
-        assert_eq!(c.grant_deadline_s(), Some(2.5));
+        c.set_grant_deadline(Some(225.0));
+        assert_eq!(c.grant_deadline_s(), Some(225.0));
         let err = c.transmit_resumable(EnergyCategory::ImageUpload, 10_000_000);
         assert!(matches!(
             err,
@@ -947,7 +934,7 @@ mod tests {
         ));
         assert_eq!(c.deadline_abandons(), 1);
         // No zombie retries: the clock never ran past the deadline.
-        assert!(c.now() <= 2.5 + 1e-9, "clock at {}", c.now());
+        assert!(c.now() <= 225.0 + 1e-9, "clock at {}", c.now());
         // All spent airtime is accounted: banked bytes' energy was wasted
         // (non-salvage path), nothing lingers in the upload bucket.
         assert_eq!(c.ledger().get(EnergyCategory::ImageUpload), 0.0);
@@ -956,13 +943,10 @@ mod tests {
 
     #[test]
     fn deadline_abandons_still_salvage_banked_chunks() {
-        let mut cfg = config();
-        cfg.battery = bees_energy::Battery::from_joules(1e9);
-        cfg.fault = bees_net::FaultModel::new(2, 0.0, 1e-12, 1e9, 1.0).unwrap();
-        cfg.retry.attempt_timeout_s = Some(1.0);
+        let mut cfg = slow_link();
         cfg.retry.max_attempts = 200;
         let mut c = Client::try_new(0, &cfg).unwrap();
-        c.set_grant_deadline(Some(2.5));
+        c.set_grant_deadline(Some(225.0));
         let out = c
             .transmit_salvageable(EnergyCategory::ImageUpload, 10_000_000)
             .unwrap();

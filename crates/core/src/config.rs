@@ -104,11 +104,12 @@ impl BeesConfig {
         ((1.0 - p) * 100.0).round().clamp(1.0, 100.0) as u8
     }
 
-    /// Validates the network-robustness knobs (fault model, retry policy),
-    /// the ORB blur, the server's index and shard knobs, the shared cell
-    /// and the storage tier. Called by [`crate::Client::try_new`] and
-    /// [`crate::Server::try_new`] so an invalid configuration surfaces as a
-    /// typed error instead of a panic deep in the simulation.
+    /// Validates the bandwidth trace, the network-robustness knobs (fault
+    /// model, retry policy), the ORB pyramid and blur, the server's index
+    /// and shard knobs, the shared cell and the storage tier. Called by
+    /// [`crate::Client::try_new`] and [`crate::Server::try_new`] so an
+    /// invalid configuration surfaces as a typed error instead of a panic
+    /// deep in the simulation.
     ///
     /// # Examples
     ///
@@ -128,6 +129,11 @@ impl BeesConfig {
     ///
     /// Returns [`CoreError::InvalidConfig`] naming the offending knob.
     pub fn validate(&self) -> crate::Result<()> {
+        self.trace
+            .validate()
+            .map_err(|e| CoreError::InvalidConfig {
+                detail: format!("trace: {e}"),
+            })?;
         self.fault
             .validate()
             .map_err(|e| CoreError::InvalidConfig {
@@ -138,6 +144,21 @@ impl BeesConfig {
             .map_err(|e| CoreError::InvalidConfig {
                 detail: format!("retry policy: {e}"),
             })?;
+        // ORB's pyramid needs at least one level, each smaller than the last
+        // (`Pyramid::build` panics otherwise).
+        if self.orb.scale_factor.is_nan() || self.orb.scale_factor <= 1.0 {
+            return Err(CoreError::InvalidConfig {
+                detail: format!(
+                    "orb.scale_factor must exceed 1, got {}",
+                    self.orb.scale_factor
+                ),
+            });
+        }
+        if self.orb.n_levels == 0 {
+            return Err(CoreError::InvalidConfig {
+                detail: "orb.n_levels must be at least 1".to_string(),
+            });
+        }
         // ORB blurs every pyramid level with this sigma before sampling
         // BRIEF pairs; the kernel builder is the authority on what it takes.
         blur::gaussian_kernel(self.orb.brief_blur_sigma).map_err(|e| CoreError::InvalidConfig {
@@ -212,7 +233,7 @@ mod tests {
         assert!(detail(&c).contains("fault model"));
 
         let mut c = BeesConfig::default();
-        c.retry.backoff_factor = 0.0;
+        c.retry.chunk_bytes = 0;
         assert!(detail(&c).contains("retry policy"));
 
         let c = BeesConfig {
@@ -244,31 +265,69 @@ mod tests {
     }
 
     #[test]
-    fn malformed_blackout_schedules_are_rejected_by_config_validation() {
-        let detail = |c: &BeesConfig| match c.validate() {
-            Err(CoreError::InvalidConfig { detail }) => detail,
-            other => panic!("expected InvalidConfig, got {other:?}"),
+    fn invalid_orb_pyramid_is_a_typed_error() {
+        // Each of these used to reach `Pyramid::build` and panic.
+        let mut cases = vec![];
+        for scale_factor in [1.0, 0.5, -1.0, f32::NAN] {
+            let mut c = BeesConfig::default();
+            c.orb.scale_factor = scale_factor;
+            cases.push((c, "orb.scale_factor"));
+        }
+        let mut c = BeesConfig::default();
+        c.orb.n_levels = 0;
+        cases.push((c, "orb.n_levels"));
+        for (c, field) in cases {
+            match c.validate() {
+                Err(CoreError::InvalidConfig { detail }) => {
+                    assert!(detail.contains(field), "{detail}");
+                }
+                other => panic!("{:?}: expected InvalidConfig, got {other:?}", c.orb),
+            }
+        }
+    }
+
+    #[test]
+    fn malformed_traces_are_typed_errors() {
+        // The variants' fields are public, so these skip the constructors'
+        // checks; an empty schedule used to panic on the first transmit and
+        // a zero interval to hang it.
+        let fluctuating = |min_bps, max_bps, interval_s| BandwidthTrace::Fluctuating {
+            seed: 1,
+            min_bps,
+            max_bps,
+            interval_s,
         };
-
-        // Overlapping windows: the second starts inside the first.
-        let mut c = BeesConfig::default();
-        c.fault.blackout_windows = vec![(10.0, 20.0), (15.0, 25.0)];
-        assert!(detail(&c).contains("blackout_windows"));
-
-        // Unsorted windows: a later entry starts before an earlier one.
-        let mut c = BeesConfig::default();
-        c.fault.blackout_windows = vec![(30.0, 40.0), (5.0, 10.0)];
-        assert!(detail(&c).contains("blackout_windows"));
-
-        // An empty-span window is rejected too.
-        let mut c = BeesConfig::default();
-        c.fault.blackout_windows = vec![(10.0, 10.0)];
-        assert!(detail(&c).contains("blackout_windows"));
-
-        // A sorted, disjoint (even adjacent) schedule passes.
-        let mut c = BeesConfig::default();
-        c.fault.blackout_windows = vec![(10.0, 20.0), (20.0, 25.0), (40.0, 41.5)];
-        c.validate().expect("sorted disjoint windows are valid");
+        let bad = [
+            BandwidthTrace::Schedule { segments: vec![] },
+            fluctuating(0.0, 512_000.0, 0.0),
+            fluctuating(0.0, 512_000.0, -2.0),
+            fluctuating(0.0, 512_000.0, f64::NAN),
+            fluctuating(-1.0, 512_000.0, 2.0),
+            fluctuating(f64::NAN, 512_000.0, 2.0),
+            fluctuating(512_000.0, 0.0, 2.0),
+        ];
+        for trace in bad {
+            let private = BeesConfig {
+                trace: trace.clone(),
+                ..BeesConfig::default()
+            };
+            let mut shared = BeesConfig::default();
+            shared.cell.capacity = trace.clone();
+            for (c, field) in [(private, "trace"), (shared, "shared cell")] {
+                let errors = [
+                    crate::Client::try_new(0, &c).err(),
+                    crate::Server::try_new(&c).err(),
+                ];
+                for err in errors {
+                    match err {
+                        Some(CoreError::InvalidConfig { detail }) => {
+                            assert!(detail.contains(field), "{detail}");
+                        }
+                        other => panic!("{trace:?}: expected InvalidConfig, got {other:?}"),
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -279,14 +338,6 @@ mod tests {
             Err(CoreError::InvalidConfig { detail }) => {
                 assert!(detail.contains("shared cell"), "{detail}");
                 assert!(detail.contains("epoch_s"), "{detail}");
-            }
-            other => panic!("expected InvalidConfig, got {other:?}"),
-        }
-        let mut c = BeesConfig::default();
-        c.cell.oversubscription_threshold = 0.2;
-        match c.validate() {
-            Err(CoreError::InvalidConfig { detail }) => {
-                assert!(detail.contains("oversubscription_threshold"), "{detail}");
             }
             other => panic!("expected InvalidConfig, got {other:?}"),
         }

@@ -57,7 +57,7 @@ pub use report::BatchReport;
 pub use retrieval::{Provenance, RetrievalHit, RetrievalQuery, RetrievalResult};
 pub use scheduler::{
     AirtimeScheduler, DeviceDemand, EpochPlan, Grant, SchedulerPolicy, UploadTier,
-    PARTIAL_TIER_FRACTION, THUMBNAIL_TIER_FRACTION,
+    OVERSUBSCRIPTION_THRESHOLD, PARTIAL_TIER_FRACTION, THUMBNAIL_TIER_FRACTION,
 };
 pub use server::{ImageRecord, ImageTier, OnDeviceImage, PartialImage, Server};
 

@@ -6,7 +6,7 @@
 //! uploads by **marginal utility** — SSMM novelty × battery state ×
 //! geotag coverage gap — and walks the ranking, admitting each device at
 //! the highest [`UploadTier`] whose airtime still fits under the cell
-//! budget (scaled by the validated oversubscription threshold). Devices
+//! budget (scaled by [`OVERSUBSCRIPTION_THRESHOLD`]). Devices
 //! past the budget are told to *degrade before spending radio energy*:
 //! full progressive upload → partial scans → thumbnail → defer.
 //!
@@ -27,6 +27,11 @@ use std::fmt;
 pub const PARTIAL_TIER_FRACTION: f64 = 0.4;
 /// Fraction of a full-tier upload's bytes a thumbnail upload costs.
 pub const THUMBNAIL_TIER_FRACTION: f64 = 0.1;
+/// Demand-to-budget ratio above which admission control starts degrading
+/// low-utility devices (tier ladder) instead of granting everyone: grants
+/// may overfill an epoch's airtime budget by half before backpressure
+/// engages.
+pub const OVERSUBSCRIPTION_THRESHOLD: f64 = 1.5;
 
 /// How the scheduler ranks devices competing for cell airtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -201,21 +206,15 @@ impl EpochPlan {
 #[derive(Debug, Clone)]
 pub struct AirtimeScheduler {
     policy: SchedulerPolicy,
-    oversubscription_threshold: f64,
     max_consecutive_denials: u32,
     rr_cursor: usize,
 }
 
 impl AirtimeScheduler {
-    /// A scheduler running `policy` with the cell's admission knobs.
-    pub fn new(
-        policy: SchedulerPolicy,
-        oversubscription_threshold: f64,
-        max_consecutive_denials: u32,
-    ) -> Self {
+    /// A scheduler running `policy` with the cell's starvation bound.
+    pub fn new(policy: SchedulerPolicy, max_consecutive_denials: u32) -> Self {
         AirtimeScheduler {
             policy,
-            oversubscription_threshold: oversubscription_threshold.max(1.0),
             max_consecutive_denials: max_consecutive_denials.max(1),
             rr_cursor: 0,
         }
@@ -229,7 +228,7 @@ impl AirtimeScheduler {
     /// Plans one epoch: ranks `demands` under `policy`, then admits each
     /// device at the highest tier whose cumulative airtime (at the shared
     /// rate `capacity_bps`) stays within `budget_s` ×
-    /// `oversubscription_threshold`. A device denied
+    /// [`OVERSUBSCRIPTION_THRESHOLD`]. A device denied
     /// `max_consecutive_denials` epochs in a row is force-granted a
     /// thumbnail even past the budget.
     ///
@@ -295,7 +294,7 @@ impl AirtimeScheduler {
         // their relative order. sort_by_key is stable.
         order.sort_by_key(|&i| demands[i].consecutive_denials < self.max_consecutive_denials);
 
-        let allowance_s = budget_s * self.oversubscription_threshold;
+        let allowance_s = budget_s * OVERSUBSCRIPTION_THRESHOLD;
         let mut spent_s = 0.0f64;
         let mut grants = vec![
             Grant {
@@ -365,7 +364,13 @@ mod tests {
     }
 
     fn sched(policy: SchedulerPolicy) -> AirtimeScheduler {
-        AirtimeScheduler::new(policy, 1.0, 8)
+        AirtimeScheduler::new(policy, 8)
+    }
+
+    /// The epoch budget whose allowance is `allowance_s`: the cases below
+    /// are sized in allowance seconds.
+    fn budget(allowance_s: f64) -> f64 {
+        allowance_s / OVERSUBSCRIPTION_THRESHOLD
     }
 
     #[test]
@@ -379,14 +384,14 @@ mod tests {
     #[test]
     fn undersubscribed_epochs_grant_everyone_full() {
         // 4 devices × 10_000 B = 320_000 bits over 256 Kbps = 1.25 s of
-        // airtime against a 30 s budget.
+        // airtime against a 30 s allowance.
         let demands: Vec<_> = (0..4).map(|d| demand(d, 1.0, 1.0, 1.0, 10_000)).collect();
         for policy in [
             SchedulerPolicy::Fifo,
             SchedulerPolicy::RoundRobin,
             SchedulerPolicy::Utility,
         ] {
-            let plan = sched(policy).plan_epoch(&demands, 30.0, 256_000.0);
+            let plan = sched(policy).plan_epoch(&demands, budget(30.0), 256_000.0);
             assert_eq!(plan.granted, 4, "{policy}");
             assert!(plan.grants.iter().all(|g| g.tier == UploadTier::Full));
             assert!(plan.demand_ratio < 0.1);
@@ -395,27 +400,27 @@ mod tests {
 
     #[test]
     fn oversubscription_degrades_the_lowest_utility_first() {
-        // Budget fits exactly one full upload; device 2 has the highest
-        // utility and must keep Full while the others degrade.
+        // The allowance fits exactly one full upload; device 2 has the
+        // highest utility and must keep Full while the others degrade.
         let demands = vec![
             demand(0, 0.2, 1.0, 1.0, 96_000),
             demand(1, 0.5, 1.0, 1.0, 96_000),
             demand(2, 1.0, 1.0, 1.0, 96_000),
         ];
-        // 96_000 B = 768_000 bits at 256 Kbps = 3 s each; budget 3 s.
-        let plan = sched(SchedulerPolicy::Utility).plan_epoch(&demands, 3.0, 256_000.0);
+        // 96_000 B = 768_000 bits at 256 Kbps = 3 s each; allowance 3 s.
+        let plan = sched(SchedulerPolicy::Utility).plan_epoch(&demands, budget(3.0), 256_000.0);
         assert_eq!(plan.grant_for(2).unwrap().tier, UploadTier::Full);
         assert!(plan.grant_for(0).unwrap().tier > UploadTier::Full);
         assert!(plan.demand_ratio >= 2.9);
         // FIFO instead favors arrival order: device 0 keeps Full.
-        let plan = sched(SchedulerPolicy::Fifo).plan_epoch(&demands, 3.0, 256_000.0);
+        let plan = sched(SchedulerPolicy::Fifo).plan_epoch(&demands, budget(3.0), 256_000.0);
         assert_eq!(plan.grant_for(0).unwrap().tier, UploadTier::Full);
     }
 
     #[test]
     fn ties_break_by_device_id() {
         let demands: Vec<_> = (0..3).map(|d| demand(d, 1.0, 1.0, 1.0, 96_000)).collect();
-        let plan = sched(SchedulerPolicy::Utility).plan_epoch(&demands, 3.0, 256_000.0);
+        let plan = sched(SchedulerPolicy::Utility).plan_epoch(&demands, budget(3.0), 256_000.0);
         assert_eq!(plan.grant_for(0).unwrap().tier, UploadTier::Full);
         assert_ne!(plan.grant_for(2).unwrap().tier, UploadTier::Full);
     }
@@ -426,7 +431,7 @@ mod tests {
         let mut s = sched(SchedulerPolicy::RoundRobin);
         let first: Vec<_> = (0..3)
             .map(|_| {
-                let plan = s.plan_epoch(&demands, 3.0, 256_000.0);
+                let plan = s.plan_epoch(&demands, budget(3.0), 256_000.0);
                 plan.grants
                     .iter()
                     .position(|g| g.tier == UploadTier::Full)
@@ -443,7 +448,7 @@ mod tests {
         let plan = s.plan_epoch(&demands, 0.0, 256_000.0);
         assert_eq!(plan.granted, 0);
         assert!(plan.demand_ratio.is_infinite());
-        let plan = s.plan_epoch(&demands, 30.0, 0.0);
+        let plan = s.plan_epoch(&demands, budget(30.0), 0.0);
         assert_eq!(plan.granted, 0);
         assert!(plan.grants.iter().all(|g| g.tier == UploadTier::Defer));
     }
@@ -453,31 +458,32 @@ mod tests {
         let mut hungry = demand(0, 0.0, 0.0, 0.0, 96_000); // utility 0
         let rich = demand(1, 1.0, 1.0, 1.0, 96_000);
         hungry.consecutive_denials = 8;
-        let mut s = AirtimeScheduler::new(SchedulerPolicy::Utility, 1.0, 8);
-        // Budget fits one full upload; the starving device jumps the queue.
-        let plan = s.plan_epoch(&[hungry, rich], 3.0, 256_000.0);
+        let mut s = sched(SchedulerPolicy::Utility);
+        // The allowance fits one full upload; the starving device jumps the
+        // queue.
+        let plan = s.plan_epoch(&[hungry, rich], budget(3.0), 256_000.0);
         let g = plan.grant_for(0).unwrap();
         assert_ne!(g.tier, UploadTier::Defer, "starving device is granted");
         // Below the bound the same device is simply outranked.
-        let mut s = AirtimeScheduler::new(SchedulerPolicy::Utility, 1.0, 8);
+        let mut s = sched(SchedulerPolicy::Utility);
         hungry.consecutive_denials = 7;
-        let plan = s.plan_epoch(&[hungry, rich], 0.001, 256_000.0);
+        let plan = s.plan_epoch(&[hungry, rich], budget(0.001), 256_000.0);
         assert_eq!(plan.grant_for(0).unwrap().tier, UploadTier::Defer);
     }
 
     #[test]
     fn threshold_stretches_the_allowance() {
-        // Two full uploads need 6 s against a 3 s budget: threshold 2.0
-        // admits both at Full, threshold 1.0 degrades the second.
+        // Two full uploads need 6 s. Grants may overfill a 4 s budget by
+        // half, so it admits both at Full; just below it, the second
+        // degrades.
         let demands = vec![
             demand(0, 1.0, 1.0, 1.0, 96_000),
             demand(1, 0.5, 1.0, 1.0, 96_000),
         ];
-        let mut loose = AirtimeScheduler::new(SchedulerPolicy::Utility, 2.0, 8);
-        let plan = loose.plan_epoch(&demands, 3.0, 256_000.0);
+        let mut s = sched(SchedulerPolicy::Utility);
+        let plan = s.plan_epoch(&demands, 4.0, 256_000.0);
         assert!(plan.grants.iter().all(|g| g.tier == UploadTier::Full));
-        let mut tight = AirtimeScheduler::new(SchedulerPolicy::Utility, 1.0, 8);
-        let plan = tight.plan_epoch(&demands, 3.0, 256_000.0);
+        let plan = s.plan_epoch(&demands, 3.9, 256_000.0);
         assert_ne!(plan.grant_for(1).unwrap().tier, UploadTier::Full);
     }
 
@@ -526,8 +532,8 @@ mod tests {
         let mut b = sched(SchedulerPolicy::Utility);
         for _ in 0..5 {
             assert_eq!(
-                a.plan_epoch(&demands, 10.0, 256_000.0),
-                b.plan_epoch(&demands, 10.0, 256_000.0)
+                a.plan_epoch(&demands, budget(10.0), 256_000.0),
+                b.plan_epoch(&demands, budget(10.0), 256_000.0)
             );
         }
     }

@@ -29,7 +29,7 @@ use crate::{
     BatchReport, BeesConfig, Client, IngestRequest, PartialImage, Result, RetrievalQuery,
     UploadTier,
 };
-use bees_energy::{EnergyCategory, LinearScheme};
+use bees_energy::{model, EnergyCategory, LinearScheme};
 use bees_features::orb::Orb;
 use bees_features::similarity::jaccard_similarity;
 use bees_features::ImageFeatures;
@@ -128,7 +128,6 @@ impl Bees {
 
         // ---- Stage 3: In-Batch Redundancy Detection (SSMM) ---------------
         let client = &mut *b.ctx.client;
-        let model = *client.energy_model();
         let (t_ssmm, j_ssmm) = (client.now(), client.ledger().total());
         let n_survivors = survivors.len();
         let selected: Vec<usize> = if survivors.len() > 1 {
@@ -136,7 +135,7 @@ impl Bees {
             let mut pair_j = 0.0;
             for (a, &i) in survivors.iter().enumerate() {
                 for &j in survivors.iter().skip(a + 1) {
-                    pair_j += model.matching_energy(features[i].len(), features[j].len());
+                    pair_j += model::matching_energy(features[i].len(), features[j].len());
                 }
             }
             client.spend_cpu(EnergyCategory::FeatureExtraction, pair_j)?;
@@ -150,7 +149,7 @@ impl Bees {
                 )
             });
             let tw = EDR.value(self.effective_ebat(client));
-            let summary = Ssmm::default().summarize(&graph, tw);
+            let summary = Ssmm.summarize(&graph, tw);
             b.report.skipped_in_batch = survivors.len() - summary.selected.len();
             summary
                 .selected
@@ -384,11 +383,10 @@ fn shrink_encode(
     encode: impl FnOnce(&RgbImage) -> bees_image::Result<Vec<u8>>,
 ) -> Result<Encoded> {
     let client = &mut *b.ctx.client;
-    let model = *client.energy_model();
     let img = &b.ctx.batch[i];
     client.spend_cpu(
         EnergyCategory::Compression,
-        model.resize_energy(img.pixel_count()),
+        model::resize_energy(img.pixel_count()),
     )?;
     let dims = resize::compressed_dimensions(img.width(), img.height(), proportion)?;
     let (shrunk, encoded) = match guess {
@@ -397,7 +395,7 @@ fn shrink_encode(
     };
     client.spend_cpu(
         EnergyCategory::Compression,
-        model.encode_energy(shrunk.pixel_count()),
+        model::encode_energy(shrunk.pixel_count()),
     )?;
     let encoded = match encoded {
         Some(encoded) => encoded,

@@ -16,7 +16,7 @@
 use crate::schemes::stages::Batch;
 use crate::schemes::{BatchCtx, SchemeKind, UploadScheme};
 use crate::{BatchReport, BeesConfig, PreloadBatch, Result, RetrievalQuery, Server};
-use bees_energy::EnergyCategory;
+use bees_energy::{model, EnergyCategory};
 use bees_features::global::ColorHistogram;
 use bees_image::RgbImage;
 use bees_telemetry::names;
@@ -50,7 +50,7 @@ impl UploadScheme for PhotoNetLike {
             let (t0, j0) = (client.now(), client.ledger().total());
             let mut histograms = Vec::with_capacity(b.ctx.batch.len());
             for img in b.ctx.batch {
-                let joules = client.energy_model().histogram_energy(img.pixel_count());
+                let joules = model::histogram_energy(img.pixel_count());
                 client.spend_cpu(EnergyCategory::FeatureExtraction, joules)?;
                 histograms.push(ColorHistogram::from_image(img));
             }

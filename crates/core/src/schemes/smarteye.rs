@@ -8,7 +8,7 @@
 use crate::schemes::stages::Batch;
 use crate::schemes::{BatchCtx, SchemeKind, UploadScheme};
 use crate::{BatchReport, BeesConfig, PreloadBatch, Result, Server};
-use bees_features::pca::{PcaSift, PcaSiftConfig};
+use bees_features::pca::PcaSift;
 use bees_image::RgbImage;
 
 /// Seed of the deterministic orthonormal basis SmartEye's PCA-SIFT
@@ -30,7 +30,7 @@ impl SmartEye {
     /// every scheme's constructor alike.
     pub fn new(_config: &BeesConfig) -> Self {
         SmartEye {
-            extractor: PcaSift::with_seeded_basis(PcaSiftConfig::default(), PCA_BASIS_SEED),
+            extractor: PcaSift::with_seeded_basis(PCA_BASIS_SEED),
         }
     }
 }

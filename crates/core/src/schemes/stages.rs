@@ -14,7 +14,7 @@ use crate::{
     BatchReport, Client, CoreError, IngestRequest, Result, ResumableOutcome, RetrievalQuery,
     SalvageSummary,
 };
-use bees_energy::EnergyCategory;
+use bees_energy::{model, EnergyCategory};
 use bees_features::{ExtractorKind, FeatureExtractor, ImageFeatures};
 use bees_image::{codec, resize, GrayImage, RgbImage};
 use bees_net::{wire, NetError};
@@ -137,7 +137,6 @@ impl<'c, 'a> Batch<'c, 'a> {
         let batch = self.ctx.batch;
         let client = &mut *self.ctx.client;
         let (t0, j0) = (client.now(), client.ledger().total());
-        let model = *client.energy_model();
         let bitmap = |img: &RgbImage, c: Option<f64>| -> Result<GrayImage> {
             let gray = img.to_gray();
             Ok(match c {
@@ -155,7 +154,7 @@ impl<'c, 'a> Batch<'c, 'a> {
             let c = compression.map(|eac| eac(client));
             let mut dims = img.dimensions();
             if let Some(c) = c {
-                let resize_j = model.resize_energy(img.pixel_count());
+                let resize_j = model::resize_energy(img.pixel_count());
                 client.spend_cpu(EnergyCategory::Compression, resize_j)?;
                 dims = resize::compressed_dimensions(dims.0, dims.1, c)?;
             }
@@ -163,7 +162,7 @@ impl<'c, 'a> Batch<'c, 'a> {
                 Some((at, extracted)) if at == dims => extracted,
                 _ => extractor.extract_with_stats(&bitmap(img, c)?),
             };
-            let extract_j = model.extraction_energy(extractor.kind(), &stats);
+            let extract_j = model::extraction_energy(extractor.kind(), &stats);
             client.spend_cpu(EnergyCategory::FeatureExtraction, extract_j)?;
             features.push(f);
         }

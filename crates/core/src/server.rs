@@ -189,6 +189,10 @@ pub struct PartialImage {
 /// payload and therefore cannot anchor a group).
 const GROUPING_PROBE_K: usize = 8;
 
+/// Similarity at or above which a committed image joins its best stored
+/// neighbor's near-duplicate group.
+const GROUP_THRESHOLD: f64 = 0.12;
+
 fn build_index(config: &BeesConfig) -> Box<dyn FeatureIndex> {
     let similarity = config.similarity;
     let radius = config.mih_probe_radius;
@@ -274,7 +278,7 @@ impl Server {
     ///
     /// After the commit, each newly indexed image that carries a stored
     /// payload joins its best already-stored neighbor's near-duplicate
-    /// group (when the similarity clears `storage.group_threshold`), and
+    /// group (when the similarity clears [`GROUP_THRESHOLD`]), and
     /// the storage ledger takes an epoch snapshot. The grouping probes go
     /// straight to the index — they are bookkeeping, not served queries,
     /// so `queries_served` and the `srv.query` telemetry stay untouched.
@@ -294,9 +298,7 @@ impl Server {
             let query = Query::top_k(features, GROUPING_PROBE_K);
             let hits = self.index.query_with_scratch(&query, &mut self.scratch);
             let neighbor = hits.iter().find(|h| {
-                h.id != *id
-                    && h.similarity >= self.storage_config.group_threshold
-                    && self.store.contains(h.id.0)
+                h.id != *id && h.similarity >= GROUP_THRESHOLD && self.store.contains(h.id.0)
             });
             if let Some(best) = neighbor {
                 self.store.merge_groups(id.0, best.id.0);

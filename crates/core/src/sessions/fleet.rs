@@ -594,11 +594,7 @@ pub fn run_fleet_with_server(
         devices,
         queue: BinaryHeap::new(),
         cell: cell.as_ref(),
-        scheduler: AirtimeScheduler::new(
-            config.scheduler,
-            config.cell.oversubscription_threshold,
-            config.cell.max_consecutive_denials,
-        ),
+        scheduler: AirtimeScheduler::new(config.scheduler, config.cell.max_consecutive_denials),
         chunk: config.retry.chunk_bytes.max(1),
         give_up_denials: GIVE_UP_FACTOR.saturating_mul(config.cell.max_consecutive_denials),
         epoch_bytes: BTreeMap::new(),

@@ -112,11 +112,6 @@ impl Battery {
         );
         self.remaining_j = self.capacity_j * fraction;
     }
-
-    /// Restores the battery to full.
-    pub fn recharge(&mut self) {
-        self.remaining_j = self.capacity_j;
-    }
 }
 
 impl Default for Battery {
@@ -154,7 +149,7 @@ mod tests {
         assert!((b.drawn_joules() - 4.0).abs() < 1e-12);
         b.drain(100.0);
         assert!((b.drawn_joules() - 10.0).abs() < 1e-12);
-        b.recharge();
+        b.set_fraction(1.0);
         assert_eq!(b.drawn_joules(), 0.0);
     }
 
@@ -163,7 +158,7 @@ mod tests {
         let mut b = Battery::from_joules(100.0);
         b.set_fraction(0.3);
         assert!((b.remaining_joules() - 30.0).abs() < 1e-9);
-        b.recharge();
+        b.set_fraction(1.0);
         assert_eq!(b.fraction(), 1.0);
     }
 

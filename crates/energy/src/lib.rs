@@ -9,9 +9,9 @@
 //! * [`Battery`] — capacity bookkeeping; `Ebat` (the remaining-energy
 //!   fraction that drives every energy-aware adaptive scheme) is
 //!   [`Battery::fraction`],
-//! * [`EnergyModel`] — cost coefficients: CPU joules per pixel of feature
-//!   detection (per extractor), per keypoint described, per pixel resized /
-//!   DCT-encoded, and radio power during transmission,
+//! * [`model`] — the cost coefficients, as constants: CPU joules per pixel
+//!   of feature detection (per extractor), per keypoint described, per
+//!   pixel resized / DCT-encoded, and radio power during transmission,
 //! * [`EnergyLedger`] — per-category accounting backing the paper's Fig. 8
 //!   breakdown (feature extraction vs feature upload vs image upload),
 //! * [`adaptive`] — the three energy-aware adaptive schemes: EAC
@@ -21,12 +21,11 @@
 //! # Examples
 //!
 //! ```
-//! use bees_energy::{Battery, EnergyModel};
+//! use bees_energy::{model, Battery};
 //!
 //! let mut battery = Battery::from_mah(3150.0, 3.8);
 //! assert!((battery.fraction() - 1.0).abs() < 1e-9);
-//! let model = EnergyModel::default();
-//! let j = model.radio_tx_energy(10.0); // 10 s of transmission
+//! let j = model::radio_tx_energy(10.0); // 10 s of transmission
 //! battery.drain(j);
 //! assert!(battery.fraction() < 1.0);
 //! ```
@@ -34,9 +33,8 @@
 pub mod adaptive;
 mod battery;
 mod ledger;
-mod model;
+pub mod model;
 
 pub use adaptive::LinearScheme;
 pub use battery::Battery;
 pub use ledger::{EnergyCategory, EnergyLedger};
-pub use model::EnergyModel;

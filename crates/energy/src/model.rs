@@ -6,129 +6,100 @@
 //! roughly two orders of magnitude more (the paper's stated ratio), WiFi
 //! transmission draws well under a watt, and a bright screen about one watt.
 //! What the experiments depend on is the *relative ordering* these
-//! coefficients preserve.
+//! coefficients preserve. Every client runs the same model, so each
+//! coefficient is a constant.
 
 use bees_features::{ExtractionStats, ExtractorKind};
 
-/// Cost coefficients mapping work to joules.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EnergyModel {
-    /// Joules per pixel of ORB detection work (pyramid + FAST + Harris).
-    pub orb_joules_per_pixel: f64,
-    /// Joules per keypoint for the BRIEF descriptor.
-    pub orb_joules_per_keypoint: f64,
-    /// Joules per scale-space pixel of SIFT work (DoG + extrema).
-    pub sift_joules_per_pixel: f64,
-    /// Joules per keypoint for the 128-d SIFT descriptor.
-    pub sift_joules_per_keypoint: f64,
-    /// Joules per scale-space pixel for PCA-SIFT (same detector as SIFT).
-    pub pca_sift_joules_per_pixel: f64,
-    /// Joules per keypoint for the PCA projection (patch + 162→36 matmul);
-    /// more than SIFT's descriptor, reflecting "PCA-SIFT ... increasing the
-    /// time of computing features".
-    pub pca_sift_joules_per_keypoint: f64,
-    /// Joules per pixel of global-feature (color histogram) computation —
-    /// the cheap extraction PhotoNet-style schemes use.
-    pub histogram_joules_per_pixel: f64,
-    /// Joules per pixel of bitmap resize work.
-    pub resize_joules_per_pixel: f64,
-    /// Joules per pixel of DCT encode work.
-    pub encode_joules_per_pixel: f64,
-    /// Joules per descriptor pair compared during in-batch matching.
-    pub matching_joules_per_pair: f64,
-    /// Sustained CPU power while computing, in watts — converts CPU joules
-    /// into CPU seconds for the delay model (Fig. 11 includes extraction
-    /// time in the upload delay).
-    pub cpu_watts: f64,
-    /// Radio power while transmitting, in watts.
-    pub radio_tx_watts: f64,
-    /// Radio power while receiving, in watts.
-    pub radio_rx_watts: f64,
-    /// Baseline power (screen bright + system) in watts, drawn for the
-    /// whole wall-clock duration of a session.
-    pub idle_watts: f64,
+/// Joules per pixel of ORB detection work (pyramid + FAST + Harris): ~0.3 J
+/// for a 1 MPix image with a ~1.9 MPix pyramid.
+pub const ORB_JOULES_PER_PIXEL: f64 = 1.5e-7;
+/// Joules per keypoint for the BRIEF descriptor.
+pub const ORB_JOULES_PER_KEYPOINT: f64 = 6.0e-5;
+/// Joules per scale-space pixel of SIFT work (DoG + extrema): roughly two
+/// orders of magnitude above ORB per unit work (paper §III-D: "ORB is
+/// about two orders faster than SIFT").
+pub const SIFT_JOULES_PER_PIXEL: f64 = 6.0e-6;
+/// Joules per keypoint for the 128-d SIFT descriptor.
+pub const SIFT_JOULES_PER_KEYPOINT: f64 = 2.0e-3;
+/// Joules per scale-space pixel for PCA-SIFT (same detector as SIFT).
+pub const PCA_SIFT_JOULES_PER_PIXEL: f64 = 6.0e-6;
+/// Joules per keypoint for the PCA projection (patch + 162→36 matmul);
+/// more than SIFT's descriptor, reflecting "PCA-SIFT ... increasing the
+/// time of computing features".
+pub const PCA_SIFT_JOULES_PER_KEYPOINT: f64 = 3.2e-3;
+/// Joules per pixel of global-feature (color histogram) computation — the
+/// cheap extraction PhotoNet-style schemes use.
+pub const HISTOGRAM_JOULES_PER_PIXEL: f64 = 8.0e-9;
+/// Joules per pixel of bitmap resize work.
+pub const RESIZE_JOULES_PER_PIXEL: f64 = 2.0e-8;
+/// Joules per pixel of DCT encode work.
+pub const ENCODE_JOULES_PER_PIXEL: f64 = 6.0e-8;
+/// Joules per descriptor pair compared during in-batch matching.
+pub const MATCHING_JOULES_PER_PAIR: f64 = 2.0e-8;
+/// Sustained CPU power while computing, in watts — converts CPU joules into
+/// CPU seconds for the delay model (Fig. 11 includes extraction time in the
+/// upload delay).
+pub const CPU_WATTS: f64 = 2.0;
+/// Radio power while transmitting, in watts.
+pub const RADIO_TX_WATTS: f64 = 0.8;
+/// Radio power while receiving, in watts.
+pub const RADIO_RX_WATTS: f64 = 0.5;
+/// Baseline power (screen bright + system) in watts, drawn for the whole
+/// wall-clock duration of a session.
+pub const IDLE_WATTS: f64 = 1.0;
+
+/// Energy to extract features given the extractor kind and the work it
+/// reported.
+pub fn extraction_energy(kind: ExtractorKind, stats: &ExtractionStats) -> f64 {
+    let (per_pixel, per_keypoint) = match kind {
+        ExtractorKind::Orb => (ORB_JOULES_PER_PIXEL, ORB_JOULES_PER_KEYPOINT),
+        ExtractorKind::Sift => (SIFT_JOULES_PER_PIXEL, SIFT_JOULES_PER_KEYPOINT),
+        ExtractorKind::PcaSift => (PCA_SIFT_JOULES_PER_PIXEL, PCA_SIFT_JOULES_PER_KEYPOINT),
+    };
+    stats.pixels_processed as f64 * per_pixel + stats.keypoints_described as f64 * per_keypoint
 }
 
-impl Default for EnergyModel {
-    fn default() -> Self {
-        EnergyModel {
-            // ~0.3 J for a 1 MPix image with a ~1.9 MPix pyramid.
-            orb_joules_per_pixel: 1.5e-7,
-            orb_joules_per_keypoint: 6.0e-5,
-            // Roughly two orders of magnitude above ORB per unit work
-            // (paper §III-D: "ORB is about two orders faster than SIFT").
-            sift_joules_per_pixel: 6.0e-6,
-            sift_joules_per_keypoint: 2.0e-3,
-            pca_sift_joules_per_pixel: 6.0e-6,
-            pca_sift_joules_per_keypoint: 3.2e-3,
-            histogram_joules_per_pixel: 8.0e-9,
-            resize_joules_per_pixel: 2.0e-8,
-            encode_joules_per_pixel: 6.0e-8,
-            matching_joules_per_pair: 2.0e-8,
-            cpu_watts: 2.0,
-            radio_tx_watts: 0.8,
-            radio_rx_watts: 0.5,
-            idle_watts: 1.0,
-        }
-    }
+/// Energy to compute a color histogram over `pixels` pixels.
+pub fn histogram_energy(pixels: usize) -> f64 {
+    pixels as f64 * HISTOGRAM_JOULES_PER_PIXEL
 }
 
-impl EnergyModel {
-    /// Energy to extract features given the extractor kind and the work it
-    /// reported.
-    pub fn extraction_energy(&self, kind: ExtractorKind, stats: &ExtractionStats) -> f64 {
-        let (per_pixel, per_keypoint) = match kind {
-            ExtractorKind::Orb => (self.orb_joules_per_pixel, self.orb_joules_per_keypoint),
-            ExtractorKind::Sift => (self.sift_joules_per_pixel, self.sift_joules_per_keypoint),
-            ExtractorKind::PcaSift => (
-                self.pca_sift_joules_per_pixel,
-                self.pca_sift_joules_per_keypoint,
-            ),
-        };
-        stats.pixels_processed as f64 * per_pixel + stats.keypoints_described as f64 * per_keypoint
-    }
+/// Energy to resize `pixels` source pixels.
+pub fn resize_energy(pixels: usize) -> f64 {
+    pixels as f64 * RESIZE_JOULES_PER_PIXEL
+}
 
-    /// Energy to compute a color histogram over `pixels` pixels.
-    pub fn histogram_energy(&self, pixels: usize) -> f64 {
-        pixels as f64 * self.histogram_joules_per_pixel
-    }
+/// Energy to DCT-encode `pixels` pixels.
+pub fn encode_energy(pixels: usize) -> f64 {
+    pixels as f64 * ENCODE_JOULES_PER_PIXEL
+}
 
-    /// Energy to resize `pixels` source pixels.
-    pub fn resize_energy(&self, pixels: usize) -> f64 {
-        pixels as f64 * self.resize_joules_per_pixel
-    }
+/// Energy to brute-force match two descriptor sets of the given sizes
+/// (cross-check costs both directions; the constant absorbs the 2×).
+pub fn matching_energy(n_query: usize, n_train: usize) -> f64 {
+    (n_query * n_train) as f64 * MATCHING_JOULES_PER_PAIR
+}
 
-    /// Energy to DCT-encode `pixels` pixels.
-    pub fn encode_energy(&self, pixels: usize) -> f64 {
-        pixels as f64 * self.encode_joules_per_pixel
-    }
+/// CPU seconds corresponding to `joules` of computation — the delay
+/// contribution of on-phone work.
+pub fn cpu_seconds(joules: f64) -> f64 {
+    joules / CPU_WATTS
+}
 
-    /// Energy to brute-force match two descriptor sets of the given sizes
-    /// (cross-check costs both directions; the constant absorbs the 2×).
-    pub fn matching_energy(&self, n_query: usize, n_train: usize) -> f64 {
-        (n_query * n_train) as f64 * self.matching_joules_per_pair
-    }
+/// Radio energy for `seconds` of transmission.
+pub fn radio_tx_energy(seconds: f64) -> f64 {
+    seconds * RADIO_TX_WATTS
+}
 
-    /// CPU seconds corresponding to `joules` of computation — the delay
-    /// contribution of on-phone work.
-    pub fn cpu_seconds(&self, joules: f64) -> f64 {
-        joules / self.cpu_watts
-    }
+/// Radio energy for `seconds` of reception.
+pub fn radio_rx_energy(seconds: f64) -> f64 {
+    seconds * RADIO_RX_WATTS
+}
 
-    /// Radio energy for `seconds` of transmission.
-    pub fn radio_tx_energy(&self, seconds: f64) -> f64 {
-        seconds * self.radio_tx_watts
-    }
-
-    /// Radio energy for `seconds` of reception.
-    pub fn radio_rx_energy(&self, seconds: f64) -> f64 {
-        seconds * self.radio_rx_watts
-    }
-
-    /// Baseline (screen/system) energy over `seconds` of wall-clock time.
-    pub fn idle_energy(&self, seconds: f64) -> f64 {
-        seconds * self.idle_watts
-    }
+/// Baseline (screen/system) energy over `seconds` of wall-clock time.
+pub fn idle_energy(seconds: f64) -> f64 {
+    seconds * IDLE_WATTS
 }
 
 #[cfg(test)]
@@ -145,58 +116,50 @@ mod tests {
 
     #[test]
     fn sift_costs_orders_more_than_orb() {
-        let m = EnergyModel::default();
-        let orb = m.extraction_energy(ExtractorKind::Orb, &mpix_stats());
-        let sift = m.extraction_energy(ExtractorKind::Sift, &mpix_stats());
+        let orb = extraction_energy(ExtractorKind::Orb, &mpix_stats());
+        let sift = extraction_energy(ExtractorKind::Sift, &mpix_stats());
         assert!(sift / orb > 20.0, "sift {sift} orb {orb}");
         assert!(orb > 0.0);
     }
 
     #[test]
     fn pca_sift_costs_more_than_sift() {
-        let m = EnergyModel::default();
-        let sift = m.extraction_energy(ExtractorKind::Sift, &mpix_stats());
-        let pca = m.extraction_energy(ExtractorKind::PcaSift, &mpix_stats());
+        let sift = extraction_energy(ExtractorKind::Sift, &mpix_stats());
+        let pca = extraction_energy(ExtractorKind::PcaSift, &mpix_stats());
         assert!(pca > sift);
     }
 
     #[test]
     fn orb_on_megapixel_image_is_subjoule() {
-        let m = EnergyModel::default();
-        let e = m.extraction_energy(ExtractorKind::Orb, &mpix_stats());
+        let e = extraction_energy(ExtractorKind::Orb, &mpix_stats());
         assert!(e > 0.05 && e < 1.0, "got {e}");
     }
 
     #[test]
     fn radio_energy_is_power_times_time() {
-        let m = EnergyModel::default();
-        assert!((m.radio_tx_energy(10.0) - 8.0).abs() < 1e-9);
-        assert!((m.radio_rx_energy(10.0) - 5.0).abs() < 1e-9);
-        assert!((m.idle_energy(60.0) - 60.0).abs() < 1e-9);
+        assert!((radio_tx_energy(10.0) - 8.0).abs() < 1e-9);
+        assert!((radio_rx_energy(10.0) - 5.0).abs() < 1e-9);
+        assert!((idle_energy(60.0) - 60.0).abs() < 1e-9);
     }
 
     #[test]
     fn cpu_seconds_inverts_power() {
-        let m = EnergyModel::default();
-        assert!((m.cpu_seconds(4.0) - 2.0).abs() < 1e-9);
+        assert!((cpu_seconds(4.0) - 2.0).abs() < 1e-9);
     }
 
     #[test]
     fn matching_energy_scales_with_pairs() {
-        let m = EnergyModel::default();
-        assert_eq!(m.matching_energy(0, 100), 0.0);
-        assert!(
-            (m.matching_energy(500, 500) - 250_000.0 * m.matching_joules_per_pair).abs() < 1e-12
-        );
+        assert_eq!(matching_energy(0, 100), 0.0);
+        assert!((matching_energy(500, 500) - 250_000.0 * MATCHING_JOULES_PER_PAIR).abs() < 1e-12);
     }
 
     #[test]
     fn resize_is_cheaper_than_extraction_per_pixel() {
-        let m = EnergyModel::default();
-        assert!(m.resize_joules_per_pixel < m.orb_joules_per_pixel);
-        assert!(m.encode_joules_per_pixel < m.orb_joules_per_pixel);
+        let cheaper = |per_pixel: f64| per_pixel < ORB_JOULES_PER_PIXEL;
+        assert!(cheaper(RESIZE_JOULES_PER_PIXEL));
+        assert!(cheaper(ENCODE_JOULES_PER_PIXEL));
         // Global features are the cheapest extraction of all (the paper's
         // related work uses them for exactly that reason).
-        assert!(m.histogram_joules_per_pixel < m.orb_joules_per_pixel);
+        assert!(cheaper(HISTOGRAM_JOULES_PER_PIXEL));
     }
 }

@@ -1,7 +1,7 @@
 //! Property tests of the energy substrate: battery conservation,
 //! adaptive-scheme monotonicity, and cost-model linearity.
 
-use bees_energy::{Battery, EnergyCategory, EnergyLedger, EnergyModel, LinearScheme};
+use bees_energy::{model, Battery, EnergyCategory, EnergyLedger, LinearScheme};
 use bees_features::{ExtractionStats, ExtractorKind};
 use bees_rng::{check, ChaCha8Rng};
 
@@ -47,7 +47,6 @@ fn extraction_energy_is_linear_in_work() {
     check(CASES, |rng| {
         let pixels = rng.gen_range(0..10_000_000usize);
         let kps = rng.gen_range(0..5_000usize);
-        let m = EnergyModel::default();
         for kind in [
             ExtractorKind::Orb,
             ExtractorKind::Sift,
@@ -63,8 +62,8 @@ fn extraction_energy_is_linear_in_work() {
                 keypoints_described: kps * 2,
                 descriptor_bytes: 0,
             };
-            let e1 = m.extraction_energy(kind, &one);
-            let e2 = m.extraction_energy(kind, &double);
+            let e1 = model::extraction_energy(kind, &one);
+            let e2 = model::extraction_energy(kind, &double);
             assert!((e2 - 2.0 * e1).abs() < 1e-9 * (1.0 + e2), "{kind:?}");
             assert!(e1 >= 0.0);
         }
@@ -79,10 +78,9 @@ fn orb_is_cheapest_for_any_workload() {
             keypoints_described: rng.gen_range(1..5_000),
             descriptor_bytes: 0,
         };
-        let m = EnergyModel::default();
-        let orb = m.extraction_energy(ExtractorKind::Orb, &stats);
-        let sift = m.extraction_energy(ExtractorKind::Sift, &stats);
-        let pca = m.extraction_energy(ExtractorKind::PcaSift, &stats);
+        let orb = model::extraction_energy(ExtractorKind::Orb, &stats);
+        let sift = model::extraction_energy(ExtractorKind::Sift, &stats);
+        let pca = model::extraction_energy(ExtractorKind::PcaSift, &stats);
         assert!(orb < sift);
         assert!(sift <= pca);
     });
@@ -114,8 +112,7 @@ fn ledger_merge_is_additive() {
 fn radio_energy_scales_with_time() {
     check(CASES, |rng| {
         let t = rng.gen_range(0.0..100_000.0);
-        let m = EnergyModel::default();
-        assert!((m.radio_tx_energy(t) - t * m.radio_tx_watts).abs() < 1e-9);
-        assert!(m.radio_rx_energy(t) <= m.radio_tx_energy(t));
+        assert!((model::radio_tx_energy(t) - t * model::RADIO_TX_WATTS).abs() < 1e-9);
+        assert!(model::radio_rx_energy(t) <= model::radio_tx_energy(t));
     });
 }

@@ -17,7 +17,7 @@
 use crate::descriptor::{Descriptors, ImageFeatures, VectorDescriptor};
 use crate::extractor::{ExtractionStats, ExtractorKind, FeatureExtractor};
 use crate::keypoint::Keypoint;
-use crate::sift::{ScaleSpacePoint, Sift, SiftConfig};
+use crate::sift::{ScaleSpacePoint, Sift};
 use bees_image::{GrayF32, GrayImage};
 use bees_rng::ChaCha8Rng;
 
@@ -28,24 +28,8 @@ const PATCH_HALF: i64 = 4;
 const PATCH_SIDE: usize = (2 * PATCH_HALF + 1) as usize;
 /// Raw gradient-vector dimensionality (gx and gy per sample).
 pub const RAW_DIM: usize = PATCH_SIDE * PATCH_SIDE * 2;
-
-/// Configuration for [`PcaSift`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PcaSiftConfig {
-    /// Detector configuration (shared with SIFT).
-    pub sift: SiftConfig,
-    /// Output dimensionality after projection (36 in the paper).
-    pub out_dim: usize,
-}
-
-impl Default for PcaSiftConfig {
-    fn default() -> Self {
-        PcaSiftConfig {
-            sift: SiftConfig::default(),
-            out_dim: 36,
-        }
-    }
-}
+/// Output dimensionality after projection (36 in the paper).
+const OUT_DIM: usize = 36;
 
 /// A seeded PCA projection: `out_dim` orthonormal rows of length
 /// [`RAW_DIM`].
@@ -118,7 +102,7 @@ impl PcaBasis {
 /// let img = GrayImage::from_fn(96, 96, |x, y| {
 ///     if ((x / 12) + (y / 12)) % 2 == 0 { 200 } else { 40 }
 /// });
-/// let pca = PcaSift::with_seeded_basis(Default::default(), 1);
+/// let pca = PcaSift::with_seeded_basis(1);
 /// let f = pca.extract(&img);
 /// for kp in &f.keypoints {
 ///     assert!(kp.x < 96.0 + 1.0);
@@ -126,28 +110,15 @@ impl PcaBasis {
 /// ```
 #[derive(Debug, Clone)]
 pub struct PcaSift {
-    config: PcaSiftConfig,
-    sift: Sift,
     basis: PcaBasis,
 }
 
 impl PcaSift {
     /// Creates an extractor with a deterministic seeded orthonormal basis.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.out_dim` exceeds [`RAW_DIM`].
-    pub fn with_seeded_basis(config: PcaSiftConfig, seed: u64) -> Self {
+    pub fn with_seeded_basis(seed: u64) -> Self {
         PcaSift {
-            sift: Sift::new(config.sift),
-            config,
-            basis: PcaBasis::seeded(seed, config.out_dim),
+            basis: PcaBasis::seeded(seed, OUT_DIM),
         }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &PcaSiftConfig {
-        &self.config
     }
 }
 
@@ -189,11 +160,11 @@ impl FeatureExtractor for PcaSift {
             stats.pixels_processed = img.pixel_count();
             return (ImageFeatures::empty_vector(), stats);
         }
-        let space = self.sift.scale_space(img);
+        let space = Sift.scale_space(img);
         // PCA-SIFT does the full SIFT detection *plus* a projection per
         // keypoint; count the scale-space work once.
         stats.pixels_processed = space.total_pixels();
-        let points: Vec<ScaleSpacePoint> = self.sift.detect(&space);
+        let points: Vec<ScaleSpacePoint> = Sift.detect(&space);
         let mut keypoints = Vec::with_capacity(points.len());
         let mut descriptors = Vec::with_capacity(points.len());
         for p in &points {
@@ -256,7 +227,7 @@ mod tests {
 
     #[test]
     fn descriptors_have_configured_dimension() {
-        let pca = PcaSift::with_seeded_basis(PcaSiftConfig::default(), 7);
+        let pca = PcaSift::with_seeded_basis(7);
         let f = pca.extract(&scene());
         if let Descriptors::Vector(v) = &f.descriptors {
             for d in v {
@@ -270,8 +241,8 @@ mod tests {
     #[test]
     fn pca_descriptor_is_smaller_than_sift() {
         let img = scene();
-        let pca = PcaSift::with_seeded_basis(PcaSiftConfig::default(), 7);
-        let sift = Sift::default();
+        let pca = PcaSift::with_seeded_basis(7);
+        let sift = Sift;
         let fp = pca.extract(&img);
         let fs = sift.extract(&img);
         if fp.is_empty() || fs.is_empty() {

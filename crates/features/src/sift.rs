@@ -16,40 +16,22 @@ use crate::extractor::{ExtractionStats, ExtractorKind, FeatureExtractor};
 use crate::keypoint::Keypoint;
 use bees_image::{blur, GrayF32, GrayImage};
 
-/// Configuration for the [`Sift`] extractor.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SiftConfig {
-    /// Maximum number of features to keep (strongest DoG responses first).
-    pub n_features: usize,
-    /// Number of octaves (each halves the resolution).
-    pub n_octaves: u8,
-    /// Scale samples per octave (`s`; the octave holds `s + 3` blurs).
-    pub scales_per_octave: u8,
-    /// Blur of the first scale in each octave.
-    pub base_sigma: f64,
-    /// Minimum absolute DoG response (on the 0..255 intensity scale).
-    pub contrast_threshold: f32,
-    /// Maximum principal-curvature ratio `r` for the edge test
-    /// (`(r+1)²/r` bound on `tr²/det`).
-    pub edge_threshold: f32,
-}
-
-impl Default for SiftConfig {
-    fn default() -> Self {
-        SiftConfig {
-            n_features: 500,
-            n_octaves: 4,
-            scales_per_octave: 3,
-            base_sigma: 1.6,
-            // Lowe's classic value is 0.03 * 255 ≈ 7.65 for photographs;
-            // the synthetic scenes in this reproduction are smoother than
-            // photos, so the default is lowered to keep the keypoint yield
-            // comparable to real-image SIFT.
-            contrast_threshold: 2.0,
-            edge_threshold: 10.0,
-        }
-    }
-}
+/// Maximum number of features to keep (strongest DoG responses first).
+pub const N_FEATURES: usize = 500;
+/// Number of octaves (each halves the resolution).
+const N_OCTAVES: u8 = 4;
+/// Scale samples per octave (`s`; the octave holds `s + 3` blurs).
+const SCALES_PER_OCTAVE: u8 = 3;
+/// Blur of the first scale in each octave.
+const BASE_SIGMA: f64 = 1.6;
+/// Minimum absolute DoG response (on the 0..255 intensity scale). Lowe's
+/// classic value is 0.03 · 255 ≈ 7.65 for photographs; the synthetic
+/// scenes in this reproduction are smoother than photos, so it is lowered
+/// to keep the keypoint yield comparable to real-image SIFT.
+const CONTRAST_THRESHOLD: f32 = 2.0;
+/// Maximum principal-curvature ratio `r` for the edge test (`(r+1)²/r`
+/// bound on `tr²/det`).
+const EDGE_THRESHOLD: f32 = 10.0;
 
 /// Gaussian scale space: per octave, a stack of progressively blurred
 /// images. Shared with PCA-SIFT, which samples gradient patches from it.
@@ -95,54 +77,40 @@ pub struct ScaleSpacePoint {
 /// # Examples
 ///
 /// ```
-/// use bees_features::sift::{Sift, SiftConfig};
+/// use bees_features::sift::Sift;
 /// use bees_features::FeatureExtractor;
 /// use bees_image::GrayImage;
 ///
 /// let img = GrayImage::from_fn(96, 96, |x, y| {
 ///     if ((x / 12) + (y / 12)) % 2 == 0 { 200 } else { 40 }
 /// });
-/// let sift = Sift::new(SiftConfig::default());
-/// let features = sift.extract(&img);
+/// let features = Sift.extract(&img);
 /// assert!(!features.is_empty());
 /// ```
-#[derive(Debug, Clone, Default)]
-pub struct Sift {
-    config: SiftConfig,
-}
+#[derive(Debug, Clone, Copy)]
+pub struct Sift;
 
 impl Sift {
-    /// Creates an extractor with the given configuration.
-    pub fn new(config: SiftConfig) -> Self {
-        Sift { config }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &SiftConfig {
-        &self.config
-    }
-
     /// Builds the Gaussian scale space for an image.
     pub fn scale_space(&self, img: &GrayImage) -> ScaleSpace {
-        let s = self.config.scales_per_octave as i32;
+        let s = SCALES_PER_OCTAVE as i32;
         let k = 2f64.powf(1.0 / s as f64);
         let mut octaves = Vec::new();
         let mut octave_scales = Vec::new();
         let mut base = img.to_f32();
         let mut octave_scale = 1.0f32;
-        for _o in 0..self.config.n_octaves {
+        for _o in 0..N_OCTAVES {
             if base.width() < 16 || base.height() < 16 {
                 break;
             }
             let mut stack = Vec::with_capacity((s + 3) as usize);
             // First layer: bring the base to base_sigma.
-            let first = blur::gaussian_blur_f32(&base, self.config.base_sigma)
-                .expect("base sigma is positive");
+            let first = blur::gaussian_blur_f32(&base, BASE_SIGMA).expect("base sigma is positive");
             stack.push(first);
             for i in 1..(s + 3) {
                 // Incremental blur from the previous layer.
-                let sigma_prev = self.config.base_sigma * k.powi(i - 1);
-                let sigma_next = self.config.base_sigma * k.powi(i);
+                let sigma_prev = BASE_SIGMA * k.powi(i - 1);
+                let sigma_next = BASE_SIGMA * k.powi(i);
                 let inc = (sigma_next * sigma_next - sigma_prev * sigma_prev).sqrt();
                 let next = blur::gaussian_blur_f32(&stack[(i - 1) as usize], inc)
                     .expect("incremental sigma is positive");
@@ -198,13 +166,13 @@ impl Sift {
                 for y in 1..h - 1 {
                     for x in 1..w - 1 {
                         let v = dogs[layer].get(x, y);
-                        if v.abs() < self.config.contrast_threshold {
+                        if v.abs() < CONTRAST_THRESHOLD {
                             continue;
                         }
                         if !is_extremum(&dogs, layer, x, y, v) {
                             continue;
                         }
-                        if is_edge_like(&dogs[layer], x, y, self.config.edge_threshold) {
+                        if is_edge_like(&dogs[layer], x, y, EDGE_THRESHOLD) {
                             continue;
                         }
                         let angle = dominant_orientation(&stack[layer], x, y);
@@ -225,7 +193,7 @@ impl Sift {
                 .partial_cmp(&a.response)
                 .expect("finite responses")
         });
-        points.truncate(self.config.n_features);
+        points.truncate(N_FEATURES);
         points
     }
 
@@ -397,7 +365,7 @@ mod tests {
 
     #[test]
     fn detects_blobs() {
-        let sift = Sift::default();
+        let sift = Sift;
         let f = sift.extract(&blobs());
         assert!(!f.is_empty(), "no SIFT features detected");
         // Keypoints should cluster near the blob centers.
@@ -411,7 +379,7 @@ mod tests {
 
     #[test]
     fn descriptors_are_unit_normalized_128d() {
-        let sift = Sift::default();
+        let sift = Sift;
         let f = sift.extract(&blobs());
         if let Descriptors::Vector(v) = &f.descriptors {
             for d in v {
@@ -427,23 +395,23 @@ mod tests {
     #[test]
     fn flat_image_has_no_features() {
         let img = GrayImage::from_fn(64, 64, |_, _| 100);
-        assert!(Sift::default().extract(&img).is_empty());
+        assert!(Sift.extract(&img).is_empty());
     }
 
     #[test]
     fn tiny_image_is_rejected_gracefully() {
         let img = GrayImage::from_fn(16, 16, |x, y| ((x * y) % 255) as u8);
-        let (f, stats) = Sift::default().extract_with_stats(&img);
+        let (f, stats) = Sift.extract_with_stats(&img);
         assert!(f.is_empty());
         assert_eq!(stats.pixels_processed, 256);
     }
 
     #[test]
     fn scale_space_shapes() {
-        let sift = Sift::default();
+        let sift = Sift;
         let space = sift.scale_space(&blobs());
         assert!(!space.octaves.is_empty());
-        let s = sift.config().scales_per_octave as usize;
+        let s = SCALES_PER_OCTAVE as usize;
         for stack in &space.octaves {
             assert_eq!(stack.len(), s + 3);
         }
@@ -456,14 +424,14 @@ mod tests {
     #[test]
     fn extraction_is_deterministic() {
         let img = blobs();
-        let sift = Sift::default();
+        let sift = Sift;
         assert_eq!(sift.extract(&img), sift.extract(&img));
     }
 
     #[test]
     fn stats_count_scale_space_pixels() {
         let img = blobs();
-        let (_, stats) = Sift::default().extract_with_stats(&img);
+        let (_, stats) = Sift.extract_with_stats(&img);
         // Scale space is strictly larger than the input image.
         assert!(stats.pixels_processed > img.pixel_count());
     }

@@ -4,15 +4,15 @@
 
 use bees_features::orb::Orb;
 use bees_features::pca::PcaSift;
-use bees_features::sift::Sift;
+use bees_features::sift::{self, Sift};
 use bees_features::{Descriptors, FeatureExtractor};
 use bees_image::GrayImage;
 
 fn extractors() -> Vec<Box<dyn FeatureExtractor>> {
     vec![
         Box::new(Orb::default()),
-        Box::new(Sift::default()),
-        Box::new(PcaSift::with_seeded_basis(Default::default(), 7)),
+        Box::new(Sift),
+        Box::new(PcaSift::with_seeded_basis(7)),
     ]
 }
 
@@ -147,7 +147,6 @@ fn feature_budget_is_respected_under_pressure() {
     let orb = Orb::default();
     let f = orb.extract(&img);
     assert!(f.len() <= orb.config().n_features);
-    let sift = Sift::default();
-    let fs = sift.extract(&img);
-    assert!(fs.len() <= sift.config().n_features);
+    let fs = Sift.extract(&img);
+    assert!(fs.len() <= sift::N_FEATURES);
 }

@@ -10,17 +10,14 @@
 //! each device's [`Channel`](crate::Channel) via
 //! [`set_rate_override`](crate::Channel::set_rate_override)).
 //!
-//! Cell-level fault modes reuse the [`FaultModel`] machinery:
-//!
-//! * **outage** — blackout windows during which the whole cell is dark
-//!   (capacity 0); scheduled or seeded-periodic, exactly like device-level
-//!   blackouts,
-//! * **capacity collapse** — blackout windows during which the cell stays
-//!   up but its capacity is multiplied by `collapse_factor` (congestion
-//!   shockwaves, backhaul degradation).
+//! A cell **outage** reuses the [`FaultModel`] machinery: its seeded
+//! periodic blackout windows darken the whole cell (capacity 0), exactly
+//! like device-level blackouts.
 //!
 //! [`SharedCellConfig`] is the validated knob set; it defaults to
-//! *disabled* so existing configs and reports are untouched.
+//! *disabled* so existing configs and reports are untouched. How far
+//! grants may overfill an epoch is the scheduler's constant
+//! (`bees_core::OVERSUBSCRIPTION_THRESHOLD`), not a cell knob.
 
 use crate::{BandwidthTrace, FaultModel, NetError, Result};
 
@@ -48,24 +45,12 @@ pub struct SharedCell {
     capacity: BandwidthTrace,
     epoch_s: f64,
     outage: FaultModel,
-    collapse: FaultModel,
-    collapse_factor: f64,
 }
 
 impl SharedCell {
     /// The scheduling epoch length in seconds.
     pub fn epoch_s(&self) -> f64 {
         self.epoch_s
-    }
-
-    /// The outage fault model (cell fully dark inside its windows).
-    pub fn outage(&self) -> &FaultModel {
-        &self.outage
-    }
-
-    /// The capacity-collapse fault model.
-    pub fn collapse(&self) -> &FaultModel {
-        &self.collapse
     }
 
     /// Index of the scheduling epoch containing time `t`.
@@ -84,17 +69,12 @@ impl SharedCell {
     }
 
     /// The cell's deliverable capacity at time `t`, in bits per second:
-    /// zero inside an outage window, collapsed by `collapse_factor` inside
-    /// a collapse window, the raw trace otherwise.
+    /// zero inside an outage window, the raw trace otherwise.
     pub fn capacity_bps(&self, t: f64) -> f64 {
         if self.outage.blackout_at(t).is_some() {
-            return 0.0;
-        }
-        let base = self.capacity.bps_at(t);
-        if self.collapse.blackout_at(t).is_some() {
-            base * self.collapse_factor
+            0.0
         } else {
-            base
+            self.capacity.bps_at(t)
         }
     }
 
@@ -160,18 +140,8 @@ pub struct SharedCellConfig {
     pub capacity: BandwidthTrace,
     /// Scheduling epoch length in seconds: grants are issued per epoch.
     pub epoch_s: f64,
-    /// Demand-to-budget ratio above which admission control starts
-    /// degrading low-utility devices (tier ladder) instead of granting
-    /// everyone. `1.5` means grants may overfill the budget by half before
-    /// backpressure engages.
-    pub oversubscription_threshold: f64,
     /// Cell outage windows: the whole cell goes dark.
     pub outage: FaultModel,
-    /// Capacity-collapse windows: the cell stays up at a fraction of its
-    /// capacity.
-    pub collapse: FaultModel,
-    /// Capacity multiplier inside a collapse window, in `(0, 1]`.
-    pub collapse_factor: f64,
     /// After this many consecutive denied epochs a starving device is
     /// granted unconditionally — the starvation bound.
     pub max_consecutive_denials: u32,
@@ -183,10 +153,7 @@ impl Default for SharedCellConfig {
             enabled: false,
             capacity: BandwidthTrace::constant(256_000.0).expect("constant is valid"),
             epoch_s: 30.0,
-            oversubscription_threshold: 1.5,
             outage: FaultModel::none(),
-            collapse: FaultModel::none(),
-            collapse_factor: 0.25,
             max_consecutive_denials: 8,
         }
     }
@@ -199,25 +166,11 @@ impl SharedCellConfig {
     ///
     /// Returns [`NetError::InvalidParameter`] naming the offending field.
     pub fn validate(&self) -> Result<()> {
+        self.capacity.validate()?;
         if !self.epoch_s.is_finite() || self.epoch_s <= 0.0 {
             return Err(NetError::InvalidParameter {
                 name: "cell epoch_s",
                 value: self.epoch_s,
-            });
-        }
-        if !self.oversubscription_threshold.is_finite() || self.oversubscription_threshold < 1.0 {
-            return Err(NetError::InvalidParameter {
-                name: "cell oversubscription_threshold",
-                value: self.oversubscription_threshold,
-            });
-        }
-        if !self.collapse_factor.is_finite()
-            || self.collapse_factor <= 0.0
-            || self.collapse_factor > 1.0
-        {
-            return Err(NetError::InvalidParameter {
-                name: "cell collapse_factor",
-                value: self.collapse_factor,
             });
         }
         if self.max_consecutive_denials == 0 {
@@ -226,9 +179,7 @@ impl SharedCellConfig {
                 value: 0.0,
             });
         }
-        self.outage.validate()?;
-        self.collapse.validate()?;
-        Ok(())
+        self.outage.validate()
     }
 
     /// Builds the runtime [`SharedCell`] after validation.
@@ -243,8 +194,6 @@ impl SharedCellConfig {
             capacity: self.capacity.clone(),
             epoch_s: self.epoch_s,
             outage: self.outage.clone(),
-            collapse: self.collapse.clone(),
-            collapse_factor: self.collapse_factor,
         })
     }
 }
@@ -252,12 +201,6 @@ impl SharedCellConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn windowed(windows: Vec<(f64, f64)>) -> FaultModel {
-        FaultModel::none()
-            .with_blackout_windows(windows)
-            .expect("windows are valid")
-    }
 
     #[test]
     fn default_config_is_disabled_and_valid() {
@@ -286,46 +229,21 @@ mod tests {
 
     #[test]
     fn outage_zeroes_capacity_and_shrinks_the_budget() {
+        // Every 30 s period is dark for its first 10 s.
         let cfg = SharedCellConfig {
-            outage: windowed(vec![(10.0, 20.0)]),
+            outage: FaultModel::new(0xCE11, 0.0, 1.0, 30.0, 10.0).unwrap(),
             ..SharedCellConfig::default()
         };
         let cell = cfg.build().unwrap();
-        assert_eq!(cell.capacity_bps(9.9), 256_000.0);
-        assert_eq!(cell.capacity_bps(10.0), 0.0);
-        assert_eq!(cell.capacity_bps(19.9), 0.0);
-        assert_eq!(cell.capacity_bps(20.0), 256_000.0);
-        assert!((cell.outage_overlap_s(0.0, 30.0) - 10.0).abs() < 1e-9);
-        assert!((cell.epoch_budget_s(5.0) - 20.0).abs() < 1e-9);
+        assert_eq!(cell.capacity_bps(29.9), 256_000.0);
+        assert_eq!(cell.capacity_bps(30.0), 0.0);
+        assert_eq!(cell.capacity_bps(39.9), 0.0);
+        assert_eq!(cell.capacity_bps(40.0), 256_000.0);
+        assert!((cell.outage_overlap_s(30.0, 60.0) - 10.0).abs() < 1e-9);
+        assert!((cell.epoch_budget_s(35.0) - 20.0).abs() < 1e-9);
         // Overlap clips to the queried span.
-        assert!((cell.outage_overlap_s(15.0, 18.0) - 3.0).abs() < 1e-9);
-        assert_eq!(cell.outage_overlap_s(20.0, 30.0), 0.0);
-    }
-
-    #[test]
-    fn collapse_scales_capacity_without_darkness() {
-        let cfg = SharedCellConfig {
-            collapse: windowed(vec![(0.0, 15.0)]),
-            collapse_factor: 0.25,
-            ..SharedCellConfig::default()
-        };
-        let cell = cfg.build().unwrap();
-        assert_eq!(cell.capacity_bps(5.0), 64_000.0);
-        assert_eq!(cell.capacity_bps(15.0), 256_000.0);
-        // Collapse does not eat airtime budget — the cell is still up.
-        assert_eq!(cell.epoch_budget_s(5.0), 30.0);
-    }
-
-    #[test]
-    fn outage_wins_over_collapse() {
-        let cfg = SharedCellConfig {
-            outage: windowed(vec![(0.0, 10.0)]),
-            collapse: windowed(vec![(0.0, 30.0)]),
-            ..SharedCellConfig::default()
-        };
-        let cell = cfg.build().unwrap();
-        assert_eq!(cell.capacity_bps(5.0), 0.0);
-        assert_eq!(cell.capacity_bps(12.0), 64_000.0);
+        assert!((cell.outage_overlap_s(35.0, 38.0) - 3.0).abs() < 1e-9);
+        assert_eq!(cell.outage_overlap_s(40.0, 60.0), 0.0);
     }
 
     #[test]
@@ -362,34 +280,13 @@ mod tests {
     #[test]
     fn validation_names_the_offending_knob() {
         let ok = SharedCellConfig::default();
-        let cases: [(SharedCellConfig, &str); 5] = [
+        let cases: [(SharedCellConfig, &str); 2] = [
             (
                 SharedCellConfig {
                     epoch_s: 0.0,
                     ..ok.clone()
                 },
                 "epoch_s",
-            ),
-            (
-                SharedCellConfig {
-                    oversubscription_threshold: 0.5,
-                    ..ok.clone()
-                },
-                "oversubscription_threshold",
-            ),
-            (
-                SharedCellConfig {
-                    collapse_factor: 0.0,
-                    ..ok.clone()
-                },
-                "collapse_factor",
-            ),
-            (
-                SharedCellConfig {
-                    collapse_factor: 1.5,
-                    ..ok.clone()
-                },
-                "collapse_factor",
             ),
             (
                 SharedCellConfig {

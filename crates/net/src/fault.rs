@@ -6,7 +6,9 @@
 //! every run is reproducible at any thread count, and [`FaultyChannel`]
 //! layers them over any [`Channel`], reporting *partial progress* — the
 //! bytes delivered before the cut and the airtime consumed — instead of
-//! the all-or-nothing durations of [`Channel::transfer_duration`].
+//! the all-or-nothing durations of [`Channel::transfer_duration`]. Every
+//! impairment is seeded, blackouts included: a hashed coin decides which
+//! periodic window is dark.
 
 use crate::trace::{hash64, unit};
 use crate::{Channel, NetError, Result};
@@ -61,8 +63,7 @@ impl fmt::Display for FaultKind {
 ///   `blackout_duration_s` seconds) with probability
 ///   `blackout_probability`, decided by a seeded hash of the period index.
 ///   A transfer in flight when a blackout begins is cut there; one started
-///   inside a blackout fails immediately. Explicit windows (a scripted
-///   outage schedule) can be layered on via `blackout_windows`.
+///   inside a blackout fails immediately.
 /// * **Per-attempt drops** — each attempt is cut mid-flight with
 ///   probability `drop_probability`, at a seeded fraction of its payload.
 /// * **Per-chunk corruption** — each delivered transport chunk is
@@ -89,11 +90,6 @@ pub struct FaultModel {
     /// Probability that a delivered transport chunk arrives bit-flipped
     /// (defaults to 0: no corruption).
     pub corrupt_probability: f64,
-    /// Explicit blackout windows `(start_s, end_s)` layered on top of the
-    /// seeded periodic ones — a scripted outage schedule. Must be sorted by
-    /// start, non-overlapping, each with positive span (see
-    /// [`validate`](FaultModel::validate)). Defaults to empty.
-    pub blackout_windows: Vec<(f64, f64)>,
 }
 
 impl Default for FaultModel {
@@ -114,7 +110,6 @@ impl FaultModel {
             blackout_period_s: 1.0,
             blackout_duration_s: 0.0,
             corrupt_probability: 0.0,
-            blackout_windows: Vec::new(),
         }
     }
 
@@ -139,7 +134,6 @@ impl FaultModel {
             blackout_period_s,
             blackout_duration_s,
             corrupt_probability: 0.0,
-            blackout_windows: Vec::new(),
         };
         model.validate()?;
         Ok(model)
@@ -158,19 +152,6 @@ impl FaultModel {
         Ok(self)
     }
 
-    /// The same model with an explicit (scripted) blackout window schedule
-    /// layered on the seeded periodic windows.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::InvalidParameter`] if the windows are unsorted,
-    /// overlapping, non-finite, negative, or empty-spanned.
-    pub fn with_blackout_windows(mut self, windows: Vec<(f64, f64)>) -> Result<Self> {
-        self.blackout_windows = windows;
-        self.validate()?;
-        Ok(self)
-    }
-
     /// A moderately hostile disaster-network preset: 12 % of attempts cut
     /// mid-flight, a quarter of 30-second windows dark for 10 seconds.
     pub fn disaster(seed: u64) -> Self {
@@ -182,7 +163,6 @@ impl FaultModel {
         self.drop_probability <= 0.0
             && (self.blackout_probability <= 0.0 || self.blackout_duration_s <= 0.0)
             && self.corrupt_probability <= 0.0
-            && self.blackout_windows.is_empty()
     }
 
     /// Checks every field.
@@ -227,32 +207,6 @@ impl FaultModel {
                 value: self.corrupt_probability,
             });
         }
-        // Explicit windows must be a well-formed schedule: finite,
-        // non-negative, positive span, sorted by start, and non-overlapping
-        // — rejected here rather than silently reordered or merged at
-        // runtime.
-        let mut prev_end = 0.0f64;
-        for &(start, end) in &self.blackout_windows {
-            if !start.is_finite() || start < 0.0 {
-                return Err(NetError::InvalidParameter {
-                    name: "blackout_windows start",
-                    value: start,
-                });
-            }
-            if !end.is_finite() || end <= start {
-                return Err(NetError::InvalidParameter {
-                    name: "blackout_windows end",
-                    value: end,
-                });
-            }
-            if start < prev_end {
-                return Err(NetError::InvalidParameter {
-                    name: "blackout_windows overlap/order",
-                    value: start,
-                });
-            }
-            prev_end = end;
-        }
         Ok(())
     }
 
@@ -266,14 +220,8 @@ impl FaultModel {
     }
 
     /// The blackout window covering time `t`, as `(start_s, end_s)`, if
-    /// the link is dark at `t` — checking the explicit schedule first, then
-    /// the seeded periodic windows.
+    /// the link is dark at `t`.
     pub fn blackout_at(&self, t: f64) -> Option<(f64, f64)> {
-        for &(start, end) in &self.blackout_windows {
-            if t >= start && t < end {
-                return Some((start, end));
-            }
-        }
         if self.blackout_probability <= 0.0 || self.blackout_duration_s <= 0.0 {
             return None;
         }
@@ -286,30 +234,21 @@ impl FaultModel {
         }
     }
 
-    /// The first instant strictly after `t` at which a blackout begins —
-    /// explicit or periodic — or `f64::INFINITY` if none is found within
-    /// the deterministic scan horizon.
+    /// The first instant strictly after `t` at which a blackout begins, or
+    /// `f64::INFINITY` if none is found within the deterministic scan
+    /// horizon.
     pub fn next_blackout_start(&self, t: f64) -> f64 {
-        let explicit = self
-            .blackout_windows
-            .iter()
-            .map(|&(start, _)| start)
-            .find(|&start| start > t)
-            .unwrap_or(f64::INFINITY);
         if self.blackout_probability <= 0.0 || self.blackout_duration_s <= 0.0 {
-            return explicit;
+            return f64::INFINITY;
         }
         let first = (t / self.blackout_period_s).floor().max(0.0) as u64;
         for k in first..first.saturating_add(MAX_WINDOW_SCAN) {
             let start = k as f64 * self.blackout_period_s;
-            if start >= explicit {
-                break;
-            }
             if start > t && self.window_is_dark(k) {
                 return start;
             }
         }
-        explicit
+        f64::INFINITY
     }
 
     /// Where the per-attempt failure coin cuts attempt number `attempt`:
@@ -666,6 +605,11 @@ mod tests {
         assert!(FaultModel::new(0, 0.0, 0.5, 10.0, -1.0).is_err());
         assert!(FaultModel::new(0, 0.0, 0.5, 10.0, 11.0).is_err());
         assert!(FaultModel::new(0, 0.5, 0.5, 10.0, 5.0).is_ok());
+        // Corruption probability is validated too.
+        let none = FaultModel::none;
+        assert!(none().with_corruption(1.5).is_err());
+        assert!(none().with_corruption(f64::NAN).is_err());
+        assert!(none().with_corruption(1.0).is_ok());
     }
 
     #[test]
@@ -673,13 +617,9 @@ mod tests {
         assert!(FaultModel::none().is_none());
         assert!(!FaultModel::disaster(1).is_none());
         assert!(FaultModel::disaster(1).validate().is_ok());
-        // Either new impairment family alone disqualifies the fast path.
+        // Corruption alone disqualifies the fast path.
         let corrupt = FaultModel::none().with_corruption(0.1).unwrap();
         assert!(!corrupt.is_none());
-        let scripted = FaultModel::none()
-            .with_blackout_windows(vec![(5.0, 8.0)])
-            .unwrap();
-        assert!(!scripted.is_none());
     }
 
     #[test]
@@ -702,70 +642,6 @@ mod tests {
         // Zero probability never flips, regardless of indices.
         let clean = FaultModel::none();
         assert!((0..50).all(|c| !clean.chunk_corrupted(0, c)));
-    }
-
-    #[test]
-    fn explicit_windows_black_out_the_link() {
-        let m = FaultModel::none()
-            .with_blackout_windows(vec![(10.0, 12.0), (40.0, 45.0)])
-            .unwrap();
-        assert!(m.blackout_at(9.99).is_none());
-        assert_eq!(m.blackout_at(10.0), Some((10.0, 12.0)));
-        assert_eq!(m.blackout_at(11.5), Some((10.0, 12.0)));
-        assert!(m.blackout_at(12.0).is_none());
-        assert_eq!(m.blackout_at(44.0), Some((40.0, 45.0)));
-        assert_eq!(m.next_blackout_start(0.0), 10.0);
-        assert_eq!(m.next_blackout_start(10.0), 40.0);
-        assert_eq!(m.next_blackout_start(45.0), f64::INFINITY);
-        // A transfer crossing a scripted window is cut at its start.
-        let mut ch = FaultyChannel::new(channel(), m);
-        let cut = ch.transfer(8.0, 100_000, None);
-        assert_eq!(cut.fault, Some(FaultKind::Disconnected));
-        assert_eq!(cut.delivered_bytes, 64_000); // 2 s at 256 Kbps
-    }
-
-    #[test]
-    fn explicit_windows_combine_with_periodic_ones() {
-        // Periodic: every 10 s window dark for 4 s. Explicit: (5, 6).
-        let m = FaultModel::new(1, 0.0, 1.0, 10.0, 4.0)
-            .unwrap()
-            .with_blackout_windows(vec![(5.0, 6.0)])
-            .unwrap();
-        assert!(m.blackout_at(1.0).is_some(), "periodic window");
-        assert!(m.blackout_at(5.5).is_some(), "explicit window");
-        assert!(m.blackout_at(7.0).is_none());
-        // Next start after 4.0 is the explicit 5.0, before periodic 10.0.
-        assert_eq!(m.next_blackout_start(4.0), 5.0);
-        assert_eq!(m.next_blackout_start(6.0), 10.0);
-    }
-
-    #[test]
-    fn malformed_window_schedules_are_rejected() {
-        let base = FaultModel::none;
-        // Overlapping.
-        assert!(base()
-            .with_blackout_windows(vec![(0.0, 10.0), (5.0, 15.0)])
-            .is_err());
-        // Unsorted.
-        assert!(base()
-            .with_blackout_windows(vec![(20.0, 25.0), (0.0, 5.0)])
-            .is_err());
-        // Empty or inverted span.
-        assert!(base().with_blackout_windows(vec![(3.0, 3.0)]).is_err());
-        assert!(base().with_blackout_windows(vec![(5.0, 2.0)]).is_err());
-        // Negative or non-finite endpoints.
-        assert!(base().with_blackout_windows(vec![(-1.0, 2.0)]).is_err());
-        assert!(base()
-            .with_blackout_windows(vec![(0.0, f64::INFINITY)])
-            .is_err());
-        // Adjacent windows are fine.
-        assert!(base()
-            .with_blackout_windows(vec![(0.0, 5.0), (5.0, 8.0)])
-            .is_ok());
-        // Corruption probability is validated too.
-        assert!(base().with_corruption(1.5).is_err());
-        assert!(base().with_corruption(f64::NAN).is_err());
-        assert!(base().with_corruption(1.0).is_ok());
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //!   exponential backoff and seeded jitter, consumed by the resumable
 //!   transfer path in `bees-core`,
 //! * [`SharedCell`] / [`SharedCellConfig`] — one oversubscribed uplink
-//!   cell (with outage and capacity-collapse fault windows) that a whole
-//!   fleet draws airtime from through per-epoch grants.
+//!   cell (with seeded outage windows) that a whole fleet draws airtime
+//!   from through per-epoch grants.
 //!
 //! # Examples
 //!

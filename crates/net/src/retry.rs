@@ -4,16 +4,30 @@
 //! is applied to retries too (EAAS-style): the retry budget for a transfer
 //! shrinks linearly with `Ebat`, so a nearly-dead phone gives up quickly
 //! instead of burning its last joules on a hopeless link. Backoff is
-//! exponential with *seeded* jitter, so sweeps remain reproducible.
+//! exponential with *seeded* jitter, so sweeps remain reproducible: the
+//! wait before retry `n` is
+//! `min(BASE_BACKOFF_S · BACKOFF_FACTOR^n, MAX_BACKOFF_S) · (1 + JITTER · (u − ½))`,
+//! with constants no workload varies. The budget (`max_attempts`) and the
+//! resume granularity (`chunk_bytes`) are settable because workloads run
+//! them at different values.
 
 use crate::trace::{hash64, unit};
 use crate::{NetError, Result};
 
 /// Salt mixed into the per-attempt jitter hash.
 const JITTER_SALT: u64 = 0x1177_E200_0000_0003;
+/// Backoff before the second attempt, in seconds.
+const BASE_BACKOFF_S: f64 = 0.5;
+/// Multiplier applied to the backoff after each failed attempt.
+const BACKOFF_FACTOR: f64 = 2.0;
+/// Ceiling on a single backoff wait before jitter, in seconds.
+const MAX_BACKOFF_S: f64 = 30.0;
+/// Jitter amplitude as a fraction of the backoff (±12.5 %), sampled
+/// deterministically from the seed and attempt.
+const JITTER: f64 = 0.25;
 
-/// Governs chunked resumable transfers: how many attempts, how long each
-/// may run, how long to wait between them, and the resume granularity.
+/// Governs chunked resumable transfers: how many attempts, and the resume
+/// granularity.
 ///
 /// # Examples
 ///
@@ -25,25 +39,13 @@ const JITTER_SALT: u64 = 0x1177_E200_0000_0003;
 /// assert_eq!(policy.budget(1.0), policy.max_attempts);
 /// assert_eq!(policy.budget(0.0), 1);
 /// // Backoff grows but is capped and deterministic per (seed, attempt).
-/// assert_eq!(policy.backoff_s(3, 7), policy.backoff_s(3, 7));
+/// assert_eq!(RetryPolicy::backoff_s(3, 7), RetryPolicy::backoff_s(3, 7));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Attempt ceiling at full battery; the effective budget scales down
     /// linearly with `Ebat` (see [`budget`](RetryPolicy::budget)).
     pub max_attempts: u32,
-    /// Backoff before the second attempt, in seconds.
-    pub base_backoff_s: f64,
-    /// Multiplier applied to the backoff after each failed attempt.
-    pub backoff_factor: f64,
-    /// Ceiling on a single backoff wait, in seconds.
-    pub max_backoff_s: f64,
-    /// Jitter amplitude as a fraction of the backoff (`0.25` means
-    /// ±12.5 %); sampled deterministically from the seed and attempt.
-    pub jitter: f64,
-    /// Wall-clock bound on a single attempt, in simulated seconds; `None`
-    /// leaves only the channel's stall limit.
-    pub attempt_timeout_s: Option<f64>,
     /// Resume granularity: bytes delivered past the last whole chunk are
     /// retransmitted on the next attempt (torn-chunk discard).
     pub chunk_bytes: usize,
@@ -53,11 +55,6 @@ impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy {
             max_attempts: 6,
-            base_backoff_s: 0.5,
-            backoff_factor: 2.0,
-            max_backoff_s: 30.0,
-            jitter: 0.25,
-            attempt_timeout_s: Some(90.0),
             chunk_bytes: 16 * 1024,
         }
     }
@@ -75,38 +72,6 @@ impl RetryPolicy {
                 name: "max_attempts",
                 value: 0.0,
             });
-        }
-        if !self.base_backoff_s.is_finite() || self.base_backoff_s < 0.0 {
-            return Err(NetError::InvalidParameter {
-                name: "base_backoff_s",
-                value: self.base_backoff_s,
-            });
-        }
-        if !self.backoff_factor.is_finite() || self.backoff_factor < 1.0 {
-            return Err(NetError::InvalidParameter {
-                name: "backoff_factor",
-                value: self.backoff_factor,
-            });
-        }
-        if !self.max_backoff_s.is_finite() || self.max_backoff_s < 0.0 {
-            return Err(NetError::InvalidParameter {
-                name: "max_backoff_s",
-                value: self.max_backoff_s,
-            });
-        }
-        if !self.jitter.is_finite() || !(0.0..=1.0).contains(&self.jitter) {
-            return Err(NetError::InvalidParameter {
-                name: "jitter",
-                value: self.jitter,
-            });
-        }
-        if let Some(t) = self.attempt_timeout_s {
-            if !t.is_finite() || t <= 0.0 {
-                return Err(NetError::InvalidParameter {
-                    name: "attempt_timeout_s",
-                    value: t,
-                });
-            }
         }
         if self.chunk_bytes == 0 {
             return Err(NetError::InvalidParameter {
@@ -133,16 +98,21 @@ impl RetryPolicy {
     /// first failure), with deterministic jitter drawn from `seed`:
     /// `min(base · factor^attempt, max) · (1 + jitter · (u − ½))` where
     /// `u` is uniform in `[0, 1)`.
-    pub fn backoff_s(&self, attempt: u32, seed: u64) -> f64 {
-        let exp = attempt.min(62) as i32;
-        let raw = (self.base_backoff_s * self.backoff_factor.powi(exp)).min(self.max_backoff_s);
+    pub fn backoff_s(attempt: u32, seed: u64) -> f64 {
         let h = hash64(
             seed ^ (attempt as u64)
                 .wrapping_mul(0xBF58_476D_1CE4_E5B9)
                 .wrapping_add(JITTER_SALT),
         );
-        raw * (1.0 + self.jitter * (unit(h) - 0.5))
+        nominal_backoff_s(attempt) * (1.0 + JITTER * (unit(h) - 0.5))
     }
+}
+
+/// The backoff before retry number `attempt` without jitter:
+/// `min(base · factor^attempt, max)`.
+fn nominal_backoff_s(attempt: u32) -> f64 {
+    let exp = attempt.min(62) as i32;
+    (BASE_BACKOFF_S * BACKOFF_FACTOR.powi(exp)).min(MAX_BACKOFF_S)
 }
 
 #[cfg(test)]
@@ -168,32 +138,27 @@ mod tests {
 
     #[test]
     fn backoff_grows_and_caps() {
-        let p = RetryPolicy {
-            jitter: 0.0,
-            ..RetryPolicy::default()
-        };
-        assert!((p.backoff_s(0, 1) - 0.5).abs() < 1e-12);
-        assert!((p.backoff_s(1, 1) - 1.0).abs() < 1e-12);
-        assert!((p.backoff_s(2, 1) - 2.0).abs() < 1e-12);
+        assert!((nominal_backoff_s(0) - 0.5).abs() < 1e-12);
+        assert!((nominal_backoff_s(1) - 1.0).abs() < 1e-12);
+        assert!((nominal_backoff_s(2) - 2.0).abs() < 1e-12);
         // 0.5 * 2^10 = 512 > cap of 30.
-        assert!((p.backoff_s(10, 1) - 30.0).abs() < 1e-12);
+        assert!((nominal_backoff_s(10) - 30.0).abs() < 1e-12);
         // Huge attempt numbers must not overflow powi.
-        assert!(p.backoff_s(u32::MAX, 1).is_finite());
+        assert!(RetryPolicy::backoff_s(u32::MAX, 1).is_finite());
     }
 
     #[test]
     fn jitter_is_bounded_and_deterministic() {
-        let p = RetryPolicy::default();
         for attempt in 0..20 {
-            let a = p.backoff_s(attempt, 99);
-            let b = p.backoff_s(attempt, 99);
+            let a = RetryPolicy::backoff_s(attempt, 99);
+            let b = RetryPolicy::backoff_s(attempt, 99);
             assert_eq!(a, b);
             let nominal = (0.5 * 2f64.powi(attempt as i32)).min(30.0);
             assert!(a >= nominal * (1.0 - 0.125) - 1e-12, "{a} vs {nominal}");
             assert!(a <= nominal * (1.0 + 0.125) + 1e-12, "{a} vs {nominal}");
         }
         // Different seeds give different jitter somewhere.
-        let differs = (0..20).any(|k| p.backoff_s(k, 1) != p.backoff_s(k, 2));
+        let differs = (0..20).any(|k| RetryPolicy::backoff_s(k, 1) != RetryPolicy::backoff_s(k, 2));
         assert!(differs);
     }
 
@@ -208,73 +173,27 @@ mod tests {
         .validate()
         .is_err());
         assert!(RetryPolicy {
-            base_backoff_s: -1.0,
-            ..ok
-        }
-        .validate()
-        .is_err());
-        assert!(RetryPolicy {
-            backoff_factor: 0.5,
-            ..ok
-        }
-        .validate()
-        .is_err());
-        assert!(RetryPolicy {
-            max_backoff_s: f64::NAN,
-            ..ok
-        }
-        .validate()
-        .is_err());
-        assert!(RetryPolicy { jitter: 1.5, ..ok }.validate().is_err());
-        assert!(RetryPolicy {
-            attempt_timeout_s: Some(0.0),
-            ..ok
-        }
-        .validate()
-        .is_err());
-        assert!(RetryPolicy {
             chunk_bytes: 0,
             ..ok
         }
         .validate()
         .is_err());
-        assert!(RetryPolicy {
-            attempt_timeout_s: None,
-            ..ok
-        }
-        .validate()
-        .is_ok());
     }
 
     #[test]
-    fn backoff_is_monotone_before_the_cap_for_all_policies() {
-        // Property: with jitter off, backoff_s never decreases in the
-        // attempt number, for a grid of (base, factor, cap) policies.
-        for base in [0.0, 0.1, 0.5, 2.0, 30.0] {
-            for factor in [1.0, 1.5, 2.0, 4.0] {
-                for cap in [0.5, 10.0, 1e6] {
-                    let p = RetryPolicy {
-                        base_backoff_s: base,
-                        backoff_factor: factor,
-                        max_backoff_s: cap,
-                        jitter: 0.0,
-                        ..RetryPolicy::default()
-                    };
-                    assert!(p.validate().is_ok(), "grid policy must be valid");
-                    let mut prev = -1.0f64;
-                    for attempt in 0..100u32 {
-                        let b = p.backoff_s(attempt, 7);
-                        assert!(b.is_finite() && b >= 0.0);
-                        assert!(b <= cap + 1e-12, "cap violated: {b} > {cap}");
-                        assert!(
-                            b >= prev - 1e-12,
-                            "backoff shrank at attempt {attempt}: {b} < {prev} \
-                             (base {base}, factor {factor}, cap {cap})"
-                        );
-                        prev = b;
-                    }
-                }
-            }
+    fn nominal_backoff_is_monotone_up_to_the_cap() {
+        // Property: without jitter, backoff never decreases in the attempt
+        // number and never exceeds the cap.
+        let mut prev = -1.0f64;
+        for attempt in 0..100u32 {
+            let b = nominal_backoff_s(attempt);
+            assert!(b.is_finite() && b >= 0.0);
+            assert!(b <= MAX_BACKOFF_S, "cap violated: {b} > {MAX_BACKOFF_S}");
+            assert!(
+                b >= prev,
+                "backoff shrank at attempt {attempt}: {b} < {prev}"
+            );
+            prev = b;
         }
     }
 
@@ -282,28 +201,27 @@ mod tests {
     fn jittered_backoff_is_a_pure_function_of_seed_and_attempt() {
         // Property: for any (seed, attempt), repeated evaluation is exact,
         // and the jitter envelope ±jitter/2 holds around the nominal value.
-        let p = RetryPolicy {
-            jitter: 0.5,
-            ..RetryPolicy::default()
-        };
         for seed in [0u64, 1, 0xDEAD_BEEF, u64::MAX] {
             for attempt in (0..64).chain([1000, u32::MAX - 1, u32::MAX]) {
-                let a = p.backoff_s(attempt, seed);
-                assert_eq!(a, p.backoff_s(attempt, seed), "same inputs, same output");
-                let exp = attempt.min(62) as i32;
-                let nominal = (p.base_backoff_s * p.backoff_factor.powi(exp)).min(p.max_backoff_s);
+                let a = RetryPolicy::backoff_s(attempt, seed);
+                assert_eq!(
+                    a,
+                    RetryPolicy::backoff_s(attempt, seed),
+                    "same inputs, same output"
+                );
+                let nominal = nominal_backoff_s(attempt);
                 assert!(
-                    a >= nominal * 0.75 - 1e-12,
+                    a >= nominal * (1.0 - JITTER / 2.0) - 1e-12,
                     "{a} below envelope of {nominal}"
                 );
                 assert!(
-                    a <= nominal * 1.25 + 1e-12,
+                    a <= nominal * (1.0 + JITTER / 2.0) + 1e-12,
                     "{a} above envelope of {nominal}"
                 );
             }
         }
         // Seeds decorrelate: two seed streams differ somewhere.
-        assert!((0..32).any(|k| p.backoff_s(k, 3) != p.backoff_s(k, 4)));
+        assert!((0..32).any(|k| RetryPolicy::backoff_s(k, 3) != RetryPolicy::backoff_s(k, 4)));
     }
 
     #[test]

@@ -45,13 +45,9 @@ impl BandwidthTrace {
     /// Returns [`NetError::InvalidParameter`] if `bps` is negative or not
     /// finite.
     pub fn constant(bps: f64) -> Result<Self> {
-        if !bps.is_finite() || bps < 0.0 {
-            return Err(NetError::InvalidParameter {
-                name: "bps",
-                value: bps,
-            });
-        }
-        Ok(BandwidthTrace::Constant { bps })
+        let trace = BandwidthTrace::Constant { bps };
+        trace.validate()?;
+        Ok(trace)
     }
 
     /// A seeded fluctuating trace uniform in `[min_bps, max_bps]` per
@@ -62,30 +58,14 @@ impl BandwidthTrace {
     /// Returns [`NetError::InvalidParameter`] for negative rates, inverted
     /// bounds, or a non-positive interval.
     pub fn fluctuating(seed: u64, min_bps: f64, max_bps: f64, interval_s: f64) -> Result<Self> {
-        if !min_bps.is_finite() || min_bps < 0.0 {
-            return Err(NetError::InvalidParameter {
-                name: "min_bps",
-                value: min_bps,
-            });
-        }
-        if !max_bps.is_finite() || max_bps < min_bps {
-            return Err(NetError::InvalidParameter {
-                name: "max_bps",
-                value: max_bps,
-            });
-        }
-        if !interval_s.is_finite() || interval_s <= 0.0 {
-            return Err(NetError::InvalidParameter {
-                name: "interval_s",
-                value: interval_s,
-            });
-        }
-        Ok(BandwidthTrace::Fluctuating {
+        let trace = BandwidthTrace::Fluctuating {
             seed,
             min_bps,
             max_bps,
             interval_s,
-        })
+        };
+        trace.validate()?;
+        Ok(trace)
     }
 
     /// The paper's WiFi emulation: 0–512 Kbps, new rate every 2 s.
@@ -100,27 +80,51 @@ impl BandwidthTrace {
     /// Returns [`NetError::InvalidParameter`] if `segments` is empty or any
     /// duration/rate is invalid.
     pub fn schedule(segments: Vec<(f64, f64)>) -> Result<Self> {
-        if segments.is_empty() {
-            return Err(NetError::InvalidParameter {
-                name: "segments",
-                value: 0.0,
-            });
-        }
-        for &(d, bps) in &segments {
-            if !d.is_finite() || d <= 0.0 {
-                return Err(NetError::InvalidParameter {
-                    name: "segment duration",
-                    value: d,
-                });
+        let trace = BandwidthTrace::Schedule { segments };
+        trace.validate()?;
+        Ok(trace)
+    }
+
+    /// Checks every field: the variants' fields are public, so a trace
+    /// built without a constructor is checked here before it is used.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetError::InvalidParameter`] naming the offending field:
+    /// a negative or non-finite rate, inverted bounds, a non-positive or
+    /// non-finite interval or segment duration, or an empty schedule.
+    pub fn validate(&self) -> Result<()> {
+        match self {
+            BandwidthTrace::Constant { bps } => check_rate("bps", *bps),
+            BandwidthTrace::Fluctuating {
+                min_bps,
+                max_bps,
+                interval_s,
+                ..
+            } => {
+                check_rate("min_bps", *min_bps)?;
+                if !max_bps.is_finite() || max_bps < min_bps {
+                    return Err(NetError::InvalidParameter {
+                        name: "max_bps",
+                        value: *max_bps,
+                    });
+                }
+                check_span("interval_s", *interval_s)
             }
-            if !bps.is_finite() || bps < 0.0 {
-                return Err(NetError::InvalidParameter {
-                    name: "segment bps",
-                    value: bps,
-                });
+            BandwidthTrace::Schedule { segments } => {
+                if segments.is_empty() {
+                    return Err(NetError::InvalidParameter {
+                        name: "segments",
+                        value: 0.0,
+                    });
+                }
+                for &(d, bps) in segments {
+                    check_span("segment duration", d)?;
+                    check_rate("segment bps", bps)?;
+                }
+                Ok(())
             }
         }
-        Ok(BandwidthTrace::Schedule { segments })
     }
 
     /// Bandwidth in bits per second at simulated time `t` (seconds).
@@ -151,6 +155,27 @@ impl BandwidthTrace {
             }
             BandwidthTrace::Schedule { segments } => locate_segment(segments, t).1,
         }
+    }
+}
+
+/// Rejects a negative or non-finite rate.
+fn check_rate(name: &'static str, bps: f64) -> Result<()> {
+    if bps.is_finite() && bps >= 0.0 {
+        Ok(())
+    } else {
+        Err(NetError::InvalidParameter { name, value: bps })
+    }
+}
+
+/// Rejects a non-positive or non-finite span of time.
+fn check_span(name: &'static str, seconds: f64) -> Result<()> {
+    if seconds.is_finite() && seconds > 0.0 {
+        Ok(())
+    } else {
+        Err(NetError::InvalidParameter {
+            name,
+            value: seconds,
+        })
     }
 }
 
@@ -252,6 +277,19 @@ mod tests {
         assert!(BandwidthTrace::fluctuating(0, 0.0, 5.0, 0.0).is_err());
         assert!(BandwidthTrace::schedule(vec![]).is_err());
         assert!(BandwidthTrace::schedule(vec![(0.0, 5.0)]).is_err());
+        // Variants built directly skip the constructors; validate catches
+        // them.
+        let bad = BandwidthTrace::Fluctuating {
+            seed: 0,
+            min_bps: 0.0,
+            max_bps: 5.0,
+            interval_s: 0.0,
+        };
+        assert!(bad.validate().is_err());
+        assert!(BandwidthTrace::Schedule { segments: vec![] }
+            .validate()
+            .is_err());
+        assert!(BandwidthTrace::disaster_wifi(1).validate().is_ok());
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!   runs server-side at epoch commit; this crate only records the merges).
 //! * **Cold recompression.** A virtual-clock-driven pass re-encodes
 //!   full-fidelity blobs untouched for a configurable age at a lower quality
-//!   tier when their group holds ≥ k redundant members — reporting bytes
+//!   tier when their group holds two or more members — reporting bytes
 //!   reclaimed and the SSIM of each re-encode against the original decode.
 //!   The group's highest-fidelity *reference member* is never recompressed,
 //!   so dedup never drops the best copy. The pass gates blobs in key order,
@@ -182,18 +182,17 @@ pub struct EpochStorage {
     pub dedup_hits: usize,
 }
 
+/// Minimum near-duplicate group size (k) before any member is considered
+/// redundant enough to recompress: a singleton has no redundant copy to
+/// fall back on.
+const RECOMPRESS_MIN_GROUP: usize = 2;
+
 /// Storage-tier tuning knobs, embedded in `BeesConfig::storage`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StorageConfig {
-    /// Similarity at or above which a committed image joins its best
-    /// neighbor's near-duplicate group.
-    pub group_threshold: f64,
     /// Minimum virtual age (seconds since last write touch) before a blob
     /// is cold enough to recompress.
     pub recompress_min_age_s: f64,
-    /// Minimum near-duplicate group size (k) before any member is
-    /// considered redundant enough to recompress.
-    pub recompress_min_group: usize,
     /// Codec quality the cold pass re-encodes at (1..=100).
     pub recompress_quality: u8,
 }
@@ -201,9 +200,7 @@ pub struct StorageConfig {
 impl Default for StorageConfig {
     fn default() -> Self {
         StorageConfig {
-            group_threshold: 0.12,
             recompress_min_age_s: 300.0,
-            recompress_min_group: 2,
             recompress_quality: 40,
         }
     }
@@ -216,23 +213,10 @@ impl StorageConfig {
     ///
     /// Returns a human-readable description of the first invalid knob.
     pub fn validate(&self) -> Result<(), String> {
-        if !self.group_threshold.is_finite() || !(0.0..=1.0).contains(&self.group_threshold) {
-            return Err(format!(
-                "group_threshold must be in [0, 1], got {}",
-                self.group_threshold
-            ));
-        }
         if !self.recompress_min_age_s.is_finite() || self.recompress_min_age_s < 0.0 {
             return Err(format!(
                 "recompress_min_age_s must be finite and non-negative, got {}",
                 self.recompress_min_age_s
-            ));
-        }
-        if self.recompress_min_group < 2 {
-            return Err(format!(
-                "recompress_min_group must be at least 2 (a singleton has no \
-                 redundant copy to fall back on), got {}",
-                self.recompress_min_group
             ));
         }
         if self.recompress_quality == 0 || self.recompress_quality > 100 {
@@ -521,7 +505,7 @@ impl ContentStore {
     /// 2. it reached [`Fidelity::Full`],
     /// 3. it has not been recompressed before (idempotence),
     /// 4. it is cold: `now_s − last_touch_s ≥ recompress_min_age_s`,
-    /// 5. its near-duplicate group holds ≥ `recompress_min_group` members,
+    /// 5. its near-duplicate group holds at least two members,
     /// 6. it does not hold the group's [reference
     ///    member](ContentStore::reference_member).
     ///
@@ -550,7 +534,7 @@ impl ContentStore {
                 }
                 let gid = self.image_group[&blob.first_image];
                 let members = &self.groups[&gid];
-                if members.len() < config.recompress_min_group {
+                if members.len() < RECOMPRESS_MIN_GROUP {
                     return None;
                 }
                 let reference = *references
@@ -776,7 +760,6 @@ mod tests {
         let cfg = StorageConfig {
             recompress_min_age_s: 100.0,
             recompress_quality: 30,
-            ..StorageConfig::default()
         };
         let mut s = ContentStore::new();
         for id in 0..3u64 {
@@ -960,20 +943,10 @@ mod tests {
         let ok = StorageConfig::default();
         ok.validate().expect("defaults are valid");
         let bad = StorageConfig {
-            group_threshold: 1.5,
-            ..ok.clone()
-        };
-        assert!(bad.validate().unwrap_err().contains("group_threshold"));
-        let bad = StorageConfig {
             recompress_min_age_s: -1.0,
             ..ok.clone()
         };
         assert!(bad.validate().unwrap_err().contains("recompress_min_age_s"));
-        let bad = StorageConfig {
-            recompress_min_group: 1,
-            ..ok.clone()
-        };
-        assert!(bad.validate().unwrap_err().contains("recompress_min_group"));
         let bad = StorageConfig {
             recompress_quality: 0,
             ..ok

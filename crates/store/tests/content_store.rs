@@ -20,7 +20,6 @@ fn photo(seed: u64, shift: u32) -> RgbImage {
 fn permissive() -> StorageConfig {
     StorageConfig {
         recompress_min_age_s: 0.0,
-        recompress_min_group: 2,
         ..StorageConfig::default()
     }
 }

@@ -100,11 +100,6 @@ impl DiversityFunction {
             n_parts: partition.len(),
         }
     }
-
-    /// Number of subgraphs in the partition.
-    pub fn part_count(&self) -> usize {
-        self.n_parts
-    }
 }
 
 impl SubmodularFunction for DiversityFunction {

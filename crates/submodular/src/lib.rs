@@ -26,13 +26,13 @@
 //! # Examples
 //!
 //! ```
-//! use bees_submodular::{SimilarityGraph, Ssmm, SsmmConfig};
+//! use bees_submodular::{SimilarityGraph, Ssmm};
 //!
 //! // Four images: 0 and 1 near-duplicates, 2 and 3 unique.
 //! let mut g = SimilarityGraph::new(4);
 //! g.set_weight(0, 1, 0.8);
 //! g.set_weight(2, 3, 0.01);
-//! let summary = Ssmm::new(SsmmConfig::default()).summarize(&g, 0.05);
+//! let summary = Ssmm.summarize(&g, 0.05);
 //! assert_eq!(summary.budget, 3); // {0,1}, {2}, {3}
 //! assert_eq!(summary.selected.len(), 3);
 //! ```
@@ -45,4 +45,4 @@ mod ssmm;
 pub use functions::{CoverageFunction, DiversityFunction, SubmodularFunction, WeightedObjective};
 pub use graph::{partition_by_threshold, SimilarityGraph};
 pub use greedy::{brute_force_maximize, greedy_maximize, lazy_greedy_maximize};
-pub use ssmm::{Ssmm, SsmmConfig, SsmmSummary};
+pub use ssmm::{Ssmm, SsmmSummary};

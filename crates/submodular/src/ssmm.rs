@@ -6,25 +6,12 @@ use crate::functions::{
 use crate::graph::{partition_by_threshold, SimilarityGraph};
 use crate::greedy::lazy_greedy_maximize;
 
-/// SSMM tuning knobs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SsmmConfig {
-    /// Weight of the coverage term.
-    pub lambda_coverage: f64,
-    /// Weight of the diversity term.
-    pub lambda_diversity: f64,
-}
-
-impl Default for SsmmConfig {
-    fn default() -> Self {
-        // Diversity is scaled up so that representing a new subgraph beats
-        // marginally improving coverage inside an already-covered one.
-        SsmmConfig {
-            lambda_coverage: 1.0,
-            lambda_diversity: 2.0,
-        }
-    }
-}
+/// Weight of the coverage term.
+const LAMBDA_COVERAGE: f64 = 1.0;
+/// Weight of the diversity term: scaled up so that representing a new
+/// subgraph beats marginally improving coverage inside an already-covered
+/// one.
+const LAMBDA_DIVERSITY: f64 = 2.0;
 
 /// Output of one SSMM run.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,26 +32,19 @@ pub struct SsmmSummary {
 /// # Examples
 ///
 /// ```
-/// use bees_submodular::{SimilarityGraph, Ssmm, SsmmConfig};
+/// use bees_submodular::{SimilarityGraph, Ssmm};
 ///
 /// let mut g = SimilarityGraph::new(3);
 /// g.set_weight(0, 1, 0.9); // near-duplicates
-/// let summary = Ssmm::new(SsmmConfig::default()).summarize(&g, 0.5);
+/// let summary = Ssmm.summarize(&g, 0.5);
 /// // Budget 2: one of {0, 1} plus {2}.
 /// assert_eq!(summary.budget, 2);
 /// assert!(summary.selected.contains(&2));
 /// ```
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Ssmm {
-    config: SsmmConfig,
-}
+#[derive(Debug, Clone, Copy)]
+pub struct Ssmm;
 
 impl Ssmm {
-    /// Creates the model with the given weights.
-    pub fn new(config: SsmmConfig) -> Self {
-        Ssmm { config }
-    }
-
     /// Runs Algorithm 1: partition `graph` at `tw`, take the number of
     /// subgraphs as the budget, and greedily maximize
     /// `λ_cov · f_cov + λ_div · f_div`.
@@ -106,11 +86,8 @@ impl Ssmm {
         let coverage = CoverageFunction::new(graph);
         let diversity = DiversityFunction::new(&partitions);
         let objective = WeightedObjective::new(vec![
-            (
-                self.config.lambda_coverage,
-                &coverage as &dyn SubmodularFunction,
-            ),
-            (self.config.lambda_diversity, &diversity),
+            (LAMBDA_COVERAGE, &coverage as &dyn SubmodularFunction),
+            (LAMBDA_DIVERSITY, &diversity),
         ]);
         let selected = lazy_greedy_maximize(&objective, budget);
         let value = objective.eval(&selected);
@@ -135,7 +112,7 @@ mod tests {
             g.set_weight(i, j, 0.8);
         }
         g.set_weight(3, 4, 0.7);
-        let s = Ssmm::default().summarize(&g, 0.3);
+        let s = Ssmm.summarize(&g, 0.3);
         assert_eq!(s.budget, 3);
         assert_eq!(s.selected.len(), 3);
         // Exactly one from each cluster.
@@ -148,7 +125,7 @@ mod tests {
     #[test]
     fn all_unique_batch_is_kept_whole() {
         let g = SimilarityGraph::new(5); // no edges at all
-        let s = Ssmm::default().summarize(&g, 0.1);
+        let s = Ssmm.summarize(&g, 0.1);
         assert_eq!(s.budget, 5);
         let mut sel = s.selected.clone();
         sel.sort_unstable();
@@ -158,7 +135,7 @@ mod tests {
     #[test]
     fn all_identical_batch_keeps_one() {
         let g = SimilarityGraph::from_pairwise(8, |_, _| 0.95);
-        let s = Ssmm::default().summarize(&g, 0.5);
+        let s = Ssmm.summarize(&g, 0.5);
         assert_eq!(s.budget, 1);
         assert_eq!(s.selected.len(), 1);
     }
@@ -167,8 +144,8 @@ mod tests {
     fn higher_tw_keeps_more_images() {
         let g =
             SimilarityGraph::from_pairwise(10, |i, j| if (i / 2) == (j / 2) { 0.4 } else { 0.0 });
-        let low = Ssmm::default().summarize(&g, 0.2);
-        let high = Ssmm::default().summarize(&g, 0.6);
+        let low = Ssmm.summarize(&g, 0.2);
+        let high = Ssmm.summarize(&g, 0.6);
         assert!(high.budget >= low.budget);
         assert!(high.selected.len() >= low.selected.len());
         assert_eq!(low.budget, 5);
@@ -178,7 +155,7 @@ mod tests {
     #[test]
     fn single_image_batch() {
         let g = SimilarityGraph::new(1);
-        let s = Ssmm::default().summarize(&g, 0.5);
+        let s = Ssmm.summarize(&g, 0.5);
         assert_eq!(s.selected, vec![0]);
         assert_eq!(s.budget, 1);
     }
@@ -186,7 +163,7 @@ mod tests {
     #[test]
     fn objective_value_is_reported() {
         let g = SimilarityGraph::from_pairwise(4, |_, _| 0.5);
-        let s = Ssmm::default().summarize(&g, 0.9);
+        let s = Ssmm.summarize(&g, 0.9);
         assert!(s.objective > 0.0);
     }
 
@@ -199,7 +176,7 @@ mod tests {
         for &(i, j) in &[(0, 1), (2, 3), (4, 5)] {
             g.set_weight(i, j, 0.8);
         }
-        let ssmm = Ssmm::default();
+        let ssmm = Ssmm;
         let adaptive = ssmm.summarize(&g, 0.3);
         assert_eq!(adaptive.selected.len(), 3);
 
@@ -225,7 +202,7 @@ mod tests {
     #[test]
     fn fixed_budget_clamps_to_ground_set() {
         let g = SimilarityGraph::new(3);
-        let s = Ssmm::default().summarize_with_fixed_budget(&g, 0.5, 99);
+        let s = Ssmm.summarize_with_fixed_budget(&g, 0.5, 99);
         assert_eq!(s.selected.len(), 3);
     }
 }

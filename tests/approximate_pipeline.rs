@@ -8,7 +8,7 @@ use bees::features::orb::Orb;
 use bees::features::similarity::{jaccard_similarity, SimilarityConfig};
 use bees::features::FeatureExtractor;
 use bees::image::{codec, metrics, resize};
-use bees::submodular::{SimilarityGraph, Ssmm, SsmmConfig};
+use bees::submodular::{SimilarityGraph, Ssmm};
 
 fn scene_pair(seed: u64) -> (bees::image::GrayImage, bees::image::GrayImage) {
     let scene = Scene::new(seed, SceneConfig::default());
@@ -99,7 +99,7 @@ fn ssmm_budget_shrinks_with_battery() {
     let graph = SimilarityGraph::from_pairwise(features.len(), |i, j| {
         jaccard_similarity(&features[i], &features[j], &cfg)
     });
-    let ssmm = Ssmm::new(SsmmConfig::default());
+    let ssmm = Ssmm;
     let tw = bees::core::schemes::EDR;
     let low = ssmm.summarize(&graph, tw.value(0.0));
     let high = ssmm.summarize(&graph, tw.value(1.0));

@@ -9,7 +9,7 @@ use bees::features::similarity::{jaccard_similarity, SimilarityConfig};
 use bees::features::{DescriptorBlock, Descriptors, ImageFeatures, Keypoint};
 use bees::image::{codec, GrayImage};
 use bees::net::{BandwidthTrace, Channel};
-use bees::submodular::{partition_by_threshold, SimilarityGraph, Ssmm, SsmmConfig};
+use bees::submodular::{partition_by_threshold, SimilarityGraph, Ssmm};
 use bees_rng::{check, ChaCha8Rng};
 
 const CASES: u64 = 32;
@@ -148,7 +148,7 @@ fn ssmm_summary_obeys_budget_and_uniqueness() {
                 .wrapping_mul(0x94D049BB133111EB);
             ((h >> 11) as f64 / (1u64 << 53) as f64).min(1.0)
         });
-        let s = Ssmm::new(SsmmConfig::default()).summarize(&g, tw);
+        let s = Ssmm.summarize(&g, tw);
         assert!(s.selected.len() <= s.budget);
         assert!(s.budget <= n);
         let mut sel = s.selected.clone();
