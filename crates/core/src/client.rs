@@ -397,7 +397,7 @@ impl Client {
             // Clamp the attempt so it cannot run past the deadline (we
             // know `now < deadline` here, so the clamp stays positive).
             let timeout = deadline.map_or(ATTEMPT_TIMEOUT_S, |d| ATTEMPT_TIMEOUT_S.min(d - now));
-            let outcome = self.channel.transfer(now, bytes - confirmed, Some(timeout));
+            let outcome = self.channel.transfer(now, bytes - confirmed, timeout);
             let attempt_key = self.channel.attempts().saturating_sub(1);
             let mut kept = if outcome.completed() {
                 outcome.delivered_bytes

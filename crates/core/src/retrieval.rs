@@ -40,7 +40,8 @@ pub const EARTH_RADIUS_KM: f64 = 6371.0088;
 /// Uses the haversine formula, which is symmetric, zero iff the points
 /// coincide (up to antipodal aliasing), and wraps the antimeridian
 /// naturally: `sin²(Δλ/2)` is periodic, so longitudes −179.9° and +179.9°
-/// are ~22 km apart at the equator, not ~39,969 km.
+/// are ~22 km apart at the equator, not ~39,969 km. A NaN coordinate gives
+/// a NaN distance.
 ///
 /// [`ImageRecord::geotag`]: crate::ImageRecord::geotag
 ///
@@ -61,8 +62,9 @@ pub fn haversine_km(a: (f64, f64), b: (f64, f64)) -> f64 {
     let dlat = lat2 - lat1;
     let dlon = lon2 - lon1;
     let s = (dlat / 2.0).sin().powi(2) + lat1.cos() * lat2.cos() * (dlon / 2.0).sin().powi(2);
-    // Clamp against float drift pushing sqrt's argument past 1.
-    2.0 * EARTH_RADIUS_KM * s.sqrt().min(1.0).asin()
+    // Clamp against float drift pushing sqrt's argument past 1. `clamp`,
+    // unlike `min`, carries a NaN coordinate through as a NaN distance.
+    2.0 * EARTH_RADIUS_KM * s.sqrt().clamp(0.0, 1.0).asin()
 }
 
 /// Where a retrieval hit's pixels actually live.
@@ -214,7 +216,8 @@ impl<'a> RetrievalQuery<'a> {
 
     /// Keep only images geotagged within `radius_km` of `(lon, lat)`
     /// (haversine). `radius_km == 0.0` means exact-coordinate match.
-    /// Images without a geotag never satisfy a geo predicate.
+    /// Images without a geotag never satisfy a geo predicate, and neither
+    /// does any image when `lon`, `lat` or `radius_km` is NaN.
     #[must_use]
     pub fn near(mut self, lon: f64, lat: f64, radius_km: f64) -> Self {
         self.geo = Some(((lon, lat), radius_km));
@@ -223,7 +226,8 @@ impl<'a> RetrievalQuery<'a> {
 
     /// Keep only images whose virtual ingest time lies in
     /// `[start_s, end_s]` (inclusive). Images without a recorded time
-    /// (preloads) never satisfy a time predicate.
+    /// (preloads) never satisfy a time predicate, and neither does any
+    /// image when `start_s` or `end_s` is NaN.
     #[must_use]
     pub fn within_time(mut self, start_s: f64, end_s: f64) -> Self {
         self.time = Some((start_s, end_s));
@@ -295,27 +299,15 @@ impl<'a> RetrievalQuery<'a> {
     /// Evaluates the geo+time predicates against one image's geotag and
     /// time. The similarity probe is *not* consulted here.
     pub fn passes_filters(&self, geotag: Option<(f64, f64)>, time_s: Option<f64>) -> bool {
-        if let Some((center, radius_km)) = self.geo {
-            match geotag {
-                Some(g) => {
-                    if haversine_km(center, g) > radius_km {
-                        return false;
-                    }
-                }
-                None => return false,
-            }
-        }
-        if let Some((start, end)) = self.time {
-            match time_s {
-                Some(t) => {
-                    if t < start || t > end {
-                        return false;
-                    }
-                }
-                None => return false,
-            }
-        }
-        true
+        // Each predicate accepts only on a true comparison, so a NaN bound
+        // or distance matches nothing.
+        let geo_ok = self.geo.is_none_or(|(center, radius_km)| {
+            geotag.is_some_and(|g| haversine_km(center, g) <= radius_km)
+        });
+        let time_ok = self
+            .time
+            .is_none_or(|(start, end)| time_s.is_some_and(|t| start <= t && t <= end));
+        geo_ok && time_ok
     }
 
     /// Relevance of a *predicate-only* match (no similarity probe):
@@ -377,6 +369,12 @@ mod tests {
             (antipodal - std::f64::consts::PI * EARTH_RADIUS_KM).abs() < 1e-6,
             "got {antipodal}"
         );
+    }
+
+    #[test]
+    fn haversine_carries_nan_through() {
+        assert!(haversine_km((f64::NAN, 0.0), (0.0, 0.0)).is_nan());
+        assert!(haversine_km((0.0, 0.0), (0.0, f64::NAN)).is_nan());
     }
 
     #[test]

@@ -1106,6 +1106,35 @@ mod tests {
     }
 
     #[test]
+    fn nan_geo_and_time_bounds_match_nothing() {
+        let mut s = Server::try_new(&config()).unwrap();
+        for (i, t) in [0.0, 100.0, 200.0].into_iter().enumerate() {
+            s.set_time(t);
+            s.ingest(
+                IngestRequest::full(100)
+                    .with_features(ImageFeatures::empty_binary())
+                    .with_geotag((0.001 * i as f64, 0.0)),
+            );
+        }
+        let nan = f64::NAN;
+        for q in [
+            RetrievalQuery::new().near(0.0, 0.0, nan),
+            RetrievalQuery::new().near(nan, 0.0, 30_000.0),
+            RetrievalQuery::new().near(0.0, nan, 30_000.0),
+            RetrievalQuery::new().within_time(nan, 150.0),
+            RetrievalQuery::new().within_time(50.0, nan),
+            RetrievalQuery::new().within_time(nan, nan),
+        ] {
+            let r = s.answer(&q);
+            assert!(r.hits.is_empty(), "{q:?} matched {:?}", r.hits);
+        }
+        // Finite bounds still match as before.
+        let r = s.answer(&RetrievalQuery::new().within_time(50.0, 150.0));
+        assert_eq!(r.hits.len(), 1);
+        assert_eq!(r.hits[0].time_s, Some(100.0));
+    }
+
+    #[test]
     fn on_device_catalog_is_opt_in_and_fulfillable() {
         let cfg = config();
         let mut s = Server::try_new(&cfg).unwrap();

@@ -9,7 +9,7 @@
 //! from `N(0, (patch/5)²)` as in the original BRIEF paper.
 
 use crate::descriptor::BinaryDescriptor;
-use bees_image::GrayImage;
+use bees_image::{round_i32, GrayImage};
 use bees_rng::ChaCha8Rng;
 
 /// Half-width of the BRIEF patch (pattern points live in `[-15, 15]²`).
@@ -65,15 +65,20 @@ impl BriefPattern {
     /// samples clamp to the border.
     pub fn describe(&self, img: &GrayImage, x: f32, y: f32, angle: f32) -> BinaryDescriptor {
         let (sin, cos) = angle.sin_cos();
+        let (last_x, last_y) = (img.width() as i64 - 1, img.height() as i64 - 1);
+        let (width, pixels) = (img.width() as usize, img.pixels());
+        let sample = |(px, py): (f32, f32)| -> u8 {
+            // Rotate the pattern point by the keypoint angle, round it to a
+            // pixel and clamp it to the border.
+            let rx = cos * px - sin * py;
+            let ry = sin * px + cos * py;
+            let sx = (round_i32(x + rx) as i64).max(0).min(last_x);
+            let sy = (round_i32(y + ry) as i64).max(0).min(last_y);
+            pixels[sy as usize * width + sx as usize]
+        };
         let mut desc = BinaryDescriptor::zero();
-        for (i, &((ax, ay), (bx, by))) in self.pairs.iter().enumerate() {
-            let sample = |px: f32, py: f32| -> u8 {
-                // Rotate the pattern point by the keypoint angle.
-                let rx = cos * px - sin * py;
-                let ry = sin * px + cos * py;
-                img.get_clamped((x + rx).round() as i64, (y + ry).round() as i64)
-            };
-            if sample(ax, ay) < sample(bx, by) {
+        for (i, &(a, b)) in self.pairs.iter().enumerate() {
+            if sample(a) < sample(b) {
                 desc.set_bit(i);
             }
         }

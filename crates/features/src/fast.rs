@@ -43,64 +43,110 @@ pub struct FastCorner {
     pub score: f32,
 }
 
-/// Runs the FAST-9 segment test at a single pixel, returning the corner
+/// The start positions (bit `i` for circle pixel `i`) of every arc of
+/// [`ARC_LENGTH`] contiguous set bits, with wraparound, in the 16-bit circle
+/// mask `m`; zero when `m` holds no such arc.
+///
+/// The mask is doubled into 32 bits so a wrapping arc is contiguous; bit
+/// `i` of `run` then marks a run of set bits starting at `i`, of length 2,
+/// 4 and 8, and finally `ARC_LENGTH` (at most 16).
+#[inline]
+fn arc_starts(m: u32) -> u32 {
+    let d = m | (m << 16);
+    let mut run = d & (d >> 1);
+    run &= run >> 2;
+    run &= run >> 4;
+    run &= run >> (ARC_LENGTH - 8);
+    run & 0xFFFF
+}
+
+/// The segment-test score of one class: the summed excess `|v - p| - t`
+/// over the class's longest contiguous run of circle pixels, given the
+/// nonzero [`arc_starts`] of its mask.
+///
+/// An arc of 9 or more is longer than half the circle, so the longest run
+/// is the only one that long, and it is exactly the union of the arcs
+/// starting at `starts`. This is the excess a walk of the doubled circle
+/// keeps for its longest run, summed without a branch per pixel.
+#[inline]
+fn arc_score(values: &[i32; 16], starts: u32, p: i32, t: i32) -> f32 {
+    let starts = starts as u16;
+    let mut run = 0u16;
+    for k in 0..ARC_LENGTH as u32 {
+        run |= starts.rotate_left(k);
+    }
+    let mut excess = 0i32;
+    for (i, &v) in values.iter().enumerate() {
+        excess += ((v - p).abs() - t) * i32::from(run >> i & 1);
+    }
+    excess as f32
+}
+
+/// Collects in `passing` the indices `j` of the `center` pixels that pass
+/// FAST's quick rejection test, with `ring` the 16 circle slices that line
+/// up with `center` (see [`detect`]).
+///
+/// For an arc of 9 to exist, at least two of the compass pixels
+/// {0, 4, 8, 12} must be on the same side. The test runs branch-free over
+/// the row into `flags`, then the passing indices are gathered without a
+/// branch per pixel.
+fn compass_pass(
+    center: &[u8],
+    ring: &[&[u8]; 16],
+    threshold: u8,
+    flags: &mut Vec<u8>,
+    passing: &mut Vec<u32>,
+) {
+    let t = i16::from(threshold);
+    flags.clear();
+    flags.extend(
+        center
+            .iter()
+            .zip(ring[0])
+            .zip(ring[4])
+            .zip(ring[8])
+            .zip(ring[12])
+            .map(|((((&p, &n), &e), &s), &w)| {
+                let (hi, lo) = (i16::from(p) + t, i16::from(p) - t);
+                let compass = [n, e, s, w].map(i16::from);
+                let brighter: u8 = compass.iter().map(|&v| u8::from(v >= hi)).sum();
+                let darker: u8 = compass.iter().map(|&v| u8::from(v <= lo)).sum();
+                u8::from(brighter >= 2) | u8::from(darker >= 2)
+            }),
+    );
+    passing.clear();
+    passing.resize(flags.len(), 0);
+    let mut n = 0;
+    for (j, &flag) in (0u32..).zip(flags.iter()) {
+        passing[n] = j;
+        n += usize::from(flag);
+    }
+    passing.truncate(n);
+}
+
+/// Runs the rest of the FAST-9 segment test at index `j` of a row that
+/// passed [`compass_pass`], with centre pixel `p`, returning the corner
 /// score, or `None` if the pixel is not a corner.
 ///
-/// The pixel must be at least 3 pixels from every border.
-fn segment_test(img: &GrayImage, x: u32, y: u32, threshold: u8) -> Option<f32> {
-    let p = img.get(x, y) as i32;
-    let t = threshold as i32;
-    let mut values = [0i32; 16];
-    for (i, &(dx, dy)) in CIRCLE.iter().enumerate() {
-        values[i] = img.get((x as i32 + dx) as u32, (y as i32 + dy) as u32) as i32;
+/// Bit `i` of each class mask marks circle pixel `i` brighter than
+/// `p + t` or darker than `p - t`; only a class whose mask holds an arc is
+/// scored, the brighter class first.
+#[inline]
+fn segment_test(p: u8, ring: &[&[u8]; 16], j: usize, threshold: u8) -> Option<f32> {
+    let p = i32::from(p);
+    let t = i32::from(threshold);
+    let (hi, lo) = (p + t, p - t);
+    let values: [i32; 16] = std::array::from_fn(|i| i32::from(ring[i][j]));
+    let (mut bright, mut dark) = (0u32, 0u32);
+    for (i, &v) in values.iter().enumerate() {
+        bright |= u32::from(v >= hi) << i;
+        dark |= u32::from(v <= lo) << i;
     }
-    // Quick rejection: for an arc of 9 to exist, at least one of each
-    // opposite pair among pixels {0, 4, 8, 12} must be on the same side.
-    let quick = [values[0], values[4], values[8], values[12]];
-    let brighter_quick = quick.iter().filter(|&&v| v >= p + t).count();
-    let darker_quick = quick.iter().filter(|&&v| v <= p - t).count();
-    if brighter_quick < 2 && darker_quick < 2 {
-        return None;
-    }
-
-    // Full test: longest contiguous run (with wraparound) of pixels all
-    // brighter than p + t, or all darker than p - t.
     let mut best_score = None::<f32>;
-    for (class_sign, pass) in [(1i32, brighter_quick >= 2), (-1i32, darker_quick >= 2)] {
-        if !pass {
-            continue;
-        }
-        let is_member = |v: i32| -> bool {
-            if class_sign > 0 {
-                v >= p + t
-            } else {
-                v <= p - t
-            }
-        };
-        let mut run = 0usize;
-        let mut max_run = 0usize;
-        let mut run_excess = 0i32;
-        let mut best_excess = 0i32;
-        // Walk the circle twice to handle wraparound runs.
-        for i in 0..32 {
-            let v = values[i % 16];
-            if is_member(v) {
-                run += 1;
-                run_excess += (v - p).abs() - t;
-                if run > max_run || (run == max_run && run_excess > best_excess) {
-                    max_run = run.min(16);
-                    best_excess = run_excess;
-                }
-            } else {
-                run = 0;
-                run_excess = 0;
-            }
-            if max_run >= 16 {
-                break;
-            }
-        }
-        if max_run >= ARC_LENGTH {
-            let score = best_excess as f32;
+    for members in [bright, dark] {
+        let starts = arc_starts(members);
+        if starts != 0 {
+            let score = arc_score(&values, starts, p, t);
             if best_score.is_none_or(|s| score > s) {
                 best_score = Some(score);
             }
@@ -134,11 +180,23 @@ pub fn detect(img: &GrayImage, threshold: u8) -> Vec<FastCorner> {
     }
     let mut scores = vec![0f32; (w * h) as usize];
     let mut candidates = Vec::new();
+    let (mut flags, mut passing) = (Vec::new(), Vec::new());
     for y in 3..h - 3 {
-        for x in 3..w - 3 {
-            if let Some(score) = segment_test(img, x, y, threshold) {
-                scores[(y * w + x) as usize] = score;
-                candidates.push((x, y, score));
+        // Row y's testable pixels, and for each circle offset the slice of
+        // its row whose index j holds that circle pixel of `center[j]`.
+        let rows: [&[u8]; 7] = std::array::from_fn(|k| img.row(y - 3 + k as u32));
+        let center = &rows[3][3..w as usize - 3];
+        let ring: [&[u8]; 16] = std::array::from_fn(|i| {
+            let (dx, dy) = CIRCLE[i];
+            &rows[(3 + dy) as usize][(3 + dx) as usize..][..center.len()]
+        });
+        compass_pass(center, &ring, threshold, &mut flags, &mut passing);
+        let score_row = &mut scores[(y * w) as usize + 3..][..center.len()];
+        for &j in &passing {
+            let j = j as usize;
+            if let Some(score) = segment_test(center[j], &ring, j, threshold) {
+                score_row[j] = score;
+                candidates.push((j as u32 + 3, y, score));
             }
         }
     }

@@ -19,36 +19,36 @@ pub fn harris_response(img: &GrayImage, x: u32, y: u32, block: u32) -> Option<f3
     if cx - b - 1 < 0 || cy - b - 1 < 0 || cx + b + 1 >= w || cy + b + 1 >= h {
         return None;
     }
-    let mut sxx = 0f64;
-    let mut syy = 0f64;
-    let mut sxy = 0f64;
-    for yy in (cy - b)..=(cy + b) {
-        for xx in (cx - b)..=(cx + b) {
-            let gx = sobel_x(img, xx, yy);
-            let gy = sobel_y(img, xx, yy);
-            sxx += (gx * gx) as f64;
-            syy += (gy * gy) as f64;
-            sxy += (gx * gy) as f64;
+    // The window's columns plus the Sobel margin on each side.
+    let cols = (cx - b - 1) as usize..=(cx + b + 1) as usize;
+    let p = |row: &[u8], k: usize| row[k] as i64;
+    let mut sxx = 0i64;
+    let mut syy = 0i64;
+    let mut sxy = 0i64;
+    for yy in (cy - b) as u32..=(cy + b) as u32 {
+        let up = &img.row(yy - 1)[cols.clone()];
+        let mid = &img.row(yy)[cols.clone()];
+        let down = &img.row(yy + 1)[cols.clone()];
+        for i in 1..up.len() - 1 {
+            let gx = (p(up, i + 1) + 2 * p(mid, i + 1) + p(down, i + 1))
+                - (p(up, i - 1) + 2 * p(mid, i - 1) + p(down, i - 1));
+            let gy = (p(down, i - 1) + 2 * p(down, i) + p(down, i + 1))
+                - (p(up, i - 1) + 2 * p(up, i) + p(up, i + 1));
+            sxx += gx * gx;
+            syy += gy * gy;
+            sxy += gx * gy;
         }
     }
+    // Each Sobel product is an integer of magnitude at most 1020², and a
+    // window sum stays far below 2^53, so these integer sums equal the
+    // `f64` sums of the `f32` products in any order.
+    let (sxx, syy, sxy) = (sxx as f64, syy as f64, sxy as f64);
     // Normalize so the response is independent of the window size.
     let n = ((2 * b + 1) * (2 * b + 1)) as f64;
     let (sxx, syy, sxy) = (sxx / n, syy / n, sxy / n);
     let det = sxx * syy - sxy * sxy;
     let trace = sxx + syy;
     Some((det - HARRIS_K as f64 * trace * trace) as f32)
-}
-
-#[inline]
-fn sobel_x(img: &GrayImage, x: i64, y: i64) -> f32 {
-    let p = |dx: i64, dy: i64| img.get_clamped(x + dx, y + dy) as f32;
-    (p(1, -1) + 2.0 * p(1, 0) + p(1, 1)) - (p(-1, -1) + 2.0 * p(-1, 0) + p(-1, 1))
-}
-
-#[inline]
-fn sobel_y(img: &GrayImage, x: i64, y: i64) -> f32 {
-    let p = |dx: i64, dy: i64| img.get_clamped(x + dx, y + dy) as f32;
-    (p(-1, 1) + 2.0 * p(0, 1) + p(1, 1)) - (p(-1, -1) + 2.0 * p(0, -1) + p(1, -1))
 }
 
 #[cfg(test)]

@@ -31,17 +31,23 @@ pub const DEFAULT_RADIUS: u32 = 15;
 pub fn intensity_centroid_angle(img: &GrayImage, x: u32, y: u32, radius: u32) -> f32 {
     let r = radius as i64;
     let (cx, cy) = (x as i64, y as i64);
+    let last_x = img.width() as i64 - 1;
     let mut m01 = 0i64;
     let mut m10 = 0i64;
     for dy in -r..=r {
-        for dx in -r..=r {
-            if dx * dx + dy * dy > r * r {
-                continue;
-            }
-            let v = img.get_clamped(cx + dx, cy + dy) as i64;
-            m10 += dx * v;
-            m01 += dy * v;
+        // The patch's span on this row: every dx with dx² + dy² <= r².
+        let half = ((r * r - dy * dy) as u64).isqrt() as i64;
+        let row = img.row((cy + dy).clamp(0, img.height() as i64 - 1) as u32);
+        let mut sum = 0i64;
+        let mut moment = 0i64;
+        for dx in -half..=half {
+            let v = row[(cx + dx).clamp(0, last_x) as usize] as i64;
+            sum += v;
+            moment += dx * v;
         }
+        // Integer moments: the same totals in any order.
+        m10 += moment;
+        m01 += dy * sum;
     }
     if m01 == 0 && m10 == 0 {
         return 0.0;

@@ -1,11 +1,12 @@
-//! Golden pins for ORB's descriptor bytes and the Jaccard scores built on
-//! them.
+//! Golden pins for ORB's keypoints, descriptor bytes and the Jaccard
+//! scores built on them.
 //!
 //! Each case extracts ORB features from a seeded synthetic view and pins
-//! the keypoint count plus an FNV-1a digest over every descriptor's 32
-//! bytes, in extraction order. A change to FAST, Harris ranking, the
-//! orientation, the BRIEF sampling pattern or the descriptor storage moves
-//! a digest here even when every downstream score happens to survive.
+//! the keypoint count plus FNV-1a digests over every keypoint's fields and
+//! every descriptor's 32 bytes, in extraction order. A change to FAST, the
+//! pyramid's resize, Harris ranking, the orientation, the BRIEF sampling
+//! or the descriptor storage moves a digest here even when every
+//! downstream score happens to survive.
 //! Pairwise `jaccard_similarity` scores are pinned bit for bit through
 //! `f64::to_bits`. Run at several `BEES_THREADS` values: nothing here may
 //! depend on the worker count.
@@ -24,6 +25,21 @@ fn descriptor_digest(f: &ImageFeatures) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for d in descs.iter() {
         for &b in d.as_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// FNV-1a over every keypoint's `x`, `y`, `response` and `angle` bits
+/// (little-endian) and its `octave`, in extraction order.
+fn keypoint_digest(f: &ImageFeatures) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for k in &f.keypoints {
+        let fields = [k.x, k.y, k.response, k.angle].map(f32::to_bits);
+        let bytes = fields.iter().flat_map(|b| b.to_le_bytes());
+        for b in bytes.chain([k.octave]) {
             h ^= u64::from(b);
             h = h.wrapping_mul(0x0100_0000_01b3);
         }
@@ -62,6 +78,19 @@ fn orb_descriptor_bytes_are_pinned() {
     let small = orb.extract(&small_view());
     assert_eq!(small.len(), 150);
     assert_eq!(descriptor_digest(&small), 0xfe47_f4c3_a685_7b48);
+}
+
+#[test]
+fn orb_keypoints_are_pinned() {
+    let orb = Orb::default();
+    let disaster = orb.extract(&disaster_views()[0]);
+    let small = orb.extract(&small_view());
+    let got = [keypoint_digest(&disaster), keypoint_digest(&small)];
+    assert_eq!(
+        got,
+        [0xcfc8_daa6_e7a1_6ce9, 0xc314_e1d9_9492_79c8],
+        "{got:#018x?}"
+    );
 }
 
 #[test]

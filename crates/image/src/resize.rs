@@ -7,7 +7,7 @@
 //! `1000×500` bitmap to `600×300`. The same definition is reused for
 //! **resolution compression** in Approximate Image Uploading (§III-C).
 
-use crate::{GrayImage, ImageError, Result, Rgb, RgbImage};
+use crate::{pixel_len, round_u8_f64, GrayImage, ImageError, Result, Rgb, RgbImage};
 
 /// Resizes a grayscale image with bilinear interpolation.
 ///
@@ -35,30 +35,22 @@ pub fn resize_bilinear(src: &GrayImage, width: u32, height: u32) -> Result<GrayI
     if width == 0 || height == 0 {
         return Err(ImageError::InvalidDimensions { width, height });
     }
-    let mut out = GrayImage::new(width, height)?;
-    let sx = src.width() as f64 / width as f64;
-    let sy = src.height() as f64 / height as f64;
-    for y in 0..height {
-        // Center-aligned sample positions, the convention used by OpenCV.
-        let fy = ((y as f64 + 0.5) * sy - 0.5).max(0.0);
-        let y0 = fy.floor() as i64;
-        let dy = fy - y0 as f64;
-        for x in 0..width {
-            let fx = ((x as f64 + 0.5) * sx - 0.5).max(0.0);
-            let x0 = fx.floor() as i64;
-            let dx = fx - x0 as f64;
-            let p00 = src.get_clamped(x0, y0) as f64;
-            let p10 = src.get_clamped(x0 + 1, y0) as f64;
-            let p01 = src.get_clamped(x0, y0 + 1) as f64;
-            let p11 = src.get_clamped(x0 + 1, y0 + 1) as f64;
-            let v = p00 * (1.0 - dx) * (1.0 - dy)
-                + p10 * dx * (1.0 - dy)
-                + p01 * (1.0 - dx) * dy
-                + p11 * dx * dy;
-            out.set(x, y, v.round().clamp(0.0, 255.0) as u8);
-        }
+    let cols = taps(src.width(), width);
+    let mut out = Vec::with_capacity(pixel_len::<u8>(width, height)?);
+    for row in taps(src.height(), height) {
+        let (r0, r1) = (src.row(row.i0), src.row(row.i1));
+        let (dy, cdy) = (row.d, row.cd);
+        out.extend(cols.iter().map(|col| {
+            let (dx, cdx) = (col.d, col.cd);
+            let p00 = r0[col.i0 as usize] as f64;
+            let p10 = r0[col.i1 as usize] as f64;
+            let p01 = r1[col.i0 as usize] as f64;
+            let p11 = r1[col.i1 as usize] as f64;
+            let v = p00 * cdx * cdy + p10 * dx * cdy + p01 * cdx * dy + p11 * dx * dy;
+            round_u8_f64(v)
+        }));
     }
-    Ok(out)
+    GrayImage::from_raw(width, height, out)
 }
 
 /// Resizes an RGB image with bilinear interpolation, channel by channel.
@@ -71,27 +63,21 @@ pub fn resize_bilinear_rgb(src: &RgbImage, width: u32, height: u32) -> Result<Rg
     if width == 0 || height == 0 {
         return Err(ImageError::InvalidDimensions { width, height });
     }
-    let mut out = RgbImage::new(width, height)?;
-    let sx = src.width() as f64 / width as f64;
-    let sy = src.height() as f64 / height as f64;
-    let clamped = |x: i64, y: i64| -> Rgb {
-        let cx = x.clamp(0, src.width() as i64 - 1) as u32;
-        let cy = y.clamp(0, src.height() as i64 - 1) as u32;
-        src.get(cx, cy)
-    };
-    for y in 0..height {
-        let fy = ((y as f64 + 0.5) * sy - 0.5).max(0.0);
-        let y0 = fy.floor() as i64;
-        let dy = fy - y0 as f64;
-        for x in 0..width {
-            let fx = ((x as f64 + 0.5) * sx - 0.5).max(0.0);
-            let x0 = fx.floor() as i64;
-            let dx = fx - x0 as f64;
+    let cols = taps(src.width(), width);
+    let src_w = src.width() as usize;
+    let mut data = Vec::with_capacity(pixel_len::<Rgb>(width, height)?);
+    for row in taps(src.height(), height) {
+        let r0 = &src.data[row.i0 as usize * src_w..][..src_w];
+        let r1 = &src.data[row.i1 as usize * src_w..][..src_w];
+        let (dy, cdy) = (row.d, row.cd);
+        data.extend(cols.iter().map(|col| {
+            let (dx, cdx) = (col.d, col.cd);
+            let (x0, x1) = (col.i0 as usize, col.i1 as usize);
             let ps = [
-                (clamped(x0, y0), (1.0 - dx) * (1.0 - dy)),
-                (clamped(x0 + 1, y0), dx * (1.0 - dy)),
-                (clamped(x0, y0 + 1), (1.0 - dx) * dy),
-                (clamped(x0 + 1, y0 + 1), dx * dy),
+                (r0[x0], cdx * cdy),
+                (r0[x1], dx * cdy),
+                (r1[x0], cdx * dy),
+                (r1[x1], dx * dy),
             ];
             let mut r = 0.0;
             let mut g = 0.0;
@@ -101,18 +87,44 @@ pub fn resize_bilinear_rgb(src: &RgbImage, width: u32, height: u32) -> Result<Rg
                 g += p.g as f64 * w;
                 b += p.b as f64 * w;
             }
-            out.set(
-                x,
-                y,
-                Rgb::new(
-                    r.round().clamp(0.0, 255.0) as u8,
-                    g.round().clamp(0.0, 255.0) as u8,
-                    b.round().clamp(0.0, 255.0) as u8,
-                ),
-            );
-        }
+            Rgb::new(round_u8_f64(r), round_u8_f64(g), round_u8_f64(b))
+        }));
     }
-    Ok(out)
+    Ok(RgbImage {
+        width,
+        height,
+        data,
+    })
+}
+
+/// One output column's (or row's) bilinear taps: the two source indices,
+/// clamped to the source, and the weights `d` and `cd = 1 - d` of the far
+/// and near one.
+struct Tap {
+    i0: u32,
+    i1: u32,
+    d: f64,
+    cd: f64,
+}
+
+/// The taps of each of `dst` outputs sampling `src` source pixels, at
+/// center-aligned positions (the convention used by OpenCV).
+fn taps(src: u32, dst: u32) -> Vec<Tap> {
+    let scale = src as f64 / dst as f64;
+    let last = src as i64 - 1;
+    (0..dst)
+        .map(|i| {
+            let f = ((i as f64 + 0.5) * scale - 0.5).max(0.0);
+            let i0 = f.floor() as i64;
+            let d = f - i0 as f64;
+            Tap {
+                i0: i0.min(last) as u32,
+                i1: (i0 + 1).min(last) as u32,
+                d,
+                cd: 1.0 - d,
+            }
+        })
+        .collect()
 }
 
 /// Returns the target dimensions for a given compression proportion `c`

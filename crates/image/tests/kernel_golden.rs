@@ -1,12 +1,12 @@
-//! Bit-exactness pins for the Gaussian blur, DCT and SSIM kernels.
+//! Bit-exactness pins for the Gaussian blur, DCT, resize and SSIM kernels.
 //!
 //! `gaussian_blur_f32` is compared bit for bit against a per-pixel
 //! reference convolution (clamped taps, one `f32` accumulator per pixel,
 //! taps in ascending order) across sizes narrower and shorter than the
 //! kernel radius, and the 8×8 DCT pair against per-output reference loops.
-//! `ssim`, the colour codec round trip and the progressive colour
-//! encoder's bytes are pinned to constants, so any change to their
-//! arithmetic order or layout shows up here.
+//! `ssim`, both bilinear resizes, the colour codec round trip and the
+//! progressive colour encoder's bytes are pinned to constants, so any
+//! change to their arithmetic order or layout shows up here.
 //!
 //! Inputs come from integer arithmetic only (no seeded generator, no
 //! `sin`), so the pins depend on nothing but the kernels. Run at several
@@ -14,7 +14,7 @@
 
 use bees_image::blur::{gaussian_blur_f32, gaussian_kernel};
 use bees_image::codec::dct::{forward_dct_8x8, inverse_dct_8x8};
-use bees_image::{codec, metrics, GrayF32, GrayImage, Rgb, RgbImage};
+use bees_image::{codec, metrics, resize, GrayF32, GrayImage, Rgb, RgbImage};
 
 /// SplitMix64: a tiny seeded generator for test inputs.
 fn splitmix(state: &mut u64) -> u64 {
@@ -80,6 +80,67 @@ fn reference_blur(src: &GrayF32, sigma: f64) -> GrayF32 {
         GrayF32::from_raw(w, h, data).unwrap()
     };
     pass(&pass(src, true), false)
+}
+
+/// Bilinear resize one output pixel at a time: the four taps read through
+/// `get_clamped`, weighted in the kernel's operation order and rounded
+/// with `f64::round`.
+fn reference_resize(src: &GrayImage, width: u32, height: u32) -> GrayImage {
+    let sx = src.width() as f64 / width as f64;
+    let sy = src.height() as f64 / height as f64;
+    GrayImage::from_fn(width, height, |x, y| {
+        let fy = ((y as f64 + 0.5) * sy - 0.5).max(0.0);
+        let y0 = fy.floor() as i64;
+        let dy = fy - y0 as f64;
+        let fx = ((x as f64 + 0.5) * sx - 0.5).max(0.0);
+        let x0 = fx.floor() as i64;
+        let dx = fx - x0 as f64;
+        let p00 = src.get_clamped(x0, y0) as f64;
+        let p10 = src.get_clamped(x0 + 1, y0) as f64;
+        let p01 = src.get_clamped(x0, y0 + 1) as f64;
+        let p11 = src.get_clamped(x0 + 1, y0 + 1) as f64;
+        let v = p00 * (1.0 - dx) * (1.0 - dy)
+            + p10 * dx * (1.0 - dy)
+            + p01 * (1.0 - dx) * dy
+            + p11 * dx * dy;
+        v.round().clamp(0.0, 255.0) as u8
+    })
+}
+
+/// The colour resize one output pixel at a time: per channel, the four
+/// weighted taps added to `0.0` in tap order, rounded with `f64::round`.
+fn reference_resize_rgb(src: &RgbImage, width: u32, height: u32) -> RgbImage {
+    let sx = src.width() as f64 / width as f64;
+    let sy = src.height() as f64 / height as f64;
+    let clamped = |x: i64, y: i64| -> Rgb {
+        let cx = x.clamp(0, src.width() as i64 - 1) as u32;
+        let cy = y.clamp(0, src.height() as i64 - 1) as u32;
+        src.get(cx, cy)
+    };
+    RgbImage::from_fn(width, height, |x, y| {
+        let fy = ((y as f64 + 0.5) * sy - 0.5).max(0.0);
+        let y0 = fy.floor() as i64;
+        let dy = fy - y0 as f64;
+        let fx = ((x as f64 + 0.5) * sx - 0.5).max(0.0);
+        let x0 = fx.floor() as i64;
+        let dx = fx - x0 as f64;
+        let ps = [
+            (clamped(x0, y0), (1.0 - dx) * (1.0 - dy)),
+            (clamped(x0 + 1, y0), dx * (1.0 - dy)),
+            (clamped(x0, y0 + 1), (1.0 - dx) * dy),
+            (clamped(x0 + 1, y0 + 1), dx * dy),
+        ];
+        let mut r = 0.0;
+        let mut g = 0.0;
+        let mut b = 0.0;
+        for (p, w) in ps {
+            r += p.r as f64 * w;
+            g += p.g as f64 * w;
+            b += p.b as f64 * w;
+        }
+        let round = |v: f64| v.round().clamp(0.0, 255.0) as u8;
+        Rgb::new(round(r), round(g), round(b))
+    })
 }
 
 /// `cos((2x + 1) * u * PI / 16)`, computed as the codec computes it.
@@ -264,6 +325,77 @@ fn ssim_is_pinned_for_three_image_pairs() {
     );
     assert_eq!(fnv1a(pixels), 0xa237_c593_818a_6533, "decoded pixels");
     assert_eq!(fnv1a(c.to_gray().into_raw()), 0x72a8_d5b1_be53_152c, "luma");
+}
+
+#[test]
+fn resizes_match_the_per_pixel_reference_bit_for_bit() {
+    // Sources from 1x1 to 384x288 with odd sides, including 1-pixel-wide
+    // and 1-pixel-tall ones.
+    let sources = [
+        (1, 1),
+        (1, 17),
+        (17, 1),
+        (7, 7),
+        (37, 21),
+        (97, 71),
+        (384, 288),
+    ];
+    for (n, &(sw, sh)) in sources.iter().enumerate() {
+        let gray = scene(sw, sh, 0x2E5 + n as u64);
+        let rgb = rgb_scene(sw, sh, 0x2E6 + n as u64);
+        // Down and up by assorted ratios (2:3 mixes give weights whose
+        // exact sums land on half-integers), to 1x1, and to one row or
+        // column.
+        let targets = [
+            (1, 1),
+            (1, sh.max(2)),
+            (sw.max(2), 1),
+            (sw * 2, sh * 3),
+            (sw * 3, sh * 2),
+            (sw.div_ceil(2), sh.div_ceil(3)),
+            ((sw * 4).div_ceil(5), (sh * 4).div_ceil(5)),
+            (sw + 1, sh + 2),
+            (103, 67),
+        ];
+        for (w, h) in targets {
+            let want = reference_resize(&gray, w, h);
+            let got = resize::resize_bilinear(&gray, w, h).unwrap();
+            assert_eq!(got, want, "gray {sw}x{sh} -> {w}x{h}");
+            let want = reference_resize_rgb(&rgb, w, h);
+            let got = resize::resize_bilinear_rgb(&rgb, w, h).unwrap();
+            assert_eq!(got, want, "rgb {sw}x{sh} -> {w}x{h}");
+        }
+    }
+}
+
+#[test]
+fn resize_outputs_are_pinned() {
+    // Down (the AFE shrink and a pyramid level), up, to 1x1, and from a
+    // 1-pixel-wide source; odd sides throughout.
+    let shapes = [
+        ((384, 288), (307, 230)),
+        ((307, 230), (256, 192)),
+        ((37, 21), (96, 55)),
+        ((37, 21), (1, 1)),
+        ((1, 17), (5, 9)),
+    ];
+    let mut got = Vec::new();
+    for (n, &((sw, sh), (w, h))) in shapes.iter().enumerate() {
+        let gray = resize::resize_bilinear(&scene(sw, sh, 0x5E + n as u64), w, h).unwrap();
+        let rgb = resize::resize_bilinear_rgb(&rgb_scene(sw, sh, 0x5F + n as u64), w, h).unwrap();
+        assert_eq!(gray.dimensions(), (w, h));
+        assert_eq!(rgb.dimensions(), (w, h));
+        let rgb_bytes = rgb.pixels().iter().flat_map(|p| [p.r, p.g, p.b]);
+        got.push((fnv1a(gray.into_raw()), fnv1a(rgb_bytes)));
+    }
+    let want = [
+        (0x446b_8126_9bb0_9c03, 0x469b_2048_186f_74fa),
+        (0xba24_20dc_866a_f5ad, 0x7bfa_e437_b844_1a70),
+        (0x6a96_dd66_7102_f7ff, 0xc53e_9035_87d7_f368),
+        (0xaf63_e44c_8601_fa24, 0x963e_fb18_46b6_3341),
+        (0xa540_b884_8ede_139a, 0xa815_5ad1_69d7_1653),
+    ];
+    assert_eq!(got, want, "{got:#018x?}");
 }
 
 #[test]

@@ -335,7 +335,7 @@ impl TransferOutcome {
 /// # fn main() -> Result<(), bees_net::NetError> {
 /// let channel = Channel::new(BandwidthTrace::constant(256_000.0)?);
 /// let mut faulty = FaultyChannel::new(channel, FaultModel::none());
-/// let out = faulty.transfer(0.0, 32_000, None);
+/// let out = faulty.transfer(0.0, 32_000, f64::INFINITY);
 /// assert!(out.completed());
 /// assert_eq!(out.delivered_bytes, 32_000);
 /// # Ok(())
@@ -382,14 +382,10 @@ impl FaultyChannel {
 
     /// Runs one transfer attempt of `bytes` starting at `start_s`,
     /// reporting partial progress instead of all-or-nothing durations.
-    /// `timeout_s` bounds the attempt's wall-clock span; the channel's
-    /// stall limit always applies as a backstop.
-    pub fn transfer(
-        &mut self,
-        start_s: f64,
-        bytes: usize,
-        timeout_s: Option<f64>,
-    ) -> TransferOutcome {
+    /// `timeout_s` bounds the attempt's wall-clock span (`f64::INFINITY`
+    /// leaves only the channel's stall limit, which always applies as a
+    /// backstop).
+    pub fn transfer(&mut self, start_s: f64, bytes: usize, timeout_s: f64) -> TransferOutcome {
         let attempt = self.attempts;
         self.attempts += 1;
         if bytes == 0 {
@@ -415,7 +411,7 @@ impl FaultyChannel {
             None => bytes,
         };
         let blackout = self.faults.next_blackout_start(start_s);
-        let timeout_end = timeout_s.map_or(f64::INFINITY, |t| start_s + t.max(0.0));
+        let timeout_end = start_s + timeout_s.max(0.0);
         let stall_end = start_s + self.channel.stall_limit_s();
         let deadline = blackout.min(timeout_end);
         let p = self
@@ -452,7 +448,7 @@ mod tests {
     fn none_model_never_faults() {
         let mut ch = FaultyChannel::new(channel(), FaultModel::none());
         for k in 0..50 {
-            let out = ch.transfer(k as f64 * 3.0, 32_000, None);
+            let out = ch.transfer(k as f64 * 3.0, 32_000, f64::INFINITY);
             assert!(out.completed());
             assert_eq!(out.delivered_bytes, 32_000);
             assert!(
@@ -471,7 +467,7 @@ mod tests {
         let mut faulty = FaultyChannel::new(Channel::new(trace), FaultModel::none());
         for (start, bytes) in [(0.0, 50_000), (7.3, 120_000), (100.0, 5_000)] {
             let d = plain.transfer_duration(start, bytes).unwrap();
-            let out = faulty.transfer(start, bytes, None);
+            let out = faulty.transfer(start, bytes, f64::INFINITY);
             assert!(out.completed());
             assert!(
                 (out.elapsed_s - d).abs() < 1e-9,
@@ -485,7 +481,7 @@ mod tests {
     fn dropped_attempts_report_partial_progress() {
         let model = FaultModel::new(9, 1.0, 0.0, 30.0, 10.0).unwrap();
         let mut ch = FaultyChannel::new(channel(), model);
-        let out = ch.transfer(0.0, 100_000, None);
+        let out = ch.transfer(0.0, 100_000, f64::INFINITY);
         assert_eq!(out.fault, Some(FaultKind::Dropped));
         assert!(out.delivered_bytes > 0, "cut fraction floor is 5%");
         assert!(out.delivered_bytes < 100_000);
@@ -498,7 +494,11 @@ mod tests {
         let run = || {
             let mut ch = FaultyChannel::new(channel(), model.clone());
             (0..20)
-                .map(|i| ch.transfer(i as f64 * 10.0, 8_000, None).fault.is_some())
+                .map(|i| {
+                    ch.transfer(i as f64 * 10.0, 8_000, f64::INFINITY)
+                        .fault
+                        .is_some()
+                })
                 .collect::<Vec<_>>()
         };
         let a = run();
@@ -520,10 +520,10 @@ mod tests {
         let model = FaultModel::new(1, 0.0, 1.0, 10.0, 4.0).unwrap();
         let mut ch = FaultyChannel::new(channel(), model);
         // Started at 4.0 (just clear), 100 KB needs 3.125 s: done by 7.125.
-        let ok = ch.transfer(4.0, 100_000, None);
+        let ok = ch.transfer(4.0, 100_000, f64::INFINITY);
         assert!(ok.completed(), "fault {:?}", ok.fault);
         // Started at 8.0, the blackout at 10.0 cuts it after 2 s = 64 KB.
-        let cut = ch.transfer(8.0, 100_000, None);
+        let cut = ch.transfer(8.0, 100_000, f64::INFINITY);
         assert_eq!(cut.fault, Some(FaultKind::Disconnected));
         assert_eq!(cut.delivered_bytes, 64_000);
         assert!(
@@ -532,7 +532,7 @@ mod tests {
             cut.elapsed_s
         );
         // Starting inside a blackout fails immediately.
-        let dark = ch.transfer(11.0, 1_000, None);
+        let dark = ch.transfer(11.0, 1_000, f64::INFINITY);
         assert_eq!(dark.fault, Some(FaultKind::Disconnected));
         assert_eq!(dark.delivered_bytes, 0);
         assert_eq!(dark.elapsed_s, 0.0);
@@ -542,7 +542,7 @@ mod tests {
     fn timeout_bounds_attempts() {
         let mut ch = FaultyChannel::new(channel(), FaultModel::none());
         // 1 MB at 256 Kbps needs 31.25 s; a 2 s timeout delivers 64 KB.
-        let out = ch.transfer(0.0, 1_000_000, Some(2.0));
+        let out = ch.transfer(0.0, 1_000_000, 2.0);
         assert_eq!(out.fault, Some(FaultKind::TimedOut));
         assert_eq!(out.delivered_bytes, 64_000);
         assert!((out.elapsed_s - 2.0).abs() < 1e-9);
@@ -554,7 +554,7 @@ mod tests {
             .with_stall_limit(50.0)
             .unwrap();
         let mut ch = FaultyChannel::new(ch0, FaultModel::none());
-        let out = ch.transfer(0.0, 1_000, None);
+        let out = ch.transfer(0.0, 1_000, f64::INFINITY);
         assert_eq!(out.fault, Some(FaultKind::TimedOut));
         assert_eq!(out.delivered_bytes, 0);
     }

@@ -237,7 +237,7 @@ fn faulty_channel_progress_is_monotone_across_retries() {
         let mut now = 0.0f64;
         let mut remaining = bytes;
         for _ in 0..32 {
-            let out = fc.transfer(now, remaining, Some(10.0));
+            let out = fc.transfer(now, remaining, 10.0);
             assert!(out.delivered_bytes <= remaining, "over-delivered");
             assert!(out.elapsed_s >= 0.0);
             assert!(
