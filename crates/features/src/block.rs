@@ -4,35 +4,38 @@
 //! ORB pushes each BRIEF descriptor into one, and it is what
 //! [`Descriptors::Binary`] holds. Every hot loop in the system — brute-force
 //! matching, MIH candidate rescoring, the SSMM pairwise similarity graph —
-//! reduces to "find the stored descriptor nearest this query", and the block
+//! reduces to "score one descriptor set against another", and the block
 //! keeps the words of a whole set in one flat contiguous `u64` array so that
-//! scan, [`DescriptorBlock::nearest_within`], is a single linear sweep.
+//! the pair kernel behind the matcher sweeps both sets with unit stride.
 //! [`BinaryDescriptor`] remains the element type that goes in and comes
 //! out.
 //!
 //! [`Descriptors::Binary`]: crate::Descriptors::Binary
 //!
-//! # Kernel dispatch
+//! # The pair kernel
+//!
+//! The matcher needs, for a pair of blocks, each query row's nearest train
+//! row and — for the cross-check — each train row's nearest query row.
+//! One pass computes every distance of the pair once and keeps both
+//! minima, each as the key `distance << 32 | index`: the minimum key is the
+//! first argmin, so ties break toward the lower index.
 //!
 //! `rustc` targets baseline `x86-64` by default, which predates the
 //! `POPCNT` instruction, so `u64::count_ones()` compiles to a ~15-op
-//! bit-twiddling sequence per word. The scan therefore comes in three
+//! bit-twiddling sequence per word. The kernel therefore comes in three
 //! tiers selected once at runtime via `is_x86_feature_detected!`. The two
 //! scalar tiers share one `#[inline(always)]` body: its portable build, and
 //! a `#[target_feature(enable = "popcnt")]` shell that inlines it so
-//! `count_ones()` compiles to one `POPCNT` per word. Where the CPU has
-//! AVX-512VPOPCNTDQ, a `VPOPCNTQ` variant counts eight words (two whole
-//! descriptors) per instruction. Every tier returns exactly the same
-//! answer, so the dispatch moves throughput, never results.
-//!
-//! The scalar tiers early-exit the word loop of each candidate once the
-//! partial distance over the first two words already exceeds the running
-//! bound (partial-distance pruning); the AVX-512 tier scans fully instead —
-//! at eight words per instruction the straight-line sweep outruns the
-//! branchy pruned loop. All tiers return the same first-argmin answer; the
-//! tests below run each one against an unpruned reference, and
-//! `tests/soa_parity.rs` pins the full match lists against the unpruned
-//! reference over `BinaryDescriptor` slices.
+//! `count_ones()` compiles to one `POPCNT` per word. They skip a pair once
+//! its first two words already exceed the cap (partial-distance pruning).
+//! Where the CPU has AVX-512VPOPCNTDQ, the kernel transposes each 8-row
+//! train tile once, so the inner loop over query rows is XOR, `VPOPCNTQ`,
+//! add and unsigned minimum on eight pairs at a time, with no shuffles.
+//! Every tier returns the same key for every row whose nearest neighbor
+//! lies within the cap, so the dispatch moves throughput, never results;
+//! the tests below run each tier against an unpruned reference, and
+//! `tests/soa_parity.rs` pins the full match lists against
+//! [`match_binary_exhaustive`](crate::matcher::match_binary_exhaustive).
 
 use crate::descriptor::BinaryDescriptor;
 
@@ -51,12 +54,13 @@ pub const WORDS_PER_DESCRIPTOR: usize = 4;
 /// ```
 /// use bees_features::{BinaryDescriptor, DescriptorBlock};
 ///
-/// let descs = vec![BinaryDescriptor::zero(); 3];
-/// let block = DescriptorBlock::from_descriptors(&descs);
-/// assert_eq!(block.len(), 3);
-/// // All three are at distance 0; the tie goes to the lowest index.
-/// assert_eq!(block.nearest_within([0, 0, 0, 0], 0), Some((0, 0)));
-/// assert_eq!(block.nearest_within([1, 0, 0, 0], 0), None);
+/// let mut d = BinaryDescriptor::zero();
+/// d.set_bit(65);
+/// let block = DescriptorBlock::from_descriptors(&[BinaryDescriptor::zero(), d]);
+/// assert_eq!(block.len(), 2);
+/// // Bit 65 is bit 1 of word 1.
+/// assert_eq!(block.descriptor_words(1), [0, 2, 0, 0]);
+/// assert_eq!(block.descriptor(1), d);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DescriptorBlock {
@@ -140,38 +144,29 @@ impl DescriptorBlock {
         (0..self.len()).map(|i| self.descriptor(i))
     }
 
-    /// Finds the nearest descriptor to `query` among those within Hamming
-    /// distance `cap`, returning `(index, distance)`; ties break toward
-    /// the lower index. Returns `None` when no descriptor is within `cap`.
+    /// Both nearest-neighbor tables of the pair (`self` as the query
+    /// set, `train` as the train set) from one pass over its distances.
     ///
-    /// The scalar kernels prune each candidate's word loop once the
-    /// partial distance over the first two words exceeds the running bound
-    /// `min(best_so_far, cap)` — exact for the returned result because a
-    /// candidate can only be pruned when its full distance is provably
-    /// above the bound. The AVX-512 kernel scans fully with a vectorized
-    /// running minimum instead; every kernel returns the identical
-    /// first-argmin answer.
-    pub fn nearest_within(&self, query: [u64; 4], cap: u32) -> Option<(usize, u32)> {
-        let best = {
-            #[cfg(target_arch = "x86_64")]
-            {
-                if vpopcnt_available() {
-                    // SAFETY: AVX-512F + AVX-512VPOPCNTDQ verified at
-                    // runtime.
-                    unsafe { nearest_avx512(&self.words, query, cap) }
-                } else if popcnt_available() {
-                    // SAFETY: POPCNT support was verified at runtime.
-                    unsafe { nearest_popcnt(&self.words, query, cap) }
-                } else {
-                    nearest(&self.words, query, cap)
-                }
+    /// Returns `(forward, backward)`: `forward[i]` is the minimum of
+    /// `distance << 32 | j` over the train rows `j`, and `backward[j]` the
+    /// minimum of `distance << 32 | i` over the query rows `i`. A minimum
+    /// key is the first argmin. Keys whose distance is at most `cap` are
+    /// exact; a row whose nearest neighbor lies beyond `cap` gets some key
+    /// whose distance exceeds `cap`, since the scalar tiers skip a pair
+    /// once its first two words already exceed it.
+    pub(crate) fn nearest_keys(&self, train: &DescriptorBlock, cap: u32) -> (Vec<u64>, Vec<u64>) {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if vpopcnt_available() {
+                // SAFETY: AVX-512F + AVX-512VPOPCNTDQ verified at runtime.
+                return unsafe { keys_avx512(&self.words, &train.words, cap) };
             }
-            #[cfg(not(target_arch = "x86_64"))]
-            {
-                nearest(&self.words, query, cap)
+            if popcnt_available() {
+                // SAFETY: POPCNT support was verified at runtime.
+                return unsafe { keys_popcnt(&self.words, &train.words, cap) };
             }
-        };
-        (best.0 != usize::MAX).then_some(best)
+        }
+        keys(&self.words, &train.words, cap)
     }
 }
 
@@ -192,116 +187,120 @@ fn vpopcnt_available() -> bool {
         && std::arch::is_x86_feature_detected!("avx512vpopcntdq")
 }
 
-/// The pruned nearest-neighbor scan of the scalar tiers; returns
-/// `(usize::MAX, u32::MAX)` when nothing lies within `cap`. Always inlined,
-/// so each tier compiles it with its own target features.
+/// The fused pair pass of the scalar tiers, skipping a pair once its first
+/// two words exceed `cap`. Always inlined, so each tier compiles it with
+/// its own target features.
 #[inline(always)]
-fn nearest(words: &[u64], q: [u64; 4], cap: u32) -> (usize, u32) {
-    let mut best = (usize::MAX, u32::MAX);
-    let mut bound = cap;
-    for (i, w) in words.chunks_exact(WORDS_PER_DESCRIPTOR).enumerate() {
-        let d01 = (q[0] ^ w[0]).count_ones() + (q[1] ^ w[1]).count_ones();
-        if d01 > bound {
-            continue;
+fn keys(query: &[u64], train: &[u64], cap: u32) -> (Vec<u64>, Vec<u64>) {
+    let mut forward = vec![u64::MAX; query.len() / WORDS_PER_DESCRIPTOR];
+    let mut backward = vec![u64::MAX; train.len() / WORDS_PER_DESCRIPTOR];
+    for (i, (q, f)) in query
+        .chunks_exact(WORDS_PER_DESCRIPTOR)
+        .zip(&mut forward)
+        .enumerate()
+    {
+        let mut best = u64::MAX;
+        for (j, (t, b)) in train
+            .chunks_exact(WORDS_PER_DESCRIPTOR)
+            .zip(&mut backward)
+            .enumerate()
+        {
+            let d01 = (q[0] ^ t[0]).count_ones() + (q[1] ^ t[1]).count_ones();
+            if d01 > cap {
+                continue;
+            }
+            let d = d01 + (q[2] ^ t[2]).count_ones() + (q[3] ^ t[3]).count_ones();
+            let key = u64::from(d) << 32;
+            best = best.min(key | j as u64);
+            *b = (*b).min(key | i as u64);
         }
-        let d = d01 + (q[2] ^ w[2]).count_ones() + (q[3] ^ w[3]).count_ones();
-        // `d <= bound` keeps the result inside `cap`; `d < best.1` keeps
-        // ties broken toward the lower index.
-        if d <= bound && d < best.1 {
-            best = (i, d);
-            bound = d;
-        }
+        *f = best;
     }
-    best
+    (forward, backward)
 }
 
-/// [`nearest`] compiled with `POPCNT` enabled.
+/// [`keys`] compiled with `POPCNT` enabled.
 ///
 /// # Safety
 ///
 /// The CPU must support the `POPCNT` instruction.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "popcnt")]
-unsafe fn nearest_popcnt(words: &[u64], q: [u64; 4], cap: u32) -> (usize, u32) {
-    nearest(words, q, cap)
+unsafe fn keys_popcnt(query: &[u64], train: &[u64], cap: u32) -> (Vec<u64>, Vec<u64>) {
+    keys(query, train, cap)
 }
 
-/// AVX-512 vector-popcount nearest-neighbor kernel: full scan (no
-/// pruning — at eight words per `VPOPCNTQ` the scan outruns the branchy
-/// pruned loop) tracking a per-lane running minimum and its index with a
-/// strict `>` compare, so each lane keeps its *earliest* minimum. The
-/// cross-lane reduction then breaks ties toward the lower index, and the
-/// sub-8 tail (whose indices all exceed the vector ones) uses a strict
-/// compare — together reproducing the scalar kernels' first-argmin answer
-/// exactly. Anything beyond `cap` returns the sentinel, like the scalar
-/// kernels.
+/// AVX-512 vector-popcount pair pass, unpruned (`cap` is not needed).
+///
+/// Each 8-row train tile is transposed once into four vectors, lane `l`
+/// holding a word of train row `j0 + l`. Each query row then costs four
+/// broadcasts, XORs and `VPOPCNTQ`s and three adds for eight distances,
+/// and two unsigned minima: one into that row's eight forward lanes, one
+/// into the tile's eight backward lanes. Padding lanes of a short tile get
+/// an all-ones forward key, which never wins, and are never stored
+/// backward. Each row's eight forward lanes reduce to one key at the end.
 ///
 /// # Safety
 ///
 /// The CPU must support AVX-512F and AVX-512VPOPCNTDQ.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512vpopcntdq,avx2,popcnt")]
-unsafe fn nearest_avx512(words: &[u64], q: [u64; 4], cap: u32) -> (usize, u32) {
+#[target_feature(enable = "avx512f,avx512vpopcntdq")]
+unsafe fn keys_avx512(query: &[u64], train: &[u64], _cap: u32) -> (Vec<u64>, Vec<u64>) {
     use std::arch::x86_64::*;
-    let n = words.len() / WORDS_PER_DESCRIPTOR;
-    let qv = _mm512_broadcast_i64x4(_mm256_loadu_si256(q.as_ptr() as *const __m256i));
-    // Lane selectors: `merge_lo` picks lanes {0,4} of two folded vectors
-    // (four distances), `merge_all` concatenates two such quads.
-    let merge_lo = _mm512_setr_epi64(0, 4, 8, 12, 0, 0, 0, 0);
-    let merge_all = _mm512_setr_epi64(0, 1, 2, 3, 8, 9, 10, 11);
-    // i32::MAX loses to any real distance, so the first full vector step
-    // writes every lane. Without one the lanes are never read.
-    let mut lane_best = _mm256_set1_epi32(i32::MAX);
-    let mut lane_idx = _mm256_setzero_si256();
-    let mut idx = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-    let eight = _mm256_set1_epi32(8);
-    let mut i = 0usize;
-    while i + 8 <= n {
-        let p = words.as_ptr().add(WORDS_PER_DESCRIPTOR * i);
-        let mut folded = [_mm512_setzero_si512(); 4];
-        for (k, slot) in folded.iter_mut().enumerate() {
-            let v = _mm512_loadu_si512(p.add(8 * k) as *const _);
-            let x = _mm512_popcnt_epi64(_mm512_xor_si512(v, qv));
-            // Rotate-and-add twice: lane 0 <- x0+x1+x2+x3, lane 4 <- x4..x7.
-            let t = _mm512_add_epi64(x, _mm512_alignr_epi64(x, x, 1));
-            *slot = _mm512_add_epi64(t, _mm512_alignr_epi64(t, t, 2));
-        }
-        let r01 = _mm512_permutex2var_epi64(folded[0], merge_lo, folded[1]);
-        let r23 = _mm512_permutex2var_epi64(folded[2], merge_lo, folded[3]);
-        let d32 = _mm512_cvtepi64_epi32(_mm512_permutex2var_epi64(r01, merge_all, r23));
-        let better = _mm256_cmpgt_epi32(lane_best, d32);
-        lane_best = _mm256_blendv_epi8(lane_best, d32, better);
-        lane_idx = _mm256_blendv_epi8(lane_idx, idx, better);
-        idx = _mm256_add_epi32(idx, eight);
-        i += 8;
-    }
-    let mut dists = [0i32; 8];
-    let mut idxs = [0i32; 8];
-    _mm256_storeu_si256(dists.as_mut_ptr() as *mut __m256i, lane_best);
-    _mm256_storeu_si256(idxs.as_mut_ptr() as *mut __m256i, lane_idx);
-    let mut best = (usize::MAX, u32::MAX);
-    if i > 0 {
-        for k in 0..8 {
-            let (d, ix) = (dists[k] as u32, idxs[k] as usize);
-            if d < best.1 || (d == best.1 && ix < best.0) {
-                best = (ix, d);
+    let nq = query.len() / WORDS_PER_DESCRIPTOR;
+    let nt = train.len() / WORDS_PER_DESCRIPTOR;
+    let mut forward = vec![u64::MAX; 8 * nq];
+    let mut backward = vec![u64::MAX; nt];
+    let lanes = _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7);
+    let one = _mm512_set1_epi64(1);
+    for j0 in (0..nt).step_by(8) {
+        let rows = (nt - j0).min(8);
+        let mut tile = [[0u64; 8]; WORDS_PER_DESCRIPTOR];
+        for (l, t) in train[WORDS_PER_DESCRIPTOR * j0..]
+            .chunks_exact(WORDS_PER_DESCRIPTOR)
+            .take(rows)
+            .enumerate()
+        {
+            for (w, plane) in tile.iter_mut().enumerate() {
+                plane[l] = t[w];
             }
         }
-    }
-    for j in i..n {
-        let w = &words[WORDS_PER_DESCRIPTOR * j..WORDS_PER_DESCRIPTOR * (j + 1)];
-        let d = (_popcnt64((q[0] ^ w[0]) as i64)
-            + _popcnt64((q[1] ^ w[1]) as i64)
-            + _popcnt64((q[2] ^ w[2]) as i64)
-            + _popcnt64((q[3] ^ w[3]) as i64)) as u32;
-        if d < best.1 {
-            best = (j, d);
+        let mut t = [_mm512_setzero_si512(); WORDS_PER_DESCRIPTOR];
+        for (v, plane) in t.iter_mut().zip(&tile) {
+            *v = _mm512_loadu_si512(plane.as_ptr() as *const _);
         }
+        let padding = !(0xffu16 >> (8 - rows)) as u8;
+        let train_idx = _mm512_or_si512(
+            _mm512_add_epi64(_mm512_set1_epi64(j0 as i64), lanes),
+            _mm512_maskz_set1_epi64(padding, -1),
+        );
+        let mut query_idx = _mm512_setzero_si512();
+        let mut column = _mm512_set1_epi64(-1);
+        for (q, f) in query
+            .chunks_exact(WORDS_PER_DESCRIPTOR)
+            .zip(forward.chunks_exact_mut(8))
+        {
+            let mut d = _mm512_setzero_si512();
+            for (w, plane) in t.iter().enumerate() {
+                let x = _mm512_xor_si512(*plane, _mm512_set1_epi64(q[w] as i64));
+                d = _mm512_add_epi64(d, _mm512_popcnt_epi64(x));
+            }
+            let key = _mm512_slli_epi64::<32>(d);
+            let f = f.as_mut_ptr() as *mut __m512i;
+            let row = _mm512_min_epu64(_mm512_loadu_si512(f), _mm512_or_si512(key, train_idx));
+            _mm512_storeu_si512(f, row);
+            column = _mm512_min_epu64(column, _mm512_or_si512(key, query_idx));
+            query_idx = _mm512_add_epi64(query_idx, one);
+        }
+        let mut out = [0u64; 8];
+        _mm512_storeu_si512(out.as_mut_ptr() as *mut _, column);
+        backward[j0..j0 + rows].copy_from_slice(&out[..rows]);
     }
-    if best.1 > cap {
-        return (usize::MAX, u32::MAX);
+    for i in 0..nq {
+        forward[i] = *forward[8 * i..8 * i + 8].iter().min().expect("eight lanes");
     }
-    best
+    forward.truncate(nq);
+    (forward, backward)
 }
 
 #[cfg(test)]
@@ -345,87 +344,154 @@ mod tests {
         assert_eq!(bulk, inc);
     }
 
-    /// Every tier against the unpruned first-argmin over `descs`, for
-    /// block lengths on both sides of the AVX-512 tier's 8-row step and
-    /// rows duplicated across its lanes and tail so exact ties occur.
-    #[test]
-    fn every_nearest_tier_matches_the_first_argmin_reference() {
-        type Kernel = fn(&[u64], [u64; 4], u32) -> (usize, u32);
-        #[allow(unused_mut)] // only x86-64 adds tiers
-        let mut tiers: Vec<(&str, Kernel)> = vec![("generic", nearest)];
-        #[cfg(target_arch = "x86_64")]
-        {
-            if popcnt_available() {
-                // SAFETY: POPCNT support was verified at runtime.
-                tiers.push(("popcnt", |w, q, cap| unsafe { nearest_popcnt(w, q, cap) }));
-            }
-            if vpopcnt_available() {
-                // SAFETY: AVX-512F + AVX-512VPOPCNTDQ verified at runtime.
-                tiers.push(("avx512", |w, q, cap| unsafe { nearest_avx512(w, q, cap) }));
+    /// The unpruned first argmin of `from` over `to` as a key
+    /// (`distance << 32 | index`), or `u64::MAX` when `to` is empty.
+    fn first_argmin(from: &BinaryDescriptor, to: &[BinaryDescriptor]) -> u64 {
+        let mut best = (usize::MAX, u32::MAX);
+        for (j, t) in to.iter().enumerate() {
+            let dist = from.hamming_distance(t);
+            if dist < best.1 {
+                best = (j, dist);
             }
         }
-        for len in [0usize, 1, 7, 8, 9, 120] {
-            let mut descs = random_descs(10 + len as u64, len);
-            for i in (2..len).step_by(3) {
-                descs[i] = descs[i / 3];
+        if to.is_empty() {
+            u64::MAX
+        } else {
+            (u64::from(best.1) << 32) | best.0 as u64
+        }
+    }
+
+    /// Whether a kernel key honours the reference key under `cap`: equal
+    /// when the nearest neighbor lies within the cap, beyond it otherwise.
+    fn agrees(got: u64, reference: u64, cap: u32) -> bool {
+        if reference >> 32 <= u64::from(cap) {
+            got == reference
+        } else {
+            got >> 32 > u64::from(cap)
+        }
+    }
+
+    /// A query and a train set of the given sizes: rows duplicated across
+    /// the AVX-512 tier's lanes and tail (row and column ties), train rows
+    /// that copy or nearly copy query rows, and an all-zero first and
+    /// all-one last descriptor on each side.
+    fn pair_sets(
+        seed: u64,
+        nq: usize,
+        nt: usize,
+    ) -> (Vec<BinaryDescriptor>, Vec<BinaryDescriptor>) {
+        let mut query = random_descs(seed, nq);
+        for i in (2..nq).step_by(3) {
+            query[i] = query[i / 3];
+        }
+        let mut train = random_descs(seed + 1, nt);
+        for (j, t) in train.iter_mut().enumerate() {
+            if nq > 0 && j % 3 != 2 {
+                let mut bytes = *query[(7 * j) % nq].as_bytes();
+                bytes[j % 32] ^= j as u8 & 0x55;
+                *t = BinaryDescriptor::from_bytes(bytes);
             }
-            let block = DescriptorBlock::from_descriptors(&descs);
-            // Random queries, every stored row (ties at distance 0), and
-            // near copies (ties at a small positive distance).
-            let mut queries = random_descs(20 + len as u64, 4);
-            for d in &descs {
-                queries.push(*d);
-                let mut bytes = *d.as_bytes();
-                bytes[0] ^= 0b1011;
-                bytes[31] ^= 0x80;
-                queries.push(BinaryDescriptor::from_bytes(bytes));
+        }
+        for set in [&mut query, &mut train] {
+            if let Some(first) = set.first_mut() {
+                *first = BinaryDescriptor::zero();
             }
-            for q in &queries {
-                let qw = [q.word(0), q.word(1), q.word(2), q.word(3)];
-                let mut reference = (usize::MAX, u32::MAX);
-                for (j, d) in descs.iter().enumerate() {
-                    let dist = q.hamming_distance(d);
-                    if dist < reference.1 {
-                        reference = (j, dist);
+            if set.len() > 1 {
+                let last = set.len() - 1;
+                set[last] = BinaryDescriptor::from_bytes([0xff; 32]);
+            }
+        }
+        (query, train)
+    }
+
+    /// Every tier of the pair kernel against the unpruned first argmin in
+    /// both directions and, through the matcher's filter, against
+    /// `match_binary_exhaustive`: 0/1/7/8/9/150/151 rows on each side
+    /// (both sides of the AVX-512 tier's 8-row tile), `max_hamming`
+    /// 0/30/64/256 with and without the cross-check. A tier the CPU lacks
+    /// is reported as skipped (visible with `--nocapture`).
+    #[test]
+    fn every_nearest_tier_matches_the_first_argmin_reference() {
+        use crate::matcher::{collect_binary_matches, match_binary_exhaustive, MatchConfig};
+        type Kernel = fn(&[u64], &[u64], u32) -> (Vec<u64>, Vec<u64>);
+        #[allow(unused_mut)] // only x86-64 adds tiers
+        let mut tiers: Vec<(&str, Option<Kernel>)> = vec![("generic", Some(keys))];
+        #[cfg(target_arch = "x86_64")]
+        {
+            // SAFETY: each tier is only listed when its CPU support was
+            // verified at runtime.
+            let popcnt: Kernel = |q, t, cap| unsafe { keys_popcnt(q, t, cap) };
+            let avx512: Kernel = |q, t, cap| unsafe { keys_avx512(q, t, cap) };
+            tiers.push(("popcnt", popcnt_available().then_some(popcnt)));
+            tiers.push(("avx512", vpopcnt_available().then_some(avx512)));
+        }
+        let sizes = [0usize, 1, 7, 8, 9, 150, 151];
+        for &nq in &sizes {
+            for &nt in &sizes {
+                let (query, train) = pair_sets((nq * 1000 + nt) as u64, nq, nt);
+                let (qb, tb) = (
+                    DescriptorBlock::from_descriptors(&query),
+                    DescriptorBlock::from_descriptors(&train),
+                );
+                let forward: Vec<u64> = query.iter().map(|q| first_argmin(q, &train)).collect();
+                let backward: Vec<u64> = train.iter().map(|t| first_argmin(t, &query)).collect();
+                for max_hamming in [0u32, 30, 64, 256] {
+                    for cross_check in [true, false] {
+                        let config = MatchConfig {
+                            max_hamming,
+                            cross_check,
+                            ..MatchConfig::default()
+                        };
+                        let expected = match_binary_exhaustive(&query, &train, &config);
+                        for (name, kernel) in &tiers {
+                            let Some(kernel) = kernel else { continue };
+                            let at = format!("{name} tier, {nq}x{nt}, cap {max_hamming}");
+                            let (f, b) = kernel(qb.words(), tb.words(), max_hamming);
+                            assert_eq!((f.len(), b.len()), (nq, nt), "{at}");
+                            for (i, (&got, &want)) in f.iter().zip(&forward).enumerate() {
+                                assert!(agrees(got, want, max_hamming), "{at}: query row {i}");
+                            }
+                            for (j, (&got, &want)) in b.iter().zip(&backward).enumerate() {
+                                assert!(agrees(got, want, max_hamming), "{at}: train row {j}");
+                            }
+                            let got = collect_binary_matches(&f, &b, &config);
+                            assert_eq!(got, expected, "{at}, cross-check {cross_check}");
+                        }
                     }
                 }
-                for cap in [0u32, 64, 128, reference.1, 256, u32::MAX] {
-                    let expected = (len > 0 && reference.1 <= cap).then_some(reference);
-                    for (name, kernel) in &tiers {
-                        let got = kernel(block.words(), qw, cap);
-                        assert_eq!(
-                            (got.0 != usize::MAX).then_some(got),
-                            expected,
-                            "{name} tier, len {len}, cap {cap}"
-                        );
-                    }
-                }
             }
+        }
+        for (name, kernel) in &tiers {
+            let verdict = if kernel.is_some() {
+                "ran"
+            } else {
+                "skipped: this CPU lacks it"
+            };
+            eprintln!("pair kernel {name} tier: {verdict}");
         }
     }
 
     #[test]
-    fn nearest_within_is_exact_inside_the_cap() {
-        let descs = random_descs(7, 120);
-        let queries = random_descs(8, 16);
-        let block = DescriptorBlock::from_descriptors(&descs);
-        for q in &queries {
-            let qw = [q.word(0), q.word(1), q.word(2), q.word(3)];
-            // Unpruned reference: first index with the minimum distance.
-            let mut reference = (usize::MAX, u32::MAX);
-            for (j, d) in descs.iter().enumerate() {
-                let dist = q.hamming_distance(d);
-                if dist < reference.1 {
-                    reference = (j, dist);
-                }
+    fn nearest_keys_are_exact_inside_the_cap() {
+        let query = random_descs(7, 40);
+        let mut train = random_descs(8, 120);
+        // Near copies, so some nearest neighbors fall inside small caps.
+        for (j, t) in train.iter_mut().enumerate().step_by(4) {
+            let mut bytes = *query[j % 40].as_bytes();
+            bytes[j % 32] ^= 0b1011;
+            *t = BinaryDescriptor::from_bytes(bytes);
+        }
+        let (qb, tb) = (
+            DescriptorBlock::from_descriptors(&query),
+            DescriptorBlock::from_descriptors(&train),
+        );
+        for cap in [0u32, 3, 64, 128, 256] {
+            let (f, b) = qb.nearest_keys(&tb, cap);
+            for (q, &got) in query.iter().zip(&f) {
+                assert!(agrees(got, first_argmin(q, &train), cap), "cap {cap}");
             }
-            for cap in [0u32, 64, 128, reference.1, 256] {
-                let got = block.nearest_within(qw, cap);
-                if reference.1 <= cap {
-                    assert_eq!(got, Some(reference), "cap {cap}");
-                } else {
-                    assert_eq!(got, None, "cap {cap}");
-                }
+            for (t, &got) in train.iter().zip(&b) {
+                assert!(agrees(got, first_argmin(t, &query), cap), "cap {cap}");
             }
         }
     }
@@ -433,15 +499,18 @@ mod tests {
     #[test]
     fn nearest_ties_break_toward_lower_index() {
         let d = random_descs(9, 1).remove(0);
-        // Two identical candidates: the first must win.
+        // Two identical rows on each side: the first wins both ways.
         let block = DescriptorBlock::from_descriptors(&[d, d]);
-        let qw = [d.word(0), d.word(1), d.word(2), d.word(3)];
-        assert_eq!(block.nearest_within(qw, 256), Some((0, 0)));
+        let (f, b) = block.nearest_keys(&block, 256);
+        assert_eq!(f, vec![0, 0]);
+        assert_eq!(b, vec![0, 0]);
     }
 
     #[test]
     fn empty_block_has_no_nearest() {
-        let block = DescriptorBlock::new();
-        assert_eq!(block.nearest_within([0; 4], 256), None);
+        let empty = DescriptorBlock::new();
+        let some = DescriptorBlock::from_descriptors(&random_descs(10, 3));
+        assert_eq!(empty.nearest_keys(&some, 256), (vec![], vec![u64::MAX; 3]));
+        assert_eq!(some.nearest_keys(&empty, 256), (vec![u64::MAX; 3], vec![]));
     }
 }

@@ -4,7 +4,10 @@
 //! descriptor pairs that agree. Binary descriptors match when their Hamming
 //! distance is below a threshold; vector descriptors use Lowe's ratio test
 //! plus an absolute distance cut. Cross-checking (mutual nearest neighbors)
-//! removes most one-sided false matches.
+//! removes most one-sided false matches. For binary sets, both directions
+//! come from one pass of the block's pair kernel, which computes each
+//! distance of a pair once; [`match_binary_exhaustive`] is the unpruned
+//! reference it is tested against.
 
 use crate::block::DescriptorBlock;
 use crate::descriptor::{BinaryDescriptor, Descriptors, VectorDescriptor};
@@ -46,9 +49,6 @@ impl Default for MatchConfig {
     }
 }
 
-/// Per-row nearest-neighbor result for a row with no neighbor in range.
-const NO_NEAREST: (usize, u32) = (usize::MAX, u32::MAX);
-
 /// Matches two binary descriptor sets by exhaustive Hamming search — the
 /// descriptor hot loop.
 ///
@@ -59,20 +59,18 @@ const NO_NEAREST: (usize, u32) = (usize::MAX, u32::MAX);
 ///
 /// Runs sequentially: one call scores one pair of sets, and every
 /// production caller (MIH and linear rescoring, the SSMM pairwise graph)
-/// already fans out over whole pairs. Per row the scan runs
-/// [`DescriptorBlock::nearest_within`], which skips a candidate once its
-/// partial distance over the first two words exceeds
-/// `min(best_so_far, cap)` (partial-distance pruning).
+/// already fans out over whole pairs. One pass of the block's pair kernel
+/// computes each of the pair's distances once and keeps both the forward
+/// and the backward nearest neighbor of every row, so the cross-check
+/// costs no second scan.
 ///
-/// Pruning cannot change the emitted matches. The forward pass caps every
-/// query row at `max_hamming`; a row whose true nearest neighbor is
-/// farther is filtered either way. Cross-checking only ever reads the
-/// backward nearest of a train row that some forward row hit, so the
-/// backward pass scans just those rows, each capped at the smallest
-/// forward distance into it: that forward row lies within the cap, so the
-/// true nearest does too, and `nearest_within` returns the same first
-/// argmin an unpruned scan would. The parity suite pins this against
-/// [`match_binary_exhaustive`].
+/// The kernel's pruning cannot change the emitted matches. It skips a
+/// pair only when the distance over its first two words already exceeds
+/// `max_hamming`. A query row whose nearest neighbor is that far is
+/// filtered either way, and the cross-check reads the backward nearest
+/// only of a train row that some query row matched within `max_hamming`,
+/// so that row's nearest lies within it too. The parity suite pins this
+/// against [`match_binary_exhaustive`] on every tier the host has.
 pub fn match_binary(
     query: &DescriptorBlock,
     train: &DescriptorBlock,
@@ -82,40 +80,16 @@ pub fn match_binary(
         return Vec::new();
     }
     let cap = config.max_hamming.min(BinaryDescriptor::BITS as u32);
-    let forward: Vec<(usize, u32)> = (0..query.len())
-        .map(|i| {
-            train
-                .nearest_within(query.descriptor_words(i), cap)
-                .unwrap_or(NO_NEAREST)
-        })
-        .collect();
-    let mut backward = Vec::new();
-    if config.cross_check {
-        // Each slot first holds the smallest forward distance into its
-        // train row (the backward cap), then that row's nearest query row.
-        backward.resize(train.len(), NO_NEAREST);
-        for &(ti, dist) in &forward {
-            if ti != usize::MAX {
-                backward[ti].1 = backward[ti].1.min(dist);
-            }
-        }
-        for (ti, slot) in backward.iter_mut().enumerate() {
-            if slot.1 != u32::MAX {
-                *slot = query
-                    .nearest_within(train.descriptor_words(ti), slot.1)
-                    .expect("the forward partner lies within the cap");
-            }
-        }
-    }
+    let (forward, backward) = query.nearest_keys(train, cap);
     collect_binary_matches(&forward, &backward, config)
 }
 
 /// Unpruned reference implementation of [`match_binary`] over
 /// per-descriptor objects.
 ///
-/// Compares every pair with [`BinaryDescriptor::hamming_distance`]. A
-/// supported API: it is the ground truth for the parity tests; production
-/// paths use [`match_binary`].
+/// Compares every pair with [`BinaryDescriptor::hamming_distance`], once
+/// per direction. A supported API: it is the ground truth for the parity
+/// tests; production paths use [`match_binary`].
 pub fn match_binary_exhaustive(
     query: &[BinaryDescriptor],
     train: &[BinaryDescriptor],
@@ -124,17 +98,18 @@ pub fn match_binary_exhaustive(
     if query.is_empty() || train.is_empty() {
         return Vec::new();
     }
-    let nearest = |from: &[BinaryDescriptor], to: &[BinaryDescriptor]| -> Vec<(usize, u32)> {
+    // Each row's first argmin, as the key `distance << 32 | index`.
+    let nearest = |from: &[BinaryDescriptor], to: &[BinaryDescriptor]| -> Vec<u64> {
         from.iter()
             .map(|d| {
-                let mut best = NO_NEAREST;
+                let mut best = (usize::MAX, u32::MAX);
                 for (j, t) in to.iter().enumerate() {
                     let dist = d.hamming_distance(t);
                     if dist < best.1 {
                         best = (j, dist);
                     }
                 }
-                best
+                (u64::from(best.1) << 32) | best.0 as u64
             })
             .collect()
     };
@@ -147,21 +122,23 @@ pub fn match_binary_exhaustive(
     collect_binary_matches(&forward, &backward, config)
 }
 
-/// Emits the final match list from per-row nearest-neighbor results
-/// (shared by the block and reference paths so filtering can never drift).
-fn collect_binary_matches(
-    forward: &[(usize, u32)],
-    backward: &[(usize, u32)],
+/// Emits the final match list from per-row nearest-neighbor keys
+/// (`distance << 32 | index`, `u64::MAX` for a row with none; shared by the
+/// block and reference paths so filtering can never drift).
+pub(crate) fn collect_binary_matches(
+    forward: &[u64],
+    backward: &[u64],
     config: &MatchConfig,
 ) -> Vec<FeatureMatch> {
     // Sized for the most matches possible, so the allocation count does
     // not depend on how many rows match.
     let mut matches = Vec::with_capacity(forward.len());
-    for (qi, &(ti, dist)) in forward.iter().enumerate() {
-        if ti == usize::MAX || dist > config.max_hamming {
+    for (qi, &key) in forward.iter().enumerate() {
+        let (dist, ti) = ((key >> 32) as u32, key as u32 as usize);
+        if key == u64::MAX || dist > config.max_hamming {
             continue;
         }
-        if config.cross_check && backward[ti].0 != qi {
+        if config.cross_check && backward[ti] as u32 as usize != qi {
             continue;
         }
         matches.push(FeatureMatch {

@@ -14,7 +14,7 @@
 use crate::descriptor::{Descriptors, ImageFeatures, VectorDescriptor};
 use crate::extractor::{ExtractionStats, ExtractorKind, FeatureExtractor};
 use crate::keypoint::Keypoint;
-use bees_image::{blur, GrayF32, GrayImage};
+use bees_image::{blur, round_i32, GrayF32, GrayImage};
 
 /// Maximum number of features to keep (strongest DoG responses first).
 pub const N_FEATURES: usize = 500;
@@ -208,8 +208,8 @@ impl Sift {
                 // Rotate the offset into image space.
                 let rx = cos * wx as f32 - sin * wy as f32;
                 let ry = sin * wx as f32 + cos * wy as f32;
-                let sx = p.x as i64 + rx.round() as i64;
-                let sy = p.y as i64 + ry.round() as i64;
+                let sx = p.x as i64 + round_i32(rx) as i64;
+                let sy = p.y as i64 + round_i32(ry) as i64;
                 let gx = img.get_clamped(sx + 1, sy) - img.get_clamped(sx - 1, sy);
                 let gy = img.get_clamped(sx, sy + 1) - img.get_clamped(sx, sy - 1);
                 let mag = (gx * gx + gy * gy).sqrt();

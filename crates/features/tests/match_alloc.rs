@@ -5,9 +5,9 @@
 //! counting global allocator (the `bees-telemetry` `no_alloc` pattern)
 //! rather than asserted by inspection.
 //!
-//! Per call: the forward nearest-neighbor table, the backward table of the
-//! cross-check, and the match list, sized up front for the most matches
-//! possible. A runtime fan-out inside the pair, or a match list that grows
+//! Per call: the forward and backward nearest-neighbor tables that the
+//! pair kernel fills in one pass, and the match list, sized up front for
+//! the most matches possible. A runtime fan-out inside the pair, or a match list that grows
 //! as matches are pushed, would make the count depend on the thread count
 //! or on the input.
 

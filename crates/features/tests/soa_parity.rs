@@ -5,10 +5,13 @@
 //! Property-style tests over seeded random inputs (plain `ChaCha8Rng`
 //! loops) pinning:
 //!
-//! * `match_binary` (blocks + pruning) == `match_binary_exhaustive` (the
-//!   unpruned AoS reference) for every config shape, at thread counts
-//!   1/2/8, on random inputs and on hand-built shapes that stress the
-//!   targeted cross-check pass;
+//! * `match_binary` (one fused, pruned pass over the pair's blocks) ==
+//!   `match_binary_exhaustive` (the unpruned AoS reference) for every
+//!   config shape, at thread counts 1/2/8, on random inputs, on hand-built
+//!   shapes that stress the cross-check, and on every pair of set sizes
+//!   around the AVX-512 tier's 8-row tile with tied, all-zero and all-one
+//!   rows. The per-tier runs of the same kernel are `block.rs`'s unit
+//!   tests; here `match_binary` runs whichever tier the host dispatches to;
 //! * `jaccard_similarity` == Eq. 2 over the reference match count, to the
 //!   last f64 bit;
 //! * `DescriptorBlock` round-trips descriptors exactly.
@@ -112,9 +115,8 @@ fn flip_bits(d: &BinaryDescriptor, k: usize, start: usize) -> BinaryDescriptor {
     BinaryDescriptor::from_bytes(bytes)
 }
 
-/// Hand-built `(query, train)` pairs for the targeted backward pass, which
-/// caps each train row at the smallest forward distance into it. Each pair
-/// also runs transposed. The shapes:
+/// Hand-built `(query, train)` pairs for the cross-check. Each pair also
+/// runs transposed. The shapes:
 ///
 /// * several query rows sharing one train target at distances 9, 5, 14
 ///   and 5 (a tie at the smallest, broken toward the lower row);
@@ -180,6 +182,50 @@ fn matcher_soa_and_pruning_match_the_aos_reference() {
                 );
             }
             bees_runtime::set_threads(0);
+        }
+    }
+}
+
+/// A set of `n` rows with duplicates (ties across the 8-row tile and its
+/// tail), near copies of `base`, and an all-zero first and all-one last
+/// descriptor.
+fn shaped_descs(
+    rng: &mut ChaCha8Rng,
+    base: &[BinaryDescriptor],
+    n: usize,
+) -> Vec<BinaryDescriptor> {
+    let mut descs = correlated_descs(rng, base, n);
+    for i in (4..n).step_by(4) {
+        descs[i] = descs[i / 4];
+    }
+    if let Some(first) = descs.first_mut() {
+        *first = BinaryDescriptor::zero();
+    }
+    if n > 1 {
+        descs[n - 1] = BinaryDescriptor::from_bytes([0xff; 32]);
+    }
+    descs
+}
+
+#[test]
+fn matcher_matches_the_reference_on_every_shape() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0xBEE5_50A4);
+    let sizes = [0usize, 1, 7, 8, 9, 150, 151];
+    for &nq in &sizes {
+        for &nt in &sizes {
+            let query = shaped_descs(&mut rng, &[], nq);
+            let train = shaped_descs(&mut rng, &query, nt);
+            let (qb, tb) = (
+                DescriptorBlock::from_descriptors(&query),
+                DescriptorBlock::from_descriptors(&train),
+            );
+            for (ci, config) in configs().iter().enumerate() {
+                assert_eq!(
+                    match_binary(&qb, &tb, config),
+                    match_binary_exhaustive(&query, &train, config),
+                    "{nq}x{nt} rows, config {ci}"
+                );
+            }
         }
     }
 }

@@ -12,9 +12,9 @@
 //!
 //! * [`LinearIndex`] — exact: scores the query against every stored image,
 //! * [`MihIndex`] — multi-index hashing over the four 64-bit words of each
-//!   256-bit ORB descriptor: images sharing no descriptor word with the
-//!   query (within the multi-probe radius) are skipped; survivors are
-//!   rescored exactly.
+//!   256-bit ORB descriptor, looked up by their 32-bit halves: images
+//!   sharing no descriptor word with the query (within the multi-probe
+//!   radius) are skipped; survivors are rescored exactly.
 //!
 //! Both score with the one Jaccard scorer,
 //! [`jaccard_similarity`](bees_features::similarity::jaccard_similarity),
@@ -165,8 +165,8 @@ pub trait FeatureIndex {
     /// are omitted. The ordering is a total order, so the result is unique
     /// — backends parallelizing internally must return exactly this list.
     ///
-    /// Backends with per-query transient state ([`MihIndex`]'s merge heap
-    /// and candidate list, [`ShardedIndex`]'s per-shard fan-out) recycle
+    /// Backends with per-query transient state ([`MihIndex`]'s candidate
+    /// list, [`ShardedIndex`]'s per-shard fan-out) recycle
     /// `scratch` instead of allocating; the exact [`LinearIndex`] ignores
     /// it. Scratch contents never influence scoring, so the result does
     /// not depend on which scratch a caller passes.

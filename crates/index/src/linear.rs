@@ -37,26 +37,6 @@ impl LinearIndex {
             config,
         }
     }
-
-    /// Iterates over stored entries.
-    pub fn iter(&self) -> impl Iterator<Item = &ImageEntry> {
-        self.entries.iter()
-    }
-
-    /// Removes the entry for `id`, returning whether it existed.
-    pub fn remove(&mut self, id: ImageId) -> bool {
-        if let Some(pos) = self.entries.iter().position(|e| e.id == id) {
-            self.entries.remove(pos);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Removes all entries.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
 }
 
 impl FeatureIndex for LinearIndex {
@@ -179,15 +159,6 @@ mod tests {
         assert!(idx
             .query(&Query::top_k(&probe, 5).with_allowed(&[]))
             .is_empty());
-    }
-
-    #[test]
-    fn remove_deletes_entry() {
-        let mut idx = LinearIndex::new(SimilarityConfig::default());
-        idx.insert(ImageId(1), features(&[1]));
-        assert!(idx.remove(ImageId(1)));
-        assert!(!idx.remove(ImageId(1)));
-        assert!(idx.is_empty());
     }
 
     #[test]

@@ -1,11 +1,20 @@
 //! Multi-index hashing (MIH) accelerated index for binary descriptors.
 //!
-//! Norouzi et al.'s multi-index hashing observation: split a 256-bit code
-//! into 4 disjoint 64-bit words; two codes within Hamming distance `r` must
-//! agree *exactly* on at least one word whenever `r < 4` (pigeonhole), and
-//! within distance `4·(p+1) − 1` some word is within distance `p` — which
-//! the default radius-1 multi-probe exploits by also looking up every
-//! single-bit neighbor of each query word.
+//! Norouzi et al.'s multi-index hashing observation: split a code into
+//! disjoint substrings; two codes within Hamming distance `r` of each other
+//! agree *exactly* on at least one substring whenever there are more
+//! substrings than `r`, so a radius-`r` probe becomes exact substring
+//! lookups. The index applies it twice. A 256-bit ORB code is four 64-bit
+//! words, and an image is a candidate when one of its words lies within
+//! the probe radius (0 or 1) of the query word at the same position. Each
+//! 64-bit word is in turn two 32-bit halves, and a word within distance 1
+//! of the query word equals it on at least one half. So a query word costs
+//! two exact lookups, one per half, and a popcount filter on the entries
+//! they find.
+//!
+//! Postings live in one arena per word position: each indexed `(word, id)`
+//! is stored once and chained under both of its halves, so the index makes
+//! no allocation per key.
 //!
 //! Candidate images are then scored with the full exact Jaccard similarity,
 //! so MIH can never *fabricate* a match; it can only miss images whose best
@@ -23,8 +32,8 @@ use crate::{FeatureIndex, Query};
 use bees_features::block::WORDS_PER_DESCRIPTOR;
 use bees_features::similarity::{jaccard_similarity, SimilarityConfig};
 use bees_features::{Descriptors, ImageFeatures};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Accelerated index: word-collision candidate generation plus exact
 /// rescoring.
@@ -44,12 +53,11 @@ use std::collections::{BinaryHeap, HashMap};
 pub struct MihIndex {
     entries: Vec<ImageEntry>,
     id_to_pos: HashMap<ImageId, usize>,
-    /// One hash table per 64-bit word position: word value -> image ids.
-    tables: [HashMap<u64, Vec<ImageId>>; 4],
-    /// Multi-probe radius: also probe every word within this Hamming
-    /// distance of each query word (0 = exact words only; 1 probes the 64
-    /// single-bit neighbors too, sharply raising recall on noisy
-    /// descriptors at ~65x the lookups).
+    /// One posting arena per 64-bit word position.
+    arenas: [PostingArena; WORDS_PER_DESCRIPTOR],
+    /// Multi-probe radius: also match every word within this Hamming
+    /// distance of each query word (0 = exact words only; 1 adds the 64
+    /// single-bit neighbors, sharply raising recall on noisy descriptors).
     probe_radius: u8,
     config: SimilarityConfig,
 }
@@ -67,14 +75,14 @@ impl MihIndex {
         MihIndex {
             entries: Vec::new(),
             id_to_pos: HashMap::new(),
-            tables: Default::default(),
+            arenas: Default::default(),
             probe_radius: 1,
             config,
         }
     }
 
-    /// Overrides the multi-probe radius (0 or 1; larger radii cost
-    /// combinatorially more lookups).
+    /// Overrides the multi-probe radius (0 or 1: two half-word lookups
+    /// find every word within distance 1, and no more).
     ///
     /// # Panics
     ///
@@ -85,24 +93,17 @@ impl MihIndex {
         self
     }
 
-    /// Returns the candidate image ids for a query (images sharing a
-    /// descriptor word within the probe radius), sorted ascending. Exposed
-    /// for the ablation benchmark.
+    /// Returns the candidate image ids for a query (images with a
+    /// descriptor word within the probe radius of the query's word at the
+    /// same position), sorted ascending. Exposed for the ablation
+    /// benchmark.
     pub fn candidates(&self, query: &ImageFeatures) -> Vec<ImageId> {
         self.candidates_budgeted(query, 0)
     }
 
-    /// [`candidates`](Self::candidates) with a budget: stops after `budget`
-    /// distinct ids when `budget > 0`. Because every posting list is kept
-    /// sorted and the lists are k-way merged smallest-id-first, a budgeted
-    /// scan returns exactly the `budget` smallest candidate ids — a
+    /// [`candidates`](Self::candidates) with a budget: when `budget > 0`,
+    /// returns exactly the `budget` smallest candidate ids — a
     /// deterministic prefix, not an arbitrary subset.
-    ///
-    /// The merge replaces the old collect-into-`HashSet`-then-sort path,
-    /// whose full re-sort on every query dominated lookup cost once posting
-    /// lists grew; it also made early termination impossible (the budget
-    /// would have applied before dedup/sort, yielding an order-dependent
-    /// subset).
     pub fn candidates_budgeted(&self, query: &ImageFeatures, budget: usize) -> Vec<ImageId> {
         let mut scratch = QueryScratch::new();
         self.candidates_into(query, budget, &mut scratch);
@@ -110,111 +111,177 @@ impl MihIndex {
     }
 
     /// [`candidates_budgeted`](Self::candidates_budgeted) into caller-owned
-    /// scratch: the result lands in `scratch.candidates()` and the merge
-    /// heap, cursor table, and output list all recycle the scratch's
-    /// buffers. The one transient that cannot live in the scratch is the
-    /// table of borrowed posting-list slices (its lifetime is tied to
-    /// `&self`); it is allocated per call at the scratch's high-water-mark
-    /// capacity, so a warmed scratch performs exactly one bounded
-    /// allocation here regardless of index size — pinned by
-    /// `tests/alloc_counts.rs`.
+    /// scratch: the result lands in `scratch.candidates()`. Every query
+    /// word's matching ids are appended to the scratch's recycled list,
+    /// which is then sorted, deduplicated and cut to the budget in place,
+    /// so a warmed scratch makes no allocation here at any index size —
+    /// pinned by `tests/alloc_counts.rs`.
     pub fn candidates_into(
         &self,
         query: &ImageFeatures,
         budget: usize,
         scratch: &mut QueryScratch,
     ) {
-        scratch.cand_ids.clear();
+        let out = &mut scratch.cand_ids;
+        out.clear();
         let Descriptors::Binary(descs) = &query.descriptors else {
             return;
         };
-        // Gather every probed posting list (each sorted ascending).
-        let mut lists: Vec<&[ImageId]> = Vec::with_capacity(scratch.lists_hint);
+        let radius = u32::from(self.probe_radius);
         for (k, &word) in descs.words().iter().enumerate() {
-            let table = &self.tables[k % WORDS_PER_DESCRIPTOR];
-            if let Some(ids) = table.get(&word) {
-                lists.push(ids);
-            }
-            if self.probe_radius >= 1 {
-                for bit in 0..64 {
-                    if let Some(ids) = table.get(&(word ^ (1u64 << bit))) {
-                        lists.push(ids);
-                    }
-                }
-            }
+            self.arenas[k % WORDS_PER_DESCRIPTOR].probe(word, radius, out);
         }
-        scratch.lists_hint = scratch.lists_hint.max(lists.len());
-        // K-way merge with on-the-fly dedup: heap of (next id, list index),
-        // rebuilt inside the scratch's recycled heap storage.
-        let mut heap_store = std::mem::take(&mut scratch.merge_heap);
-        heap_store.clear();
-        let mut heap: BinaryHeap<Reverse<(ImageId, usize)>> = BinaryHeap::from(heap_store);
-        for (li, l) in lists.iter().enumerate() {
-            if !l.is_empty() {
-                heap.push(Reverse((l[0], li)));
-            }
-        }
-        scratch.cursors.clear();
-        scratch.cursors.resize(lists.len(), 1);
-        let out = &mut scratch.cand_ids;
-        while let Some(Reverse((id, li))) = heap.pop() {
-            if out.last() != Some(&id) {
-                if budget > 0 && out.len() == budget {
-                    break;
-                }
-                out.push(id);
-            }
-            let cur = scratch.cursors[li];
-            if let Some(&next) = lists[li].get(cur) {
-                scratch.cursors[li] = cur + 1;
-                heap.push(Reverse((next, li)));
-            }
-        }
-        scratch.merge_heap = heap.into_vec();
-    }
-
-    fn index_words(
-        tables: &mut [HashMap<u64, Vec<ImageId>>],
-        id: ImageId,
-        features: &ImageFeatures,
-    ) {
-        if let Descriptors::Binary(descs) = &features.descriptors {
-            for (k, &word) in descs.words().iter().enumerate() {
-                let bucket = tables[k % WORDS_PER_DESCRIPTOR].entry(word).or_default();
-                // Sorted insertion keeps every posting list ascending,
-                // which the budgeted k-way merge in `candidates` relies
-                // on (ids usually arrive in order, making this a cheap
-                // append in practice).
-                if let Err(pos) = bucket.binary_search(&id) {
-                    bucket.insert(pos, id);
-                }
-            }
+        out.sort_unstable();
+        out.dedup();
+        if budget > 0 {
+            out.truncate(budget);
         }
     }
 
-    fn unindex_words(
-        tables: &mut [HashMap<u64, Vec<ImageId>>],
-        id: ImageId,
-        features: &ImageFeatures,
-    ) {
-        if let Descriptors::Binary(descs) = &features.descriptors {
-            for (k, word) in descs.words().iter().enumerate() {
-                if let Some(bucket) = tables[k % WORDS_PER_DESCRIPTOR].get_mut(word) {
-                    bucket.retain(|&x| x != id);
-                }
+    /// Applies `f` to every distinct word of `features` at each position.
+    fn for_each_word(features: &ImageFeatures, mut f: impl FnMut(usize, u64)) {
+        let Descriptors::Binary(descs) = &features.descriptors else {
+            return;
+        };
+        let mut words = Vec::with_capacity(descs.len());
+        for position in 0..WORDS_PER_DESCRIPTOR {
+            words.clear();
+            let all = descs.words().iter();
+            words.extend(all.skip(position).step_by(WORDS_PER_DESCRIPTOR));
+            words.sort_unstable();
+            words.dedup();
+            for &word in &words {
+                f(position, word);
             }
         }
     }
 }
 
+/// Marks the end of a posting chain.
+const NIL: u32 = u32::MAX;
+
+/// One indexed `(word, id)`, chained under both of its halves: `next[0]`
+/// continues the chain of its low half, `next[1]` that of its high half.
+#[derive(Debug, Clone, Copy)]
+struct Posting {
+    word: u64,
+    id: ImageId,
+    next: [u32; 2],
+}
+
+/// The postings of one word position: an arena of `(word, id)` entries,
+/// each linked into the chain of its low half and of its high half.
+#[derive(Debug, Clone, Default)]
+struct PostingArena {
+    postings: Vec<Posting>,
+    /// Chain heads by half: `heads[0]` keyed by low halves, `heads[1]` by
+    /// high halves. Nothing iterates them, so their order is irrelevant.
+    heads: [HashMap<u32, u32, BuildHasherDefault<MulShift>>; 2],
+    /// Arena slots freed by re-insertions, reused first.
+    free: Vec<u32>,
+}
+
+/// The two 32-bit halves of a word, low first.
+fn halves(word: u64) -> [u32; 2] {
+    [word as u32, (word >> 32) as u32]
+}
+
+impl PostingArena {
+    fn insert(&mut self, word: u64, id: ImageId) {
+        let slot = self.free.pop().unwrap_or(self.postings.len() as u32);
+        assert!(slot != NIL, "too many postings");
+        let mut next = [NIL; 2];
+        for (side, half) in halves(word).into_iter().enumerate() {
+            next[side] = std::mem::replace(self.heads[side].entry(half).or_insert(NIL), slot);
+        }
+        let posting = Posting { word, id, next };
+        match self.postings.get_mut(slot as usize) {
+            Some(freed) => *freed = posting,
+            None => self.postings.push(posting),
+        }
+    }
+
+    /// Unlinks the posting of `(word, id)`, which must be present, from
+    /// both of its chains and frees its slot.
+    fn remove(&mut self, word: u64, id: ImageId) {
+        let target = |p: &Posting| p.word == word && p.id == id;
+        let mut slot = NIL;
+        for (side, half) in halves(word).into_iter().enumerate() {
+            let (mut prev, mut cur) = (NIL, self.heads[side][&half]);
+            while !target(&self.postings[cur as usize]) {
+                (prev, cur) = (cur, self.postings[cur as usize].next[side]);
+            }
+            let after = self.postings[cur as usize].next[side];
+            if prev != NIL {
+                self.postings[prev as usize].next[side] = after;
+            } else if after != NIL {
+                self.heads[side].insert(half, after);
+            } else {
+                self.heads[side].remove(&half);
+            }
+            slot = cur;
+        }
+        self.free.push(slot);
+    }
+
+    /// Appends the id of every posting whose word lies within `radius`
+    /// (at most 1) of `query`. Such a word equals `query` on at least one
+    /// half, so walking the two chains of `query`'s halves finds them all.
+    /// A posting on both chains shares the low half, so the high chain
+    /// skips those.
+    fn probe(&self, query: u64, radius: u32, out: &mut Vec<ImageId>) {
+        let q = halves(query);
+        for side in 0..2 {
+            let mut slot = self.heads[side].get(&q[side]).copied().unwrap_or(NIL);
+            while slot != NIL {
+                let p = &self.postings[slot as usize];
+                if (p.word ^ query).count_ones() <= radius && (side == 0 || p.word as u32 != q[0]) {
+                    out.push(p.id);
+                }
+                slot = p.next[side];
+            }
+        }
+    }
+}
+
+/// Multiply-shift hashing for the 32-bit chain keys: one multiply by a
+/// 64-bit odd constant, with the high half folded into the low bits that
+/// pick a bucket. The keys are halves of uploaded descriptor words, but an
+/// uploader who wants long probes needs no hash collision: repeating one
+/// word already lengthens its chain. SipHash's resistance to crafted
+/// collisions would therefore protect nothing, and it costs several times
+/// the multiply on each of a query's two lookups per word.
+#[derive(Debug, Clone, Copy, Default)]
+struct MulShift(u64);
+
+impl Hasher for MulShift {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(self.0 as u32 ^ u32::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, key: u32) {
+        let h = u64::from(key).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ (h >> 32);
+    }
+}
+
 impl FeatureIndex for MihIndex {
     fn insert(&mut self, id: ImageId, features: ImageFeatures) {
+        let arenas = &mut self.arenas;
         if let Some(&pos) = self.id_to_pos.get(&id) {
             let old = std::mem::replace(&mut self.entries[pos].features, features);
-            Self::unindex_words(&mut self.tables, id, &old);
-            Self::index_words(&mut self.tables, id, &self.entries[pos].features);
+            Self::for_each_word(&old, |k, word| arenas[k].remove(word, id));
+            Self::for_each_word(&self.entries[pos].features, |k, word| {
+                arenas[k].insert(word, id)
+            });
         } else {
-            Self::index_words(&mut self.tables, id, &features);
+            Self::for_each_word(&features, |k, word| arenas[k].insert(word, id));
             self.id_to_pos.insert(id, self.entries.len());
             self.entries.push(ImageEntry { id, features });
         }
@@ -385,8 +452,8 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(11);
         let mut idx = MihIndex::new(SimilarityConfig::default());
         let shared = random_features(&mut rng, 5);
-        // Insert the same feature set under descending ids: the candidate
-        // merge must still return ascending ids.
+        // Insert the same feature set under descending ids: the candidates
+        // must still come back ascending.
         for id in [90u64, 40, 75, 3, 62] {
             idx.insert(ImageId(id), shared.clone());
         }

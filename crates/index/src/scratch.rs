@@ -1,23 +1,22 @@
 //! Reusable per-query scratch storage.
 //!
-//! A query against an accelerated backend churns through several transient
-//! buffers: the k-way merge heap and cursors in
-//! [`MihIndex::candidates_into`], the deduplicated candidate-id list, and —
-//! for a [`ShardedIndex`] — one set of each per shard. Allocating those
-//! fresh on every query puts the allocator on the hot path at fleet scale,
-//! so callers that issue many queries (the server, the benches) hold one
-//! [`QueryScratch`] per query stream and thread it through
-//! [`FeatureIndex::query_with_scratch`].
+//! A query against an accelerated backend fills transient buffers: the
+//! candidate-id list that [`MihIndex::candidates_into`] collects, sorts and
+//! deduplicates in place, and — for a [`ShardedIndex`] — one per shard.
+//! Allocating those fresh on every query puts the allocator on the hot
+//! path at fleet scale, so callers that issue many queries (the server, the
+//! benches) hold one [`QueryScratch`] per query stream and thread it
+//! through [`FeatureIndex::query_with_scratch`].
 //!
 //! Lifetime rules (also documented in `DESIGN.md` §10):
 //!
 //! * a `QueryScratch` belongs to exactly one query stream at a time — it is
 //!   `&mut` for the duration of each query and never shared across threads;
 //! * the buffers inside only ever grow (high-water-mark recycling), so a
-//!   warmed scratch makes a steady-state query allocation-free except for
-//!   the returned hit list and one bounded posting-list table whose length
-//!   is independent of the index size (pinned by the allocation-count test
-//!   in `crates/index/tests/alloc_counts.rs`);
+//!   warmed scratch makes candidate generation allocation-free at any
+//!   index size (pinned by the allocation-count test in
+//!   `crates/index/tests/alloc_counts.rs`); a query still allocates its
+//!   returned hit list;
 //! * scratch contents are *outputs plus garbage*: nothing read from a
 //!   scratch influences scoring, so reusing one can never change results —
 //!   the determinism suite pins query results byte-identical with and
@@ -28,7 +27,6 @@
 //! [`FeatureIndex::query_with_scratch`]: crate::FeatureIndex::query_with_scratch
 
 use crate::store::ImageId;
-use std::cmp::Reverse;
 
 /// Recycled buffers for one query stream (see the module docs).
 ///
@@ -49,17 +47,10 @@ use std::cmp::Reverse;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct QueryScratch {
-    /// Deduplicated, ascending candidate ids from the latest MIH merge.
+    /// Deduplicated, ascending candidate ids from the latest MIH probe.
     pub(crate) cand_ids: Vec<ImageId>,
-    /// Backing storage for the k-way merge heap of `(next id, list index)`.
-    pub(crate) merge_heap: Vec<Reverse<(ImageId, usize)>>,
-    /// Per-posting-list read cursors for the k-way merge.
-    pub(crate) cursors: Vec<usize>,
     /// Child scratches, one per shard, for `ShardedIndex` fan-out.
     pub(crate) shards: Vec<QueryScratch>,
-    /// High-water mark of probed posting lists, used to size the one
-    /// borrow-lifetime-bound table that cannot itself be recycled.
-    pub(crate) lists_hint: usize,
 }
 
 impl QueryScratch {

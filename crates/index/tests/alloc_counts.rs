@@ -1,13 +1,12 @@
 //! Pins the scratch-arena contract: a warmed `candidates_into` call makes
-//! a small constant number of allocations, independent of index size.
-//! Measured with a counting global allocator (the `bees-telemetry`
-//! `no_alloc` pattern) rather than asserted by inspection.
+//! no allocation, at any index size. Measured with a counting global
+//! allocator (the `bees-telemetry` `no_alloc` pattern) rather than
+//! asserted by inspection.
 //!
-//! The budget is 2: one bounded table of borrowed posting-list slices
-//! (whose lifetime is tied to the index borrow, so it cannot live in the
-//! scratch; its capacity comes from the scratch's high-water mark) plus
-//! slack for an incidental grow. Everything else — merge heap, cursors,
-//! candidate list — must recycle the scratch's buffers.
+//! The budget is 0: the probe walks the index's posting chains and
+//! appends ids to the scratch's candidate list, which it then sorts,
+//! deduplicates and truncates in place, so once the list has grown to its
+//! high-water mark nothing is left to allocate.
 
 use bees_features::descriptor::{BinaryDescriptor, Descriptors};
 use bees_features::similarity::SimilarityConfig;
@@ -63,21 +62,19 @@ fn build(seed: u64, n_images: usize) -> (MihIndex, ImageFeatures) {
     let mut idx = MihIndex::new(SimilarityConfig::default());
     let shared = random_features(&mut rng, 10);
     for i in 0..n_images {
-        // Every image shares the probe's words, so every posting list is
-        // probed and every image becomes a candidate — the worst case for
-        // merge-state size.
+        // Every image shares the probe's words, so every posting chain
+        // holds every image and every image becomes a candidate — the
+        // worst case for the candidate list's size.
         idx.insert(ImageId(i as u64), shared.clone());
     }
     (idx, shared)
 }
 
-/// Warmed-call allocation budget: the borrowed posting-list table plus one
-/// of slack.
-const WARMED_ALLOC_BUDGET: usize = 2;
+/// Warmed-call allocation budget: none.
+const WARMED_ALLOC_BUDGET: usize = 0;
 
 fn warmed_alloc_count(idx: &MihIndex, probe: &ImageFeatures, scratch: &mut QueryScratch) -> usize {
-    // Two warmup calls grow every buffer (and the lists-table capacity
-    // hint) to steady state.
+    // Two warmup calls grow the candidate list to steady state.
     idx.candidates_into(probe, 0, scratch);
     idx.candidates_into(probe, 0, scratch);
     let before = allocations();
@@ -94,20 +91,16 @@ fn warmed_candidate_merge_allocation_is_constant_in_index_size() {
 
     let mut scratch = QueryScratch::new();
     let small = warmed_alloc_count(&small_idx, &small_probe, &mut scratch);
-    assert!(
-        small <= WARMED_ALLOC_BUDGET,
+    assert_eq!(
+        small, WARMED_ALLOC_BUDGET,
         "small index: {small} allocations on a warmed candidates_into call"
     );
 
+    // 8x the images and candidates must not add allocations.
     let mut scratch = QueryScratch::new();
     let large = warmed_alloc_count(&large_idx, &large_probe, &mut scratch);
-    assert!(
-        large <= WARMED_ALLOC_BUDGET,
+    assert_eq!(
+        large, WARMED_ALLOC_BUDGET,
         "large index: {large} allocations on a warmed candidates_into call"
-    );
-    // 8x the images and candidates must not add allocations.
-    assert!(
-        large <= small.max(1),
-        "allocation count grew with index size: {small} -> {large}"
     );
 }

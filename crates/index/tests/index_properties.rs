@@ -1,12 +1,14 @@
 //! Property tests of the index backends: the MIH accelerator must
 //! agree with the exact linear scan whenever descriptor noise stays within
-//! its word-collision guarantee, and both must behave like indexes.
+//! its word-collision guarantee, its candidate sets must equal a
+//! brute-force word scan, and both must behave like indexes.
 
-use bees_features::descriptor::BinaryDescriptor;
+use bees_features::descriptor::{BinaryDescriptor, VectorDescriptor};
 use bees_features::similarity::SimilarityConfig;
 use bees_features::{DescriptorBlock, Descriptors, ImageFeatures, Keypoint};
 use bees_index::{FeatureIndex, ImageId, LinearIndex, MihIndex};
 use bees_rng::{check, ChaCha8Rng};
+use std::collections::BTreeMap;
 
 fn random_features(rng: &mut ChaCha8Rng, n: usize) -> ImageFeatures {
     let descs: Vec<BinaryDescriptor> = (0..n)
@@ -114,5 +116,137 @@ fn inserts_accumulate_and_replace() {
         unique.sort_unstable();
         unique.dedup();
         assert_eq!(idx.len(), unique.len());
+    });
+}
+
+fn features_of(descs: &[BinaryDescriptor]) -> ImageFeatures {
+    ImageFeatures {
+        keypoints: vec![Keypoint::default(); descs.len()],
+        descriptors: Descriptors::Binary(DescriptorBlock::from_descriptors(descs)),
+    }
+}
+
+/// `n` descriptors drawn around a small pool: each word of each
+/// descriptor is a pool word with 0, 1 or 2 bits flipped, so words fall
+/// inside and just outside a radius-1 probe; every fourth descriptor is
+/// fresh noise.
+fn pooled_features(rng: &mut ChaCha8Rng, pool: &[BinaryDescriptor], n: usize) -> ImageFeatures {
+    let descs: Vec<BinaryDescriptor> = (0..n)
+        .map(|i| {
+            if i % 4 == 3 {
+                let mut bytes = [0u8; 32];
+                rng.fill(&mut bytes);
+                return BinaryDescriptor::from_bytes(bytes);
+            }
+            let mut bytes = *pool[rng.gen_range(0..pool.len())].as_bytes();
+            for word in 0..4 {
+                for _ in 0..rng.gen_range(0usize..3) {
+                    let bit = 64 * word + rng.gen_range(0usize..64);
+                    bytes[bit / 8] ^= 1 << (bit % 8);
+                }
+            }
+            BinaryDescriptor::from_bytes(bytes)
+        })
+        .collect();
+    features_of(&descs)
+}
+
+/// The MIH candidate set by its definition: every stored id with a word
+/// within `radius` of the query's word at the same position, ascending,
+/// cut to `budget` when it is non-zero.
+fn brute_force_candidates(
+    stored: &BTreeMap<u64, ImageFeatures>,
+    query: &ImageFeatures,
+    radius: u32,
+    budget: usize,
+) -> Vec<ImageId> {
+    let words = |f: &ImageFeatures| match &f.descriptors {
+        Descriptors::Binary(block) => block.words().to_vec(),
+        Descriptors::Vector(_) => Vec::new(),
+    };
+    let query_words = words(query);
+    let mut out: Vec<ImageId> = stored
+        .iter()
+        .filter(|(_, f)| {
+            let stored_words = words(f);
+            query_words.iter().enumerate().any(|(k, &q)| {
+                stored_words
+                    .iter()
+                    .skip(k % 4)
+                    .step_by(4)
+                    .any(|&w| (w ^ q).count_ones() <= radius)
+            })
+        })
+        .map(|(&id, _)| ImageId(id))
+        .collect();
+    if budget > 0 {
+        out.truncate(budget);
+    }
+    out
+}
+
+#[test]
+fn mih_candidates_equal_a_brute_force_word_scan() {
+    check(CASES, |rng| {
+        let pool: Vec<BinaryDescriptor> = (0..4)
+            .map(|_| {
+                let mut bytes = [0u8; 32];
+                rng.fill(&mut bytes);
+                BinaryDescriptor::from_bytes(bytes)
+            })
+            .collect();
+        let cfg = SimilarityConfig::default();
+        let mut indexes = [
+            MihIndex::new(cfg).with_probe_radius(0),
+            MihIndex::new(cfg).with_probe_radius(1),
+        ];
+        let mut stored = BTreeMap::new();
+        let insert =
+            |indexes: &mut [MihIndex], stored: &mut BTreeMap<_, _>, id, f: ImageFeatures| {
+                for index in indexes {
+                    index.insert(ImageId(id), f.clone());
+                }
+                stored.insert(id, f)
+            };
+        let mut probes = vec![
+            pooled_features(rng, &pool, 8),
+            features_of(&pool[..1]),
+            ImageFeatures::empty_binary(),
+        ];
+        // Ids arrive out of order; some are re-inserted with new features,
+        // which must drop every posting of the old ones, so the replaced
+        // features are probed too.
+        for _ in 0..rng.gen_range(1usize..24) {
+            let id = rng.gen_range(0u64..16);
+            let n = rng.gen_range(0usize..12);
+            let f = pooled_features(rng, &pool, n);
+            probes.extend(insert(&mut indexes, &mut stored, id, f));
+        }
+        // One image repeats a single descriptor many times.
+        insert(&mut indexes, &mut stored, 99, features_of(&[pool[0]; 30]));
+        for probe in &probes {
+            for (radius, index) in indexes.iter().enumerate() {
+                for budget in [0, 1, 5, stored.len()] {
+                    assert_eq!(
+                        index.candidates_budgeted(probe, budget),
+                        brute_force_candidates(&stored, probe, radius as u32, budget),
+                        "radius {radius}, budget {budget}"
+                    );
+                }
+            }
+        }
+        // Vector features have no words: stored or probed, no candidates.
+        let vector = ImageFeatures {
+            keypoints: vec![Keypoint::default()],
+            descriptors: Descriptors::Vector(vec![VectorDescriptor::from_values(vec![1.0, 0.0])]),
+        };
+        insert(&mut indexes, &mut stored, 7, vector.clone());
+        for (radius, index) in indexes.iter().enumerate() {
+            assert!(index.candidates(&vector).is_empty());
+            assert_eq!(
+                index.candidates(&probes[0]),
+                brute_force_candidates(&stored, &probes[0], radius as u32, 0)
+            );
+        }
     });
 }
