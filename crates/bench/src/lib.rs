@@ -1,8 +1,8 @@
 #![warn(missing_docs)]
 
 //! Experiment harnesses reproducing every table and figure of the BEES
-//! paper's evaluation (§IV), plus Criterion microbenchmarks of the hot
-//! paths.
+//! paper's evaluation (§IV), plus the perf benches whose JSON lines
+//! `BENCH_baseline.json` records (see [`perf`]).
 //!
 //! Each experiment lives in [`experiments`] as a library function returning
 //! a typed result with a `print` method; the `src/bin/` binaries are thin

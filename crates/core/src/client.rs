@@ -252,6 +252,14 @@ impl Client {
         Ok(duration)
     }
 
+    /// Reclassifies up to `joules` of salvaged energy as wasted — the
+    /// caller found the banked prefix undecodable after all. Returns the
+    /// joules actually moved.
+    pub fn demote_salvage(&mut self, joules: f64) -> f64 {
+        self.ledger
+            .reassign(EnergyCategory::Salvaged, EnergyCategory::Wasted, joules)
+    }
+
     /// Transmits `bytes` through the fault-injected channel with chunked
     /// resume: attempts that are disconnected, dropped, or timed out keep
     /// their whole delivered chunks (the torn tail chunk is retransmitted),
@@ -261,6 +269,15 @@ impl Client {
     /// bytes that were never confirmed is recorded against
     /// [`EnergyCategory::Wasted`].
     ///
+    /// With `salvage`, a transfer whose retry budget runs out with
+    /// confirmed chunks banked is *salvaged* instead of failed: the banked
+    /// prefix's radio energy moves to [`EnergyCategory::Salvaged`] and the
+    /// call returns [`ResumableOutcome::Salvaged`] describing what
+    /// survived. The caller decides whether the prefix actually decodes
+    /// (and may demote the energy back to waste via
+    /// [`demote_salvage`](Client::demote_salvage) if it does not). Without
+    /// `salvage` every `Ok` is [`ResumableOutcome::Complete`].
+    ///
     /// With [`bees_net::FaultModel::none`] this is byte-for-byte identical
     /// to [`transmit`](Client::transmit).
     ///
@@ -268,49 +285,9 @@ impl Client {
     ///
     /// Returns [`CoreError::BatteryExhausted`] if the battery empties,
     /// [`NetError::RetriesExhausted`] (wrapped in [`CoreError::Net`]) if
-    /// the budget runs out first, or any other network error from the
-    /// underlying channel.
+    /// the budget runs out first (with `salvage`, only when *nothing* was
+    /// banked), or any other network error from the underlying channel.
     pub fn transmit_resumable(
-        &mut self,
-        category: EnergyCategory,
-        bytes: usize,
-    ) -> Result<TransmitSummary> {
-        match self.resumable_loop(category, bytes, false)? {
-            ResumableOutcome::Complete(summary) => Ok(summary),
-            ResumableOutcome::Salvaged(_) => unreachable!("salvage is disabled on this path"),
-        }
-    }
-
-    /// Like [`transmit_resumable`](Client::transmit_resumable), but when the
-    /// retry budget runs out with confirmed chunks banked, the transfer is
-    /// *salvaged* instead of failed: the banked prefix's radio energy moves
-    /// to [`EnergyCategory::Salvaged`] and the call returns
-    /// [`ResumableOutcome::Salvaged`] describing what survived. The caller
-    /// decides whether the prefix actually decodes (and may demote the
-    /// energy back to waste via [`demote_salvage`](Client::demote_salvage)
-    /// if it does not).
-    ///
-    /// # Errors
-    ///
-    /// Same as `transmit_resumable`, except [`NetError::RetriesExhausted`]
-    /// only surfaces when *nothing* was banked.
-    pub fn transmit_salvageable(
-        &mut self,
-        category: EnergyCategory,
-        bytes: usize,
-    ) -> Result<ResumableOutcome> {
-        self.resumable_loop(category, bytes, true)
-    }
-
-    /// Reclassifies up to `joules` of salvaged energy as wasted — the
-    /// caller found the banked prefix undecodable after all. Returns the
-    /// joules actually moved.
-    pub fn demote_salvage(&mut self, joules: f64) -> f64 {
-        self.ledger
-            .reassign(EnergyCategory::Salvaged, EnergyCategory::Wasted, joules)
-    }
-
-    fn resumable_loop(
         &mut self,
         category: EnergyCategory,
         bytes: usize,
@@ -515,7 +492,8 @@ impl Client {
     }
 }
 
-/// What one [`Client::transmit_resumable`] call cost and achieved.
+/// What a completed [`Client::transmit_resumable`] call cost and
+/// achieved.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransmitSummary {
     /// Transfer attempts made (1 = no retries needed).
@@ -534,7 +512,7 @@ pub struct TransmitSummary {
     pub elapsed_s: f64,
 }
 
-/// How a [`Client::transmit_salvageable`] call ended.
+/// How a [`Client::transmit_resumable`] call ended.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ResumableOutcome {
     /// Every byte was confirmed delivered.
@@ -611,6 +589,15 @@ mod tests {
             battery: bees_energy::Battery::from_joules(1e9),
             fault: bees_net::FaultModel::new(2, 0.0, 1e-12, 1e9, 1.0).unwrap(),
             ..BeesConfig::default()
+        }
+    }
+
+    /// The summary of a transfer made without salvage, which completes or
+    /// fails.
+    fn complete(out: Result<ResumableOutcome>) -> TransmitSummary {
+        match out.unwrap() {
+            ResumableOutcome::Complete(s) => s,
+            salvaged => panic!("salvage is off, got {salvaged:?}"),
         }
     }
 
@@ -721,7 +708,7 @@ mod tests {
             buf.clone(),
         ))]));
         for _ in 0..8 {
-            c.transmit_resumable(EnergyCategory::ImageUpload, 200_000)
+            c.transmit_resumable(EnergyCategory::ImageUpload, 200_000, false)
                 .unwrap();
         }
         let out = buf.contents_string();
@@ -744,9 +731,7 @@ mod tests {
         let d = plain
             .transmit(EnergyCategory::ImageUpload, 100_000)
             .unwrap();
-        let s = resumable
-            .transmit_resumable(EnergyCategory::ImageUpload, 100_000)
-            .unwrap();
+        let s = complete(resumable.transmit_resumable(EnergyCategory::ImageUpload, 100_000, false));
         assert_eq!(s.attempts, 1);
         assert_eq!(s.delivered_bytes, 100_000);
         assert_eq!(s.wasted_joules, 0.0);
@@ -770,9 +755,7 @@ mod tests {
         let mut total_attempts = 0;
         let mut total_wasted = 0.0;
         for _ in 0..8 {
-            let s = c
-                .transmit_resumable(EnergyCategory::ImageUpload, 200_000)
-                .unwrap();
+            let s = complete(c.transmit_resumable(EnergyCategory::ImageUpload, 200_000, false));
             assert_eq!(s.delivered_bytes, 200_000);
             total_attempts += s.attempts;
             total_wasted += s.wasted_joules;
@@ -796,7 +779,7 @@ mod tests {
         cfg.retry.max_attempts = 3;
         cfg.retry.chunk_bytes = 1 << 30;
         let mut c = Client::try_new(0, &cfg).unwrap();
-        let err = c.transmit_resumable(EnergyCategory::ImageUpload, 50_000);
+        let err = c.transmit_resumable(EnergyCategory::ImageUpload, 50_000, false);
         match err {
             Err(CoreError::Net(NetError::RetriesExhausted {
                 attempts,
@@ -817,9 +800,7 @@ mod tests {
     #[test]
     fn resumable_banks_whole_chunks_across_attempts() {
         let mut c = Client::try_new(0, &slow_link()).unwrap();
-        let s = c
-            .transmit_resumable(EnergyCategory::ImageUpload, 60_000)
-            .unwrap();
+        let s = complete(c.transmit_resumable(EnergyCategory::ImageUpload, 60_000, false));
         // Attempts 1 and 2 each time out after delivering 32 400 bytes and
         // bank one 16 384-byte chunk apiece; the remaining 27 232 bytes
         // (75.6 s) complete within the third attempt's timeout.
@@ -838,7 +819,7 @@ mod tests {
         cfg.retry.max_attempts = 2;
         let mut c = Client::try_new(0, &cfg).unwrap();
         let out = c
-            .transmit_salvageable(EnergyCategory::ImageUpload, 60_000)
+            .transmit_resumable(EnergyCategory::ImageUpload, 60_000, true)
             .unwrap();
         let ResumableOutcome::Salvaged(s) = out else {
             panic!("2 attempts cannot deliver 60 kB, got {out:?}");
@@ -867,9 +848,9 @@ mod tests {
         cfg.retry.max_attempts = 2;
         let mut on = Client::try_new(0, &cfg).unwrap();
         let mut off = Client::try_new(0, &cfg).unwrap();
-        on.transmit_salvageable(EnergyCategory::ImageUpload, 60_000)
+        on.transmit_resumable(EnergyCategory::ImageUpload, 60_000, true)
             .unwrap();
-        let err = off.transmit_resumable(EnergyCategory::ImageUpload, 60_000);
+        let err = off.transmit_resumable(EnergyCategory::ImageUpload, 60_000, false);
         assert!(matches!(
             err,
             Err(CoreError::Net(NetError::RetriesExhausted { .. }))
@@ -896,9 +877,7 @@ mod tests {
         cfg.retry.max_attempts = 200;
         let run = || {
             let mut c = Client::try_new(0, &cfg).unwrap();
-            let s = c
-                .transmit_resumable(EnergyCategory::ImageUpload, 200_000)
-                .unwrap();
+            let s = complete(c.transmit_resumable(EnergyCategory::ImageUpload, 200_000, false));
             (s, c.ledger().clone())
         };
         let (s, ledger) = run();
@@ -927,7 +906,7 @@ mod tests {
         let mut c = Client::try_new(0, &cfg).unwrap();
         c.set_grant_deadline(Some(225.0));
         assert_eq!(c.grant_deadline_s(), Some(225.0));
-        let err = c.transmit_resumable(EnergyCategory::ImageUpload, 10_000_000);
+        let err = c.transmit_resumable(EnergyCategory::ImageUpload, 10_000_000, false);
         assert!(matches!(
             err,
             Err(CoreError::Net(NetError::RetriesExhausted { .. }))
@@ -948,7 +927,7 @@ mod tests {
         let mut c = Client::try_new(0, &cfg).unwrap();
         c.set_grant_deadline(Some(225.0));
         let out = c
-            .transmit_salvageable(EnergyCategory::ImageUpload, 10_000_000)
+            .transmit_resumable(EnergyCategory::ImageUpload, 10_000_000, true)
             .unwrap();
         let ResumableOutcome::Salvaged(s) = out else {
             panic!("the deadline must cut this transfer, got {out:?}");
@@ -967,7 +946,7 @@ mod tests {
         c.idle(10.0).unwrap();
         c.set_grant_deadline(Some(5.0)); // already in the past
         let idle_before = c.ledger().get(EnergyCategory::Idle);
-        let err = c.transmit_resumable(EnergyCategory::ImageUpload, 50_000);
+        let err = c.transmit_resumable(EnergyCategory::ImageUpload, 50_000, false);
         match err {
             Err(CoreError::Net(NetError::RetriesExhausted { attempts, .. })) => {
                 assert_eq!(attempts, 0, "not a single attempt was made");
@@ -987,10 +966,10 @@ mod tests {
         gated.set_grant_deadline(Some(1e9));
         gated.set_grant_deadline(None);
         gated
-            .transmit_resumable(EnergyCategory::ImageUpload, 100_000)
+            .transmit_resumable(EnergyCategory::ImageUpload, 100_000, false)
             .unwrap();
         plain
-            .transmit_resumable(EnergyCategory::ImageUpload, 100_000)
+            .transmit_resumable(EnergyCategory::ImageUpload, 100_000, false)
             .unwrap();
         assert_eq!(gated.ledger(), plain.ledger());
         assert_eq!(gated.now(), plain.now());

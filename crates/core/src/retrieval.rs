@@ -5,7 +5,7 @@
 //! ten minutes" or "more views of this collapsed building". This module
 //! provides the single query surface for that: a composable
 //! [`RetrievalQuery`] builder (geo radius, virtual-time window,
-//! query-by-descriptor, query-by-histogram, result budgets) executed by
+//! query-by-descriptor, query-by-histogram, result budget) executed by
 //! [`Server::retrieve`], returning relevance-ranked [`RetrievalHit`]s with
 //! per-hit [`Provenance`].
 //!
@@ -178,7 +178,7 @@ impl RetrievalResult {
     }
 }
 
-/// A composable responder query: predicates plus ranking budgets.
+/// A composable responder query: predicates plus a result budget.
 ///
 /// Predicates compose conjunctively — a hit must satisfy *all* of them.
 /// At most one similarity probe ranks the results; geo/time predicates
@@ -203,7 +203,6 @@ pub struct RetrievalQuery<'a> {
     pub(crate) features: Option<&'a ImageFeatures>,
     pub(crate) histogram: Option<&'a ColorHistogram>,
     pub(crate) top_k: usize,
-    pub(crate) max_candidates: usize,
     pub(crate) on_device: bool,
 }
 
@@ -259,16 +258,6 @@ impl<'a> RetrievalQuery<'a> {
     #[must_use]
     pub fn top_k(mut self, k: usize) -> Self {
         self.top_k = k;
-        self
-    }
-
-    /// Caps the candidate stage of accelerated index backends (`0` =
-    /// unlimited, the default; see [`Query::with_max_candidates`]).
-    ///
-    /// [`Query::with_max_candidates`]: bees_index::Query::with_max_candidates
-    #[must_use]
-    pub fn max_candidates(mut self, budget: usize) -> Self {
-        self.max_candidates = budget;
         self
     }
 

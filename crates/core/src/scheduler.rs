@@ -187,9 +187,6 @@ pub struct EpochPlan {
     pub grants: Vec<Grant>,
     /// Devices granted airtime (tier != `Defer`).
     pub granted: usize,
-    /// Full-tier demand airtime over the epoch budget (∞ when the budget
-    /// is zero but demand is not) — the oversubscription ratio.
-    pub demand_ratio: f64,
 }
 
 impl EpochPlan {
@@ -249,7 +246,6 @@ impl AirtimeScheduler {
             return EpochPlan {
                 grants: Vec::new(),
                 granted: 0,
-                demand_ratio: 0.0,
             };
         }
 
@@ -260,15 +256,6 @@ impl AirtimeScheduler {
                 bytes as f64 * 8.0 / capacity_bps
             }
         };
-        let full_demand_s: f64 = demands.iter().map(|d| airtime_s(d.est_bytes)).sum();
-        let demand_ratio = if budget_s > 0.0 {
-            full_demand_s / budget_s
-        } else if full_demand_s > 0.0 {
-            f64::INFINITY
-        } else {
-            0.0
-        };
-
         // Rank: a stable order of indices into `demands`.
         let mut order: Vec<usize> = (0..demands.len()).collect();
         match self.policy {
@@ -339,11 +326,7 @@ impl AirtimeScheduler {
                 forced,
             };
         }
-        EpochPlan {
-            grants,
-            granted,
-            demand_ratio,
-        }
+        EpochPlan { grants, granted }
     }
 }
 
@@ -394,7 +377,6 @@ mod tests {
             let plan = sched(policy).plan_epoch(&demands, budget(30.0), 256_000.0);
             assert_eq!(plan.granted, 4, "{policy}");
             assert!(plan.grants.iter().all(|g| g.tier == UploadTier::Full));
-            assert!(plan.demand_ratio < 0.1);
         }
     }
 
@@ -411,7 +393,6 @@ mod tests {
         let plan = sched(SchedulerPolicy::Utility).plan_epoch(&demands, budget(3.0), 256_000.0);
         assert_eq!(plan.grant_for(2).unwrap().tier, UploadTier::Full);
         assert!(plan.grant_for(0).unwrap().tier > UploadTier::Full);
-        assert!(plan.demand_ratio >= 2.9);
         // FIFO instead favors arrival order: device 0 keeps Full.
         let plan = sched(SchedulerPolicy::Fifo).plan_epoch(&demands, budget(3.0), 256_000.0);
         assert_eq!(plan.grant_for(0).unwrap().tier, UploadTier::Full);
@@ -447,7 +428,6 @@ mod tests {
         let mut s = sched(SchedulerPolicy::Utility);
         let plan = s.plan_epoch(&demands, 0.0, 256_000.0);
         assert_eq!(plan.granted, 0);
-        assert!(plan.demand_ratio.is_infinite());
         let plan = s.plan_epoch(&demands, budget(30.0), 0.0);
         assert_eq!(plan.granted, 0);
         assert!(plan.grants.iter().all(|g| g.tier == UploadTier::Defer));

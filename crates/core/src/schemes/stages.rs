@@ -86,14 +86,7 @@ impl<'c, 'a> Batch<'c, 'a> {
         bytes: usize,
         salvage: bool,
     ) -> Result<Delivery> {
-        let client = &mut *self.ctx.client;
-        let outcome = if salvage {
-            client.transmit_salvageable(category, bytes)
-        } else {
-            client
-                .transmit_resumable(category, bytes)
-                .map(ResumableOutcome::Complete)
-        };
+        let outcome = self.ctx.client.transmit_resumable(category, bytes, salvage);
         let (attempts, caught, delivery) = match outcome {
             Ok(ResumableOutcome::Complete(s)) => {
                 (s.attempts, s.corrupt_chunks_detected, Delivery::Delivered)

@@ -399,7 +399,7 @@ impl Server {
             } else {
                 query.top_k
             };
-            let mut iq = Query::top_k(features, k).with_max_candidates(query.max_candidates);
+            let mut iq = Query::top_k(features, k);
             if let Some(ids) = allowed.as_deref() {
                 iq = iq.with_allowed(ids);
             }

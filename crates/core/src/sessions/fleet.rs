@@ -1000,7 +1000,7 @@ impl Fleet<'_> {
     /// Returns whether the bytes were delivered.
     fn transmit(&mut self, d: usize, category: EnergyCategory, bytes: usize) -> Result<bool> {
         let device = &mut self.devices[d];
-        match device.client.transmit_resumable(category, bytes) {
+        match device.client.transmit_resumable(category, bytes, false) {
             Ok(_) => device.summary.uplink_bytes += bytes,
             Err(CoreError::Net(NetError::RetriesExhausted { .. })) => return Ok(false),
             Err(CoreError::BatteryExhausted { .. }) => device.summary.exhausted = true,

@@ -11,12 +11,13 @@
 //! Two backends are provided:
 //!
 //! * [`LinearIndex`] — exact: scores the query against every stored image,
-//! * [`MihIndex`] — multi-index hashing over the four 64-bit words of each
-//!   256-bit ORB descriptor, looked up by their 32-bit halves: images
-//!   sharing no descriptor word with the query (within the multi-probe
-//!   radius) are skipped; survivors are rescored exactly.
+//! * [`MihIndex`] — a [`LinearIndex`] plus multi-index hashing over the
+//!   four 64-bit words of each 256-bit ORB descriptor, looked up by their
+//!   32-bit halves: images sharing no descriptor word with the query
+//!   (within the multi-probe radius) are skipped; survivors are rescored
+//!   exactly.
 //!
-//! Both score with the one Jaccard scorer,
+//! Both score a candidate with the one Jaccard scorer,
 //! [`jaccard_similarity`](bees_features::similarity::jaccard_similarity),
 //! over the descriptor blocks the stored features already carry.
 //!
@@ -49,30 +50,19 @@ pub use linear::LinearIndex;
 pub use mih::MihIndex;
 pub use scratch::QueryScratch;
 pub use sharded::ShardedIndex;
-pub use store::{ImageEntry, ImageId, QueryHit};
+pub use store::{ImageId, QueryHit};
 
 use bees_features::similarity::SimilarityConfig;
 use bees_features::ImageFeatures;
 
-/// A similarity query: the probe features plus result and work budgets.
-///
-/// `k` caps how many hits come back; `max_candidates` caps how many
-/// candidate images an *accelerated* backend will generate before exact
-/// rescoring (`0` = unlimited). Exact backends ignore the candidate budget
-/// — they score everything — so the budget trades recall for bounded work
-/// only where a candidate stage exists.
-///
-/// Note: a non-zero `max_candidates` makes an accelerated backend's recall
-/// depend on how images are partitioned, so sharded servers keep the
-/// budget unlimited on the redundancy-detection path (see `DESIGN.md` §9).
+/// A similarity query: the probe features, a result budget and an
+/// optional allow-list.
 #[derive(Debug, Clone, Copy)]
 pub struct Query<'a> {
     /// Features to match against the stored images.
     pub features: &'a ImageFeatures,
     /// Maximum number of hits returned (result budget).
     pub k: usize,
-    /// Candidate budget for accelerated backends; `0` means unlimited.
-    pub max_candidates: usize,
     /// Optional id allow-list (sorted ascending): images outside it score
     /// as if absent. `None` means every stored image is eligible. This is
     /// how side-table predicates (geo radius, time window) are pushed
@@ -82,32 +72,18 @@ pub struct Query<'a> {
 }
 
 impl<'a> Query<'a> {
-    /// A max-similarity probe: best single hit, unlimited candidates.
+    /// A max-similarity probe: the best single hit.
     pub fn new(features: &'a ImageFeatures) -> Self {
-        Query {
-            features,
-            k: 1,
-            max_candidates: 0,
-            allowed: None,
-        }
+        Query::top_k(features, 1)
     }
 
-    /// A top-`k` probe with unlimited candidates.
+    /// A top-`k` probe.
     pub fn top_k(features: &'a ImageFeatures, k: usize) -> Self {
         Query {
             features,
             k,
-            max_candidates: 0,
             allowed: None,
         }
-    }
-
-    /// Caps the candidate stage of accelerated backends at `budget` images
-    /// (`0` = unlimited).
-    #[must_use]
-    pub fn with_max_candidates(mut self, budget: usize) -> Self {
-        self.max_candidates = budget;
-        self
     }
 
     /// Restricts scoring to `ids`, which **must be sorted ascending**
@@ -138,9 +114,9 @@ impl<'a> Query<'a> {
 ///
 /// [`query_with_scratch`]: FeatureIndex::query_with_scratch
 pub trait FeatureIndex {
-    /// Inserts an image's features under `id`.
-    ///
-    /// Re-inserting an existing id replaces the stored features.
+    /// Inserts an image's features under `id`, which must not be indexed
+    /// yet: the server gives each upload a fresh id, so no backend
+    /// replaces stored features (debug builds check this).
     fn insert(&mut self, id: ImageId, features: ImageFeatures);
 
     /// Inserts a batch of images. Sharded backends override this to build
@@ -210,11 +186,8 @@ mod trait_tests {
     #[test]
     fn query_builder_sets_budgets() {
         let f = ImageFeatures::empty_binary();
-        let q = Query::top_k(&f, 7).with_max_candidates(100);
-        assert_eq!(q.k, 7);
-        assert_eq!(q.max_candidates, 100);
+        assert_eq!(Query::top_k(&f, 7).k, 7);
         assert_eq!(Query::new(&f).k, 1);
-        assert_eq!(Query::new(&f).max_candidates, 0);
         assert!(Query::new(&f).allowed.is_none());
     }
 

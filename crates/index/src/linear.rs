@@ -1,6 +1,6 @@
 //! Exact linear-scan index.
 
-use crate::store::{rank_hits, ImageEntry, ImageId, QueryHit};
+use crate::store::{rank_hits, ImageId, QueryHit};
 use crate::{FeatureIndex, Query, QueryScratch};
 use bees_features::similarity::{jaccard_similarity, SimilarityConfig};
 use bees_features::ImageFeatures;
@@ -8,7 +8,8 @@ use bees_features::ImageFeatures;
 /// Exact index: every query is scored against every stored image.
 ///
 /// This is what the paper's server effectively does; [`MihIndex`] exists to
-/// show (and benchmark) that the scan can be accelerated.
+/// show (and benchmark) that the scan can be accelerated, and keeps its
+/// images in a `LinearIndex`.
 ///
 /// [`MihIndex`]: crate::MihIndex
 ///
@@ -25,8 +26,16 @@ use bees_features::ImageFeatures;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct LinearIndex {
+    /// The stored images in insertion order; a position here is stable.
     entries: Vec<ImageEntry>,
     config: SimilarityConfig,
+}
+
+/// An indexed image: identifier plus stored features.
+#[derive(Debug, Clone)]
+struct ImageEntry {
+    id: ImageId,
+    features: ImageFeatures,
 }
 
 impl LinearIndex {
@@ -37,15 +46,34 @@ impl LinearIndex {
             config,
         }
     }
+
+    /// The id of the image inserted `pos`-th.
+    pub(crate) fn id_at(&self, pos: usize) -> ImageId {
+        self.entries[pos].id
+    }
+
+    /// Scores the image inserted `pos`-th against `query`: a hit when the
+    /// allow-list admits it and its similarity is positive.
+    pub(crate) fn score(&self, query: &Query<'_>, pos: usize) -> Option<QueryHit> {
+        let e = &self.entries[pos];
+        if !query.is_allowed(e.id) {
+            return None;
+        }
+        let s = jaccard_similarity(query.features, &e.features, &self.config);
+        (s > 0.0).then_some(QueryHit {
+            id: e.id,
+            similarity: s,
+        })
+    }
 }
 
 impl FeatureIndex for LinearIndex {
     fn insert(&mut self, id: ImageId, features: ImageFeatures) {
-        if let Some(pos) = self.entries.iter().position(|e| e.id == id) {
-            self.entries[pos].features = features;
-        } else {
-            self.entries.push(ImageEntry { id, features });
-        }
+        debug_assert!(
+            self.entries.iter().all(|e| e.id != id),
+            "{id} indexed twice"
+        );
+        self.entries.push(ImageEntry { id, features });
     }
 
     fn len(&self) -> usize {
@@ -53,20 +81,9 @@ impl FeatureIndex for LinearIndex {
     }
 
     fn query_with_scratch(&self, query: &Query<'_>, _scratch: &mut QueryScratch) -> Vec<QueryHit> {
-        // Exact backend: the candidate budget does not apply — every stored
-        // image is scored, one pair per work item on the runtime (results
-        // come back in entry order).
-        let hits = bees_runtime::par_map_range(self.entries.len(), |i| {
-            let e = &self.entries[i];
-            if !query.is_allowed(e.id) {
-                return None;
-            }
-            let s = jaccard_similarity(query.features, &e.features, &self.config);
-            (s > 0.0).then_some(QueryHit {
-                id: e.id,
-                similarity: s,
-            })
-        });
+        // Every stored image is scored, one pair per work item on the
+        // runtime (results come back in entry order).
+        let hits = bees_runtime::par_map_range(self.entries.len(), |pos| self.score(query, pos));
         rank_hits(hits.into_iter().flatten().collect(), query.k)
     }
 
@@ -109,16 +126,6 @@ mod tests {
         idx.insert(ImageId(2), features(&[10, 20, 30, 40]));
         let hit = idx.max_similarity(&features(&[1, 2, 3, 4])).unwrap();
         assert_eq!(hit.id, ImageId(1));
-        assert!((hit.similarity - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn reinsert_replaces() {
-        let mut idx = LinearIndex::new(SimilarityConfig::default());
-        idx.insert(ImageId(1), features(&[1, 2]));
-        idx.insert(ImageId(1), features(&[5, 6]));
-        assert_eq!(idx.len(), 1);
-        let hit = idx.max_similarity(&features(&[5, 6])).unwrap();
         assert!((hit.similarity - 1.0).abs() < 1e-9);
     }
 

@@ -12,9 +12,11 @@
 //! two exact lookups, one per half, and a popcount filter on the entries
 //! they find.
 //!
-//! Postings live in one arena per word position: each indexed `(word, id)`
-//! is stored once and chained under both of its halves, so the index makes
-//! no allocation per key.
+//! The images themselves live in a [`LinearIndex`]. Postings live in one
+//! arena per word position: each indexed `(word, position)` is stored
+//! once, where the position is the image's place in the linear index, and
+//! chained under both of its halves, so the index makes no allocation per
+//! key and a candidate is rescored straight from its position.
 //!
 //! Candidate images are then scored with the full exact Jaccard similarity,
 //! so MIH can never *fabricate* a match; it can only miss images whose best
@@ -23,14 +25,14 @@
 //! effectively total; for loosely similar views a linear scan remains the
 //! exact reference, which is why the backend is selectable per server.
 //!
-//! The backend falls back to a linear scan for vector (SIFT/PCA-SIFT)
-//! feature sets, which have no binary words to hash.
+//! Vector (SIFT/PCA-SIFT) feature sets have no binary words to hash, so
+//! the linear index answers their probes with its scan.
 
 use crate::scratch::QueryScratch;
-use crate::store::{rank_hits, ImageEntry, ImageId, QueryHit};
-use crate::{FeatureIndex, Query};
+use crate::store::{rank_hits, ImageId, QueryHit};
+use crate::{FeatureIndex, LinearIndex, Query};
 use bees_features::block::WORDS_PER_DESCRIPTOR;
-use bees_features::similarity::{jaccard_similarity, SimilarityConfig};
+use bees_features::similarity::SimilarityConfig;
 use bees_features::{Descriptors, ImageFeatures};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -51,21 +53,14 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// ```
 #[derive(Debug, Clone)]
 pub struct MihIndex {
-    entries: Vec<ImageEntry>,
-    id_to_pos: HashMap<ImageId, usize>,
+    /// The stored images; it also answers vector-feature probes.
+    linear: LinearIndex,
     /// One posting arena per 64-bit word position.
     arenas: [PostingArena; WORDS_PER_DESCRIPTOR],
     /// Multi-probe radius: also match every word within this Hamming
     /// distance of each query word (0 = exact words only; 1 adds the 64
     /// single-bit neighbors, sharply raising recall on noisy descriptors).
     probe_radius: u8,
-    config: SimilarityConfig,
-}
-
-impl Default for MihIndex {
-    fn default() -> Self {
-        MihIndex::new(SimilarityConfig::default())
-    }
 }
 
 impl MihIndex {
@@ -73,11 +68,9 @@ impl MihIndex {
     /// the default probe radius of 1.
     pub fn new(config: SimilarityConfig) -> Self {
         MihIndex {
-            entries: Vec::new(),
-            id_to_pos: HashMap::new(),
+            linear: LinearIndex::new(config),
             arenas: Default::default(),
             probe_radius: 1,
-            config,
         }
     }
 
@@ -98,31 +91,25 @@ impl MihIndex {
     /// same position), sorted ascending. Exposed for the ablation
     /// benchmark.
     pub fn candidates(&self, query: &ImageFeatures) -> Vec<ImageId> {
-        self.candidates_budgeted(query, 0)
-    }
-
-    /// [`candidates`](Self::candidates) with a budget: when `budget > 0`,
-    /// returns exactly the `budget` smallest candidate ids — a
-    /// deterministic prefix, not an arbitrary subset.
-    pub fn candidates_budgeted(&self, query: &ImageFeatures, budget: usize) -> Vec<ImageId> {
         let mut scratch = QueryScratch::new();
-        self.candidates_into(query, budget, &mut scratch);
-        std::mem::take(&mut scratch.cand_ids)
+        self.candidates_into(query, &mut scratch);
+        let mut ids: Vec<ImageId> = scratch
+            .candidates()
+            .iter()
+            .map(|&pos| self.linear.id_at(pos as usize))
+            .collect();
+        ids.sort_unstable();
+        ids
     }
 
-    /// [`candidates_budgeted`](Self::candidates_budgeted) into caller-owned
-    /// scratch: the result lands in `scratch.candidates()`. Every query
-    /// word's matching ids are appended to the scratch's recycled list,
-    /// which is then sorted, deduplicated and cut to the budget in place,
-    /// so a warmed scratch makes no allocation here at any index size —
-    /// pinned by `tests/alloc_counts.rs`.
-    pub fn candidates_into(
-        &self,
-        query: &ImageFeatures,
-        budget: usize,
-        scratch: &mut QueryScratch,
-    ) {
-        let out = &mut scratch.cand_ids;
+    /// The candidates of [`candidates`](Self::candidates) into
+    /// caller-owned scratch, as the ascending, deduplicated insertion
+    /// positions in `scratch.candidates()`. Every query word's matches are
+    /// appended to the scratch's recycled list, which is then sorted and
+    /// deduplicated in place, so a warmed scratch makes no allocation here
+    /// at any index size — pinned by `tests/alloc_counts.rs`.
+    pub fn candidates_into(&self, query: &ImageFeatures, scratch: &mut QueryScratch) {
+        let out = &mut scratch.cand_pos;
         out.clear();
         let Descriptors::Binary(descs) = &query.descriptors else {
             return;
@@ -133,52 +120,32 @@ impl MihIndex {
         }
         out.sort_unstable();
         out.dedup();
-        if budget > 0 {
-            out.truncate(budget);
-        }
-    }
-
-    /// Applies `f` to every distinct word of `features` at each position.
-    fn for_each_word(features: &ImageFeatures, mut f: impl FnMut(usize, u64)) {
-        let Descriptors::Binary(descs) = &features.descriptors else {
-            return;
-        };
-        let mut words = Vec::with_capacity(descs.len());
-        for position in 0..WORDS_PER_DESCRIPTOR {
-            words.clear();
-            let all = descs.words().iter();
-            words.extend(all.skip(position).step_by(WORDS_PER_DESCRIPTOR));
-            words.sort_unstable();
-            words.dedup();
-            for &word in &words {
-                f(position, word);
-            }
-        }
     }
 }
 
 /// Marks the end of a posting chain.
 const NIL: u32 = u32::MAX;
 
-/// One indexed `(word, id)`, chained under both of its halves: `next[0]`
-/// continues the chain of its low half, `next[1]` that of its high half.
+/// One indexed `(word, position)`, chained under both of its halves:
+/// `next[0]` continues the chain of its low half, `next[1]` that of its
+/// high half.
 #[derive(Debug, Clone, Copy)]
 struct Posting {
     word: u64,
-    id: ImageId,
+    /// The image's position in the linear index.
+    pos: u32,
     next: [u32; 2],
 }
 
-/// The postings of one word position: an arena of `(word, id)` entries,
-/// each linked into the chain of its low half and of its high half.
+/// The postings of one word position: an arena of `(word, position)`
+/// entries, each linked into the chain of its low half and of its high
+/// half.
 #[derive(Debug, Clone, Default)]
 struct PostingArena {
     postings: Vec<Posting>,
     /// Chain heads by half: `heads[0]` keyed by low halves, `heads[1]` by
     /// high halves. Nothing iterates them, so their order is irrelevant.
     heads: [HashMap<u32, u32, BuildHasherDefault<MulShift>>; 2],
-    /// Arena slots freed by re-insertions, reused first.
-    free: Vec<u32>,
 }
 
 /// The two 32-bit halves of a word, low first.
@@ -187,56 +154,29 @@ fn halves(word: u64) -> [u32; 2] {
 }
 
 impl PostingArena {
-    fn insert(&mut self, word: u64, id: ImageId) {
-        let slot = self.free.pop().unwrap_or(self.postings.len() as u32);
-        assert!(slot != NIL, "too many postings");
+    fn insert(&mut self, word: u64, pos: u32) {
+        assert!(self.postings.len() < NIL as usize, "too many postings");
+        let slot = self.postings.len() as u32;
         let mut next = [NIL; 2];
         for (side, half) in halves(word).into_iter().enumerate() {
             next[side] = std::mem::replace(self.heads[side].entry(half).or_insert(NIL), slot);
         }
-        let posting = Posting { word, id, next };
-        match self.postings.get_mut(slot as usize) {
-            Some(freed) => *freed = posting,
-            None => self.postings.push(posting),
-        }
+        self.postings.push(Posting { word, pos, next });
     }
 
-    /// Unlinks the posting of `(word, id)`, which must be present, from
-    /// both of its chains and frees its slot.
-    fn remove(&mut self, word: u64, id: ImageId) {
-        let target = |p: &Posting| p.word == word && p.id == id;
-        let mut slot = NIL;
-        for (side, half) in halves(word).into_iter().enumerate() {
-            let (mut prev, mut cur) = (NIL, self.heads[side][&half]);
-            while !target(&self.postings[cur as usize]) {
-                (prev, cur) = (cur, self.postings[cur as usize].next[side]);
-            }
-            let after = self.postings[cur as usize].next[side];
-            if prev != NIL {
-                self.postings[prev as usize].next[side] = after;
-            } else if after != NIL {
-                self.heads[side].insert(half, after);
-            } else {
-                self.heads[side].remove(&half);
-            }
-            slot = cur;
-        }
-        self.free.push(slot);
-    }
-
-    /// Appends the id of every posting whose word lies within `radius`
-    /// (at most 1) of `query`. Such a word equals `query` on at least one
-    /// half, so walking the two chains of `query`'s halves finds them all.
-    /// A posting on both chains shares the low half, so the high chain
-    /// skips those.
-    fn probe(&self, query: u64, radius: u32, out: &mut Vec<ImageId>) {
+    /// Appends the position of every posting whose word lies within
+    /// `radius` (at most 1) of `query`. Such a word equals `query` on at
+    /// least one half, so walking the two chains of `query`'s halves finds
+    /// them all. A posting on both chains shares the low half, so the high
+    /// chain skips those.
+    fn probe(&self, query: u64, radius: u32, out: &mut Vec<u32>) {
         let q = halves(query);
         for side in 0..2 {
             let mut slot = self.heads[side].get(&q[side]).copied().unwrap_or(NIL);
             while slot != NIL {
                 let p = &self.postings[slot as usize];
                 if (p.word ^ query).count_ones() <= radius && (side == 0 || p.word as u32 != q[0]) {
-                    out.push(p.id);
+                    out.push(p.pos);
                 }
                 slot = p.next[side];
             }
@@ -272,68 +212,49 @@ impl Hasher for MulShift {
 }
 
 impl FeatureIndex for MihIndex {
+    /// Posts each distinct word of each position once, under the position
+    /// the image takes in the linear index.
     fn insert(&mut self, id: ImageId, features: ImageFeatures) {
-        let arenas = &mut self.arenas;
-        if let Some(&pos) = self.id_to_pos.get(&id) {
-            let old = std::mem::replace(&mut self.entries[pos].features, features);
-            Self::for_each_word(&old, |k, word| arenas[k].remove(word, id));
-            Self::for_each_word(&self.entries[pos].features, |k, word| {
-                arenas[k].insert(word, id)
-            });
-        } else {
-            Self::for_each_word(&features, |k, word| arenas[k].insert(word, id));
-            self.id_to_pos.insert(id, self.entries.len());
-            self.entries.push(ImageEntry { id, features });
+        let pos = u32::try_from(self.linear.len()).expect("too many images");
+        if let Descriptors::Binary(descs) = &features.descriptors {
+            let mut words = Vec::with_capacity(descs.len());
+            for (position, arena) in self.arenas.iter_mut().enumerate() {
+                words.clear();
+                let all = descs.words().iter();
+                words.extend(all.skip(position).step_by(WORDS_PER_DESCRIPTOR));
+                words.sort_unstable();
+                words.dedup();
+                for &word in &words {
+                    arena.insert(word, pos);
+                }
+            }
         }
+        self.linear.insert(id, features);
     }
 
     fn len(&self) -> usize {
-        self.entries.len()
+        self.linear.len()
     }
 
     fn query_with_scratch(&self, query: &Query<'_>, scratch: &mut QueryScratch) -> Vec<QueryHit> {
-        // Exact Jaccard rescoring dominates query cost; score every
-        // candidate (or entry) in parallel, keeping candidate order.
-        let hits: Vec<QueryHit> = if let Descriptors::Binary(_) = &query.features.descriptors {
-            self.candidates_into(query.features, query.max_candidates, scratch);
-            bees_runtime::par_map(&scratch.cand_ids, |&id| {
-                if !query.is_allowed(id) {
-                    return None;
-                }
-                let pos = *self.id_to_pos.get(&id).expect("candidate ids are indexed");
-                let s =
-                    jaccard_similarity(query.features, &self.entries[pos].features, &self.config);
-                (s > 0.0).then_some(QueryHit { id, similarity: s })
-            })
-            .into_iter()
-            .flatten()
-            .collect()
-        } else {
-            // Vector features: no word structure, fall back to a full scan
-            // (exact, so the candidate budget does not apply).
-            bees_runtime::par_map(&self.entries, |e| {
-                if !query.is_allowed(e.id) {
-                    return None;
-                }
-                let s = jaccard_similarity(query.features, &e.features, &self.config);
-                (s > 0.0).then_some(QueryHit {
-                    id: e.id,
-                    similarity: s,
-                })
-            })
-            .into_iter()
-            .flatten()
-            .collect()
+        let Descriptors::Binary(_) = &query.features.descriptors else {
+            return self.linear.query_with_scratch(query, scratch);
         };
-        rank_hits(hits, query.k)
+        // Exact Jaccard rescoring dominates query cost; score every
+        // candidate in parallel, keeping candidate order.
+        self.candidates_into(query.features, scratch);
+        let hits = bees_runtime::par_map(&scratch.cand_pos, |&pos| {
+            self.linear.score(query, pos as usize)
+        });
+        rank_hits(hits.into_iter().flatten().collect(), query.k)
     }
 
     fn feature_bytes(&self) -> usize {
-        self.entries.iter().map(|e| e.features.wire_size()).sum()
+        self.linear.feature_bytes()
     }
 
     fn similarity_config(&self) -> &SimilarityConfig {
-        &self.config
+        self.linear.similarity_config()
     }
 }
 
@@ -434,20 +355,6 @@ mod tests {
     }
 
     #[test]
-    fn reinsert_replaces_and_unindexes() {
-        let mut rng = ChaCha8Rng::seed_from_u64(9);
-        let mut idx = MihIndex::new(SimilarityConfig::default());
-        let f1 = random_features(&mut rng, 10);
-        let f2 = random_features(&mut rng, 10);
-        idx.insert(ImageId(1), f1.clone());
-        idx.insert(ImageId(1), f2.clone());
-        assert_eq!(idx.len(), 1);
-        // The old features must no longer match.
-        assert!(idx.max_similarity(&f1).is_none());
-        assert!((idx.max_similarity(&f2).unwrap().similarity - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn posting_lists_stay_sorted_under_out_of_order_inserts() {
         let mut rng = ChaCha8Rng::seed_from_u64(11);
         let mut idx = MihIndex::new(SimilarityConfig::default());
@@ -471,22 +378,6 @@ mod tests {
     }
 
     #[test]
-    fn candidate_budget_keeps_the_smallest_ids() {
-        let mut rng = ChaCha8Rng::seed_from_u64(13);
-        let mut idx = MihIndex::new(SimilarityConfig::default());
-        let shared = random_features(&mut rng, 5);
-        for id in 0..10u64 {
-            idx.insert(ImageId(id), shared.clone());
-        }
-        let all = idx.candidates(&shared);
-        assert_eq!(all.len(), 10);
-        let capped = idx.candidates_budgeted(&shared, 4);
-        assert_eq!(capped, all[..4].to_vec());
-        // Budget 0 means unlimited.
-        assert_eq!(idx.candidates_budgeted(&shared, 0), all);
-    }
-
-    #[test]
     fn query_respects_k_and_budget() {
         let mut rng = ChaCha8Rng::seed_from_u64(17);
         let mut idx = MihIndex::new(SimilarityConfig::default());
@@ -498,8 +389,6 @@ mod tests {
         assert_eq!(hits.len(), 3);
         // Perfect-score ties break toward the smallest id.
         assert_eq!(hits[0].id, ImageId(0));
-        let budgeted = idx.query(&Query::top_k(&shared, 10).with_max_candidates(2));
-        assert_eq!(budgeted.len(), 2);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Reusable per-query scratch storage.
 //!
 //! A query against an accelerated backend fills transient buffers: the
-//! candidate-id list that [`MihIndex::candidates_into`] collects, sorts and
+//! candidate list that [`MihIndex::candidates_into`] collects, sorts and
 //! deduplicates in place, and — for a [`ShardedIndex`] — one per shard.
 //! Allocating those fresh on every query puts the allocator on the hot
 //! path at fleet scale, so callers that issue many queries (the server, the
@@ -26,8 +26,6 @@
 //! [`ShardedIndex`]: crate::ShardedIndex
 //! [`FeatureIndex::query_with_scratch`]: crate::FeatureIndex::query_with_scratch
 
-use crate::store::ImageId;
-
 /// Recycled buffers for one query stream (see the module docs).
 ///
 /// # Examples
@@ -47,8 +45,9 @@ use crate::store::ImageId;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct QueryScratch {
-    /// Deduplicated, ascending candidate ids from the latest MIH probe.
-    pub(crate) cand_ids: Vec<ImageId>,
+    /// Deduplicated, ascending candidate positions from the latest MIH
+    /// probe.
+    pub(crate) cand_pos: Vec<u32>,
     /// Child scratches, one per shard, for `ShardedIndex` fan-out.
     pub(crate) shards: Vec<QueryScratch>,
 }
@@ -60,12 +59,12 @@ impl QueryScratch {
         QueryScratch::default()
     }
 
-    /// The candidate ids produced by the most recent accelerated query or
+    /// The candidates found by the most recent accelerated query or
     /// [`MihIndex::candidates_into`](crate::MihIndex::candidates_into) call
-    /// through this scratch (ascending, deduplicated). Exposed for the
-    /// ablation benchmark.
-    pub fn candidates(&self) -> &[ImageId] {
-        &self.cand_ids
+    /// through this scratch, as positions in the index's insertion order
+    /// (ascending, deduplicated). Exposed for tests.
+    pub fn candidates(&self) -> &[u32] {
+        &self.cand_pos
     }
 
     /// Grows the per-shard child list to at least `n` entries.

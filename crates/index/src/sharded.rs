@@ -10,10 +10,7 @@
 //! Because each shard's top-`k` is a superset of that shard's contribution
 //! to the global top-`k`, the merged result is *exactly* the list an
 //! unsharded index over the same images would return — the property the
-//! fleet determinism tests pin down across shard counts 1/2/4. (The one
-//! exception is a non-zero per-query candidate budget, which bounds work
-//! per shard and therefore scales with the shard count; the server's
-//! redundancy-detection path keeps the budget unlimited.)
+//! fleet determinism tests pin down across shard counts 1/2/4.
 
 use crate::scratch::QueryScratch;
 use crate::store::{rank_hits, QueryHit};
@@ -41,16 +38,6 @@ pub struct ShardedIndex<I> {
 }
 
 impl<I: FeatureIndex> ShardedIndex<I> {
-    /// Wraps pre-built (typically empty) inner indexes as shards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is empty.
-    pub fn new(shards: Vec<I>) -> Self {
-        assert!(!shards.is_empty(), "sharded index needs at least one shard");
-        ShardedIndex { shards }
-    }
-
     /// Builds `n` shards from a constructor closure.
     ///
     /// # Panics
@@ -58,8 +45,9 @@ impl<I: FeatureIndex> ShardedIndex<I> {
     /// Panics if `n == 0`.
     pub fn with_shards(n: usize, make: impl FnMut() -> I) -> Self {
         assert!(n > 0, "sharded index needs at least one shard");
-        let mut make = make;
-        ShardedIndex::new((0..n).map(|_| make()).collect())
+        ShardedIndex {
+            shards: std::iter::repeat_with(make).take(n).collect(),
+        }
     }
 
     /// Number of shards.
@@ -90,11 +78,10 @@ impl<I: FeatureIndex + Send + Sync> FeatureIndex for ShardedIndex<I> {
     /// partition preserves each shard's relative item order and shards are
     /// independent.
     fn insert_batch(&mut self, items: Vec<(ImageId, ImageFeatures)>) {
-        let n = self.shards.len();
-        let mut buckets: Vec<Vec<(ImageId, ImageFeatures)>> = (0..n).map(|_| Vec::new()).collect();
+        let mut buckets: Vec<Vec<(ImageId, ImageFeatures)>> =
+            (0..self.shards.len()).map(|_| Vec::new()).collect();
         for (id, features) in items {
-            let s = (id.0 % n as u64) as usize;
-            buckets[s].push((id, features));
+            buckets[self.shard_of(id)].push((id, features));
         }
         let mut work: Vec<(&mut I, Vec<(ImageId, ImageFeatures)>)> =
             self.shards.iter_mut().zip(buckets).collect();
@@ -248,19 +235,5 @@ mod tests {
             assert_eq!(idx.shard(s).len(), 3, "shard {s}");
         }
         assert_eq!(idx.shard_of(ImageId(7)), 1);
-    }
-
-    #[test]
-    fn reinsert_lands_on_the_same_shard() {
-        let mut rng = ChaCha8Rng::seed_from_u64(29);
-        let mut idx = ShardedIndex::with_shards(2, || MihIndex::new(SimilarityConfig::default()));
-        let f1 = random_features(&mut rng, 6);
-        let f2 = random_features(&mut rng, 6);
-        idx.insert(ImageId(4), f1.clone());
-        idx.insert(ImageId(4), f2.clone());
-        assert_eq!(idx.len(), 1);
-        assert!(idx.max_similarity(&f1).is_none());
-        let hit = idx.max_similarity(&f2).unwrap();
-        assert_eq!(hit.id, ImageId(4));
     }
 }

@@ -1,6 +1,5 @@
 //! Shared storage types for the index backends.
 
-use bees_features::ImageFeatures;
 use std::fmt;
 
 /// Opaque identifier of an indexed image.
@@ -11,15 +10,6 @@ impl fmt::Display for ImageId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "img#{}", self.0)
     }
-}
-
-/// An indexed image: identifier plus stored features.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ImageEntry {
-    /// The image's identifier.
-    pub id: ImageId,
-    /// Its feature set as uploaded.
-    pub features: ImageFeatures,
 }
 
 /// One query result: which image matched and how similar it is.

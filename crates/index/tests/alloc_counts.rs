@@ -3,10 +3,10 @@
 //! allocator (the `bees-telemetry` `no_alloc` pattern) rather than
 //! asserted by inspection.
 //!
-//! The budget is 0: the probe walks the index's posting chains and
-//! appends ids to the scratch's candidate list, which it then sorts,
-//! deduplicates and truncates in place, so once the list has grown to its
-//! high-water mark nothing is left to allocate.
+//! The probe walks the index's posting chains and appends positions to
+//! the scratch's candidate list, which it then sorts and deduplicates in
+//! place, so once the list has grown to its high-water mark nothing is
+//! left to allocate.
 
 use bees_features::descriptor::{BinaryDescriptor, Descriptors};
 use bees_features::similarity::SimilarityConfig;
@@ -75,10 +75,10 @@ const WARMED_ALLOC_BUDGET: usize = 0;
 
 fn warmed_alloc_count(idx: &MihIndex, probe: &ImageFeatures, scratch: &mut QueryScratch) -> usize {
     // Two warmup calls grow the candidate list to steady state.
-    idx.candidates_into(probe, 0, scratch);
-    idx.candidates_into(probe, 0, scratch);
+    idx.candidates_into(probe, scratch);
+    idx.candidates_into(probe, scratch);
     let before = allocations();
-    idx.candidates_into(probe, 0, scratch);
+    idx.candidates_into(probe, scratch);
     allocations() - before
 }
 

@@ -104,18 +104,16 @@ fn top_k_is_sorted_and_bounded() {
 
 #[test]
 fn inserts_accumulate_and_replace() {
+    // Every id is indexed once (the server hands out fresh ids), so
+    // nothing is replaced: each insert adds one image.
     check(CASES, |rng| {
-        let ids: Vec<u64> = (0..rng.gen_range(1..15))
-            .map(|_| rng.gen_range(0u64..6))
-            .collect();
+        let mut ids: Vec<u64> = (0..rng.gen_range(1u64..15)).collect();
+        rng.shuffle(&mut ids);
         let mut idx = MihIndex::new(SimilarityConfig::default());
-        for &id in &ids {
+        for (n, &id) in ids.iter().enumerate() {
             idx.insert(ImageId(id), random_features(rng, 4));
+            assert_eq!(idx.len(), n + 1);
         }
-        let mut unique = ids.clone();
-        unique.sort_unstable();
-        unique.dedup();
-        assert_eq!(idx.len(), unique.len());
     });
 }
 
@@ -152,20 +150,18 @@ fn pooled_features(rng: &mut ChaCha8Rng, pool: &[BinaryDescriptor], n: usize) ->
 }
 
 /// The MIH candidate set by its definition: every stored id with a word
-/// within `radius` of the query's word at the same position, ascending,
-/// cut to `budget` when it is non-zero.
+/// within `radius` of the query's word at the same position, ascending.
 fn brute_force_candidates(
     stored: &BTreeMap<u64, ImageFeatures>,
     query: &ImageFeatures,
     radius: u32,
-    budget: usize,
 ) -> Vec<ImageId> {
     let words = |f: &ImageFeatures| match &f.descriptors {
         Descriptors::Binary(block) => block.words().to_vec(),
         Descriptors::Vector(_) => Vec::new(),
     };
     let query_words = words(query);
-    let mut out: Vec<ImageId> = stored
+    stored
         .iter()
         .filter(|(_, f)| {
             let stored_words = words(f);
@@ -178,11 +174,7 @@ fn brute_force_candidates(
             })
         })
         .map(|(&id, _)| ImageId(id))
-        .collect();
-    if budget > 0 {
-        out.truncate(budget);
-    }
-    out
+        .collect()
 }
 
 #[test]
@@ -206,33 +198,31 @@ fn mih_candidates_equal_a_brute_force_word_scan() {
                 for index in indexes {
                     index.insert(ImageId(id), f.clone());
                 }
-                stored.insert(id, f)
+                stored.insert(id, f);
             };
         let mut probes = vec![
             pooled_features(rng, &pool, 8),
             features_of(&pool[..1]),
             ImageFeatures::empty_binary(),
         ];
-        // Ids arrive out of order; some are re-inserted with new features,
-        // which must drop every posting of the old ones, so the replaced
-        // features are probed too.
-        for _ in 0..rng.gen_range(1usize..24) {
-            let id = rng.gen_range(0u64..16);
+        // Distinct ids arrive out of order.
+        let mut ids: Vec<u64> = (0..rng.gen_range(1u64..24)).collect();
+        rng.shuffle(&mut ids);
+        for id in ids {
             let n = rng.gen_range(0usize..12);
             let f = pooled_features(rng, &pool, n);
-            probes.extend(insert(&mut indexes, &mut stored, id, f));
+            probes.push(f.clone());
+            insert(&mut indexes, &mut stored, id, f);
         }
         // One image repeats a single descriptor many times.
         insert(&mut indexes, &mut stored, 99, features_of(&[pool[0]; 30]));
         for probe in &probes {
             for (radius, index) in indexes.iter().enumerate() {
-                for budget in [0, 1, 5, stored.len()] {
-                    assert_eq!(
-                        index.candidates_budgeted(probe, budget),
-                        brute_force_candidates(&stored, probe, radius as u32, budget),
-                        "radius {radius}, budget {budget}"
-                    );
-                }
+                assert_eq!(
+                    index.candidates(probe),
+                    brute_force_candidates(&stored, probe, radius as u32),
+                    "radius {radius}"
+                );
             }
         }
         // Vector features have no words: stored or probed, no candidates.
@@ -240,12 +230,12 @@ fn mih_candidates_equal_a_brute_force_word_scan() {
             keypoints: vec![Keypoint::default()],
             descriptors: Descriptors::Vector(vec![VectorDescriptor::from_values(vec![1.0, 0.0])]),
         };
-        insert(&mut indexes, &mut stored, 7, vector.clone());
+        insert(&mut indexes, &mut stored, 100, vector.clone());
         for (radius, index) in indexes.iter().enumerate() {
             assert!(index.candidates(&vector).is_empty());
             assert_eq!(
                 index.candidates(&probes[0]),
-                brute_force_candidates(&stored, &probes[0], radius as u32, 0)
+                brute_force_candidates(&stored, &probes[0], radius as u32)
             );
         }
     });

@@ -171,7 +171,6 @@ impl Channel {
             return TransferProgress {
                 delivered_bytes: 0,
                 end_s: start_s,
-                active_airtime_s: 0.0,
                 completed: true,
             };
         }
@@ -180,13 +179,11 @@ impl Channel {
             return TransferProgress {
                 delivered_bytes: 0,
                 end_s: start_s,
-                active_airtime_s: 0.0,
                 completed: false,
             };
         }
         let total_bits = bytes as f64 * 8.0;
         let mut bits_done = 0.0;
-        let mut airtime = 0.0;
         let mut t = start_s;
         while t < hard_end {
             let bps = self.rate_bps_at(t);
@@ -209,18 +206,15 @@ impl Channel {
                 return TransferProgress {
                     delivered_bytes: bytes,
                     end_s: t + needed,
-                    active_airtime_s: airtime + needed,
                     completed: true,
                 };
             }
             bits_done += bps * seg_span;
-            airtime += seg_span;
             t = seg_end;
         }
         TransferProgress {
             delivered_bytes: ((bits_done / 8.0).floor() as usize).min(bytes),
             end_s: hard_end,
-            active_airtime_s: airtime,
             completed: false,
         }
     }
@@ -233,9 +227,6 @@ pub struct TransferProgress {
     pub delivered_bytes: usize,
     /// Absolute simulated time at which the integration stopped.
     pub end_s: f64,
-    /// Seconds during which the trace was actually carrying bits
-    /// (excludes dead air).
-    pub active_airtime_s: f64,
     /// Whether every requested byte was delivered before the deadline.
     pub completed: bool,
 }
@@ -374,7 +365,6 @@ mod tests {
                 "{} vs {d}",
                 p.end_s - start
             );
-            assert!(p.active_airtime_s <= d + 1e-9);
         }
     }
 
@@ -386,7 +376,6 @@ mod tests {
         assert!(!p.completed);
         assert_eq!(p.delivered_bytes, 4_000);
         assert_eq!(p.end_s, 4.0);
-        assert!((p.active_airtime_s - 4.0).abs() < 1e-9);
     }
 
     #[test]
@@ -408,11 +397,6 @@ mod tests {
         let p = ch.transfer_progress(0.0, 1_000, f64::INFINITY);
         assert!(p.completed);
         assert!((p.end_s - 2.0).abs() < 1e-9);
-        assert!(
-            (p.active_airtime_s - 1.0).abs() < 1e-9,
-            "airtime {}",
-            p.active_airtime_s
-        );
     }
 
     #[test]
@@ -424,7 +408,6 @@ mod tests {
         assert!(!p.completed);
         assert_eq!(p.delivered_bytes, 0);
         assert_eq!(p.end_s, 35.0);
-        assert_eq!(p.active_airtime_s, 0.0);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! impairments as a pure function of `(seed, time, attempt index)`, so
 //! every run is reproducible at any thread count, and [`FaultyChannel`]
 //! layers them over any [`Channel`], reporting *partial progress* — the
-//! bytes delivered before the cut and the airtime consumed — instead of
+//! bytes delivered before the cut and the time the attempt took — instead of
 //! the all-or-nothing durations of [`Channel::transfer_duration`]. Every
 //! impairment is seeded, blackouts included: a hashed coin decides which
 //! periodic window is dark.
@@ -307,9 +307,6 @@ pub struct TransferOutcome {
     /// Wall-clock seconds the attempt occupied — the radio is powered the
     /// whole time, so this is the energy-relevant span.
     pub elapsed_s: f64,
-    /// Seconds of `elapsed_s` during which the trace was actually moving
-    /// bits (excludes dead air).
-    pub active_airtime_s: f64,
     /// How the attempt was interrupted; `None` means it completed.
     pub fault: Option<FaultKind>,
 }
@@ -392,7 +389,6 @@ impl FaultyChannel {
             return TransferOutcome {
                 delivered_bytes: 0,
                 elapsed_s: 0.0,
-                active_airtime_s: 0.0,
                 fault: None,
             };
         }
@@ -400,7 +396,6 @@ impl FaultyChannel {
             return TransferOutcome {
                 delivered_bytes: 0,
                 elapsed_s: 0.0,
-                active_airtime_s: 0.0,
                 fault: Some(FaultKind::Disconnected),
             };
         }
@@ -429,7 +424,6 @@ impl FaultyChannel {
         TransferOutcome {
             delivered_bytes: p.delivered_bytes,
             elapsed_s: p.end_s - start_s,
-            active_airtime_s: p.active_airtime_s,
             fault,
         }
     }

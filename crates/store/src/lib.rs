@@ -40,27 +40,9 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// 64-bit FNV-1a over a byte slice — the content-address hash.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// Folds a `u64` word into an FNV-1a accumulator (little-endian bytes).
-fn fnv1a_u64(mut h: u64, word: u64) -> u64 {
-    for b in word.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// Streaming FNV-1a 64 hasher, for composite content fingerprints (feature
-/// digests, histogram digests) built up from multiple fields.
+/// Streaming FNV-1a 64 hasher: the content-address hash, and the fold
+/// behind composite fingerprints (feature and histogram digests, the
+/// layout digest) built up from multiple fields.
 #[derive(Debug, Clone)]
 pub struct Fnv64(u64);
 
@@ -291,15 +273,16 @@ impl ContentStore {
     /// The content key of a payload (what [`insert`](ContentStore::insert)
     /// will file it under).
     pub fn key_of(payload: &StorePayload, fidelity: Fidelity) -> BlobKey {
+        let mut h = Fnv64::new();
         match payload {
-            StorePayload::Bytes(b) => BlobKey(fnv1a(b)),
+            StorePayload::Bytes(b) => h.write(b),
             StorePayload::Size { size, fingerprint } => {
-                let mut h = fnv1a_u64(FNV_OFFSET, *fingerprint);
-                h = fnv1a_u64(h, *size as u64);
-                h = fnv1a_u64(h, fidelity.as_u64());
-                BlobKey(h)
+                h.write_u64(*fingerprint);
+                h.write_u64(*size as u64);
+                h.write_u64(fidelity.as_u64());
             }
         }
+        BlobKey(h.finish())
     }
 
     /// Files `payload` under image `image_id` at virtual time `now_s`.
@@ -574,29 +557,29 @@ impl ContentStore {
     /// stores built from the same ingest sequence — at any thread or shard
     /// count — digest identically.
     pub fn layout_digest(&self) -> u64 {
-        let mut h = FNV_OFFSET;
+        let mut h = Fnv64::new();
         for (key, blob) in &self.blobs {
-            h = fnv1a_u64(h, key.0);
-            h = fnv1a_u64(h, blob.len as u64);
-            h = fnv1a_u64(h, blob.original_len as u64);
-            h = fnv1a_u64(h, blob.fidelity.as_u64());
-            h = fnv1a_u64(h, blob.refs as u64);
-            h = fnv1a_u64(h, blob.recompressed as u64);
+            h.write_u64(key.0);
+            h.write_u64(blob.len as u64);
+            h.write_u64(blob.original_len as u64);
+            h.write_u64(blob.fidelity.as_u64());
+            h.write_u64(blob.refs as u64);
+            h.write_u64(blob.recompressed as u64);
         }
         for (&img, key) in &self.by_image {
-            h = fnv1a_u64(h, img);
-            h = fnv1a_u64(h, key.0);
+            h.write_u64(img);
+            h.write_u64(key.0);
         }
         for (&gid, members) in &self.groups {
-            h = fnv1a_u64(h, gid);
+            h.write_u64(gid);
             for &m in members {
-                h = fnv1a_u64(h, m);
+                h.write_u64(m);
             }
         }
-        h = fnv1a_u64(h, self.ledger.stored_bytes as u64);
-        h = fnv1a_u64(h, self.ledger.reclaimed_bytes as u64);
-        h = fnv1a_u64(h, self.ledger.dedup_hits as u64);
-        h
+        h.write_u64(self.ledger.stored_bytes as u64);
+        h.write_u64(self.ledger.reclaimed_bytes as u64);
+        h.write_u64(self.ledger.dedup_hits as u64);
+        h.finish()
     }
 }
 
@@ -624,6 +607,11 @@ mod tests {
     #[test]
     fn fnv_matches_reference_vectors() {
         // Published FNV-1a 64 test vectors.
+        let fnv1a = |bytes: &[u8]| {
+            let mut h = Fnv64::new();
+            h.write(bytes);
+            h.finish()
+        };
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
